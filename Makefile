@@ -25,12 +25,14 @@ test:
 race:
 	$(GO) test -race -count=1 ./internal/simnet ./internal/core ./internal/survey
 
-# Short fuzz pass over the merge-ordering contract (FuzzShardMerge), the P²
-# quantile invariants (FuzzP2AgainstExact), and the dataset readers
+# Short fuzz pass over the merge-ordering contract (FuzzShardMerge), the
+# timing wheel's dequeue order against a heap oracle (FuzzWheelVsHeap), the
+# P² quantile invariants (FuzzP2AgainstExact), and the dataset readers
 # (FuzzOpenSource strict+lenient over all three formats, FuzzCompactReader
 # on the varint decoder); seeds alone run in `make test`.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzShardMerge -fuzztime=30s ./internal/simnet
+	$(GO) test -run=Fuzz -fuzz=FuzzWheelVsHeap -fuzztime=30s ./internal/simnet
 	$(GO) test -run=Fuzz -fuzz=FuzzP2AgainstExact -fuzztime=30s ./internal/stats
 	$(GO) test -run=Fuzz -fuzz=FuzzOpenSource -fuzztime=30s ./internal/survey
 	$(GO) test -run=Fuzz -fuzz=FuzzCompactReader -fuzztime=30s ./internal/survey
@@ -41,6 +43,7 @@ fuzz:
 # Faster fuzz smoke for CI: same targets, 10 s each.
 fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzShardMerge -fuzztime=10s ./internal/simnet
+	$(GO) test -run=Fuzz -fuzz=FuzzWheelVsHeap -fuzztime=10s ./internal/simnet
 	$(GO) test -run=Fuzz -fuzz=FuzzP2AgainstExact -fuzztime=10s ./internal/stats
 	$(GO) test -run=Fuzz -fuzz=FuzzOpenSource -fuzztime=10s ./internal/survey
 	$(GO) test -run=Fuzz -fuzz=FuzzCompactReader -fuzztime=10s ./internal/survey
@@ -94,9 +97,9 @@ bench-compare:
 # goroutine): the zero-alloc and deadline-semantics pins on both Transport
 # implementations, the full rtt session tests — sim-oracle determinism plus
 # the live UDP loopback integration (handshake, isochronous round trips,
-# injected drops, late-reply-after-timeout) — and the differential
-# equivalence test proving the refactored probers byte-identical through
-# SimTransport across -parallel 1 and 8.
+# injected drops, late-reply-after-timeout) — and the golden test pinning
+# the probers' outputs through SimTransport on the 96-block population
+# (3 seeds × -parallel 1, 4 and 8).
 transport-check:
 	$(GO) test -race -count=1 ./internal/transport ./internal/rtt
 	$(GO) test -race -count=1 -run 'TestTransportDifferentialIdentity' ./internal/experiments
@@ -132,11 +135,11 @@ metrics-check:
 	$(GO) test -race -count=1 -run 'TestProm|TestRuntimeCollector|TestHistogramQuantile|TestDebugServer|TestEscapeLabel|TestFormatValue|TestStatusClass|TestServeMetrics|TestServeInstrumented|TestHealthzIngest|TestMetricsScrape|TestWatchdog|TestAccessLogger|TestOutcomeOf|TestServeTraffic' ./internal/obs ./internal/advisor
 	$(GO) test -count=1 -run 'TestAdvisordMetricsAndAccessLog' ./cmd/advisord
 
-# The bounded-memory smoke test: the dense rank-indexed paths at
-# internet-demonstration scale — a 2^24-address scan and a 4M-address survey
-# — must finish with peak heap under the budget pinned in scale_test.go
-# (64 MB; the map paths would need ~1.6 GB for the scan). -count=1 because a
-# cached pass never exercised the allocator.
+# The bounded-memory smoke test: the rank-indexed prober, scanner and model
+# state at internet-demonstration scale — a 2^24-address scan and a
+# 4M-address survey — must finish with peak heap under the budget pinned in
+# scale_test.go (64 MB; per-address maps, since deleted, needed ~1.6 GB for
+# the scan). -count=1 because a cached pass never exercised the allocator.
 scale-check:
 	SCALE_CHECK=1 $(GO) test -count=1 -run 'TestScaleCheck' -v .
 

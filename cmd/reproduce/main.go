@@ -5,7 +5,7 @@
 // Usage:
 //
 //	reproduce [-scale quick|default|full] [-exp id[,id...]] [-list] [-seed N]
-//	          [-parallel N] [-stream] [-dense]
+//	          [-parallel N] [-stream]
 //	          [-metrics FILE] [-trace FILE] [-manifest FILE] [-debug-addr ADDR]
 //
 // Without -exp, every experiment in the registry runs in paper order. With
@@ -16,9 +16,8 @@
 // quantiles come from the bounded-memory streaming pipeline (the survey
 // probes straight into a core.StreamMatcher, no intermediate dataset); at
 // simulation scale the results are identical to the in-memory matcher.
-// With -dense the workloads use flat rank-indexed state instead of
-// per-address maps throughout (bounded memory at large scales, identical
-// output; see the abl-dense experiment).
+// Prober, scanner and model state is flat and rank-indexed throughout, so
+// it stays bounded at large scales.
 //
 // The observability flags collect metrics and phase spans from every
 // workload the lab runs, plus a wall-clock span per experiment; -debug-addr
@@ -47,7 +46,6 @@ func main() {
 		dataDir   = flag.String("data", "", "also export the figures' plottable series as CSV files into this directory")
 		parallel  = flag.Int("parallel", 1, "shard count for the survey/scan workloads (1 = sequential, 0 = one per CPU)")
 		stream    = flag.Bool("stream", false, "bounded-memory streaming pipeline for the shared quantiles")
-		dense     = flag.Bool("dense", false, "flat rank-indexed state for the shared workloads (bounded memory, identical output)")
 	)
 	cli := obs.RegisterCLI()
 	flag.Parse()
@@ -99,7 +97,6 @@ func main() {
 	lab := experiments.NewLab(scale)
 	lab.Parallel = *parallel
 	lab.Stream = *stream
-	lab.Dense = *dense
 	lab.Obs = cli.Reg
 	lab.Trace = cli.Tracer
 	start := time.Now()

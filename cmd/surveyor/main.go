@@ -5,7 +5,7 @@
 //
 //	surveyor -o survey.tosv [-blocks 512] [-cycles 24] [-seed 42]
 //	         [-vantage w|c|j|g] [-interval 11m] [-timeout 3s] [-parallel N]
-//	         [-dense] [-fault-seed N] [-fault-corrupt F] [-fault-truncate F]
+//	         [-fault-seed N] [-fault-corrupt F] [-fault-truncate F]
 //	         [-fault-dup F] [-fault-data F]
 //	         [-metrics FILE] [-trace FILE] [-manifest FILE] [-debug-addr ADDR]
 //
@@ -15,11 +15,11 @@
 // byte-identical to the sequential run. -parallel 0 selects one shard per
 // CPU.
 //
-// With -dense the prober tracks outstanding probes in a small ring of
-// per-slot bitmaps instead of a per-address map, and the network model
-// keeps its radio state in a bounded table — the configuration for
-// internet-size -blocks values, with a dataset again byte-identical to the
-// default path.
+// The prober tracks outstanding probes in a small ring of per-slot bitmaps
+// and the network model keeps its radio state in a bounded table, so
+// memory stays bounded at internet-size -blocks values. The ring must span
+// -timeout plus two expiry sweeps; an -interval too short for that is
+// rejected with the smallest interval the timeout allows.
 //
 // The -fault-* flags drive the deterministic fault-injection layer: the
 // wire rates corrupt, truncate or duplicate in-flight packets inside the
@@ -56,7 +56,6 @@ func main() {
 		format   = flag.String("format", "tosv", "output format: tosv (fixed binary), compact (varint), or csv")
 		catalog  = flag.String("catalog", "", "JSON AS-catalog file (default: built-in catalog)")
 		parallel = flag.Int("parallel", 1, "shard count for the parallel engine (1 = sequential, 0 = one per CPU)")
-		dense    = flag.Bool("dense", false, "flat rank-indexed prober and model state: bounded memory at large -blocks, byte-identical dataset")
 
 		faultSeed     = flag.Uint64("fault-seed", 1, "fault-injection seed (faults are a pure function of it)")
 		faultCorrupt  = flag.Float64("fault-corrupt", 0, "wire fault rate: bit-flip a delivered packet")
@@ -149,7 +148,6 @@ func main() {
 		Cycles:   *cycles,
 		Timeout:  *timeout,
 		Seed:     *seed,
-		Dense:    *dense,
 		Faults:   plan,
 		Obs:      cli.Reg,
 		Trace:    cli.Tracer,
@@ -158,13 +156,11 @@ func main() {
 	if *parallel > 1 {
 		st, err = survey.RunSharded(cfg, *parallel, func(int) simnet.Fabric {
 			model := netmodel.NewModel(pop)
-			model.SetDense(*dense)
 			model.AddVantage(vp.Addr, vp.Continent)
 			return model
 		}, sink)
 	} else {
 		model := netmodel.NewModel(pop)
-		model.SetDense(*dense)
 		model.AddVantage(vp.Addr, vp.Continent)
 		net := simnet.NewNetwork(&simnet.Scheduler{}, model)
 		st, err = survey.Run(net, cfg, sink)

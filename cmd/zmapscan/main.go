@@ -6,7 +6,7 @@
 // Usage:
 //
 //	zmapscan [-blocks 512] [-seed 42] [-scanseed 1] [-duration 90m] [-top 10]
-//	         [-parallel N] [-dense] [-fault-seed N] [-fault-corrupt F]
+//	         [-parallel N] [-fault-seed N] [-fault-corrupt F]
 //	         [-fault-truncate F] [-fault-dup F]
 //	         [-metrics FILE] [-trace FILE] [-manifest FILE] [-debug-addr ADDR]
 //
@@ -16,11 +16,10 @@
 // byte-identical to the sequential scan. -parallel 0 selects one shard per
 // CPU.
 //
-// With -dense the scanner and the network model switch to flat
-// rank-indexed state (a self-rescheduling probe pump, bitset dedup, a
-// bounded radio-state table) instead of per-address maps — the
-// configuration for internet-size -blocks values, with output again
-// byte-identical to the default path.
+// Scanner and model state is flat and rank-indexed (a self-rescheduling
+// probe pump, a first-response bitset, a bounded radio-state table), so
+// memory stays bounded at internet-size -blocks values; what grows with
+// the population is the response list the report is computed from.
 //
 // The -fault-* flags drive the deterministic fault-injection layer: matching
 // rates of in-flight packets are bit-flipped, truncated or duplicated inside
@@ -60,7 +59,6 @@ func main() {
 		top      = flag.Int("top", 10, "AS ranking size")
 		catalog  = flag.String("catalog", "", "JSON AS-catalog file (default: built-in catalog)")
 		parallel = flag.Int("parallel", 1, "shard count for the parallel engine (1 = sequential, 0 = one per CPU)")
-		dense    = flag.Bool("dense", false, "flat rank-indexed scanner and model state: bounded memory at large -blocks, byte-identical output")
 
 		faultSeed     = flag.Uint64("fault-seed", 1, "fault-injection seed (faults are a pure function of it)")
 		faultCorrupt  = flag.Float64("fault-corrupt", 0, "wire fault rate: bit-flip a delivered packet")
@@ -106,13 +104,10 @@ func main() {
 	src := ipaddr.MustParse("240.0.2.1")
 	cfg := zmapper.Config{
 		Src: src, Continent: ipmeta.NorthAmerica,
-		TargetN: pop.NumAddrs(), TargetAt: pop.AddrAt,
+		TargetN: pop.NumAddrs(), TargetAt: pop.AddrAt, TargetIndex: pop.IndexOf,
 		Duration: *duration, Seed: *scanseed,
 		Faults: plan,
 		Obs:    cli.Reg, Trace: cli.Tracer,
-	}
-	if *dense {
-		cfg.Dense, cfg.TargetIndex = true, pop.IndexOf
 	}
 
 	start := time.Now()
@@ -121,13 +116,11 @@ func main() {
 	if *parallel > 1 {
 		sc, err = zmapper.RunSharded(cfg, *parallel, func(int) simnet.Fabric {
 			model := netmodel.NewModel(pop)
-			model.SetDense(*dense)
 			model.AddVantage(src, ipmeta.NorthAmerica)
 			return model
 		})
 	} else {
 		model := netmodel.NewModel(pop)
-		model.SetDense(*dense)
 		model.AddVantage(src, ipmeta.NorthAmerica)
 		net := simnet.NewNetwork(&simnet.Scheduler{}, model)
 		sc, err = zmapper.Run(net, cfg)
@@ -149,7 +142,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "zmapscan:", err)
 		os.Exit(1)
 	}
-	rtts := sc.RTTPercentiles()
+	// The first-response map feeds both the percentiles and the rankings.
+	// It holds an entry per responder, so it is built once.
+	self := sc.SelfResponses()
+	rtts := zmapper.SortedRTTs(self)
 	fmt.Printf("scanned %d addresses in %v (wall), %d responders\n",
 		sc.ProbesSent, time.Since(start).Round(time.Millisecond), len(rtts))
 	if plan != nil {
@@ -172,7 +168,7 @@ func main() {
 		len(b.Responders), b.ProbedBroadcast[255], b.ProbedBroadcast[0],
 		b.ProbedBroadcast[127], b.ProbedBroadcast[128])
 
-	scans := []map[ipaddr.Addr]time.Duration{sc.SelfResponses()}
+	scans := []map[ipaddr.Addr]time.Duration{self}
 	fmt.Printf("\nASes with the most addresses >1s (turtles):\n%s",
 		core.FormatASRanks(core.RankASes(scans, pop.DB(), core.TurtleThreshold, *top)))
 	fmt.Printf("\nContinents:\n%s",

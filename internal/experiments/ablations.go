@@ -223,95 +223,3 @@ func (l *Lab) AblStreaming() (Report, error) {
 		},
 	}, nil
 }
-
-// AblDense — equivalence check for the flat rank-indexed state paths: a
-// second lab with Dense flipped re-runs the survey, a Zmap scan, and the
-// streaming matcher, and every output is compared against this lab's —
-// survey records and stats, scan responses, and the full rendered report.
-// The dense representations (the surveyor's outstanding-probe ring, the
-// scanner's pump/bitset loop, the dense StreamMatcher, the model's bounded
-// radio table) are required to be byte-identical to the maps they replace,
-// so the ablation must find zero differences whichever mode the lab is in.
-func (l *Lab) AblDense() (Report, error) {
-	recs, st, err := l.Survey()
-	if err != nil {
-		return Report{}, err
-	}
-	scans, err := l.Scans(1)
-	if err != nil {
-		return Report{}, err
-	}
-	sres, err := l.StreamMatch()
-	if err != nil {
-		return Report{}, err
-	}
-
-	other := NewLab(l.Scale)
-	other.Parallel = l.Parallel
-	other.Stream = l.Stream
-	other.Dense = !l.Dense
-	orecs, ost, err := other.Survey()
-	if err != nil {
-		return Report{}, err
-	}
-	oscans, err := other.Scans(1)
-	if err != nil {
-		return Report{}, err
-	}
-	osres, err := other.StreamMatch()
-	if err != nil {
-		return Report{}, err
-	}
-
-	diffs := 0
-	if st != ost {
-		diffs++
-	}
-	if len(recs) != len(orecs) {
-		diffs++
-	} else {
-		for i := range recs {
-			if recs[i] != orecs[i] {
-				diffs++
-				break
-			}
-		}
-	}
-	if len(scans[0].Responses) != len(oscans[0].Responses) {
-		diffs++
-	} else {
-		for i := range scans[0].Responses {
-			if scans[0].Responses[i] != oscans[0].Responses[i] {
-				diffs++
-				break
-			}
-		}
-	}
-	rep, orep := core.RenderReport(sres, false), core.RenderReport(osres, false)
-	if rep != orep {
-		diffs++
-	}
-
-	mode, omode := "map", "dense"
-	if l.Dense {
-		mode, omode = omode, mode
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s lab vs %s lab at equal scale and parallelism:\n", mode, omode)
-	fmt.Fprintf(&b, "survey: %d records, stats equal: %v\n", len(recs), st == ost)
-	fmt.Fprintf(&b, "zmap:   %d responses, streams equal: %v\n", len(scans[0].Responses),
-		len(scans[0].Responses) == len(oscans[0].Responses))
-	fmt.Fprintf(&b, "report: %d bytes, byte-identical: %v\n", len(rep), rep == orep)
-	measured := "byte-identical"
-	if diffs > 0 {
-		measured = fmt.Sprintf("%d differences", diffs)
-	}
-	return Report{
-		ID:    "abl-dense",
-		Title: "Ablation: dense rank-indexed state equivalence vs maps",
-		Body:  b.String(),
-		Metrics: []Metric{
-			{"dense vs map outputs", "byte-identical", measured},
-		},
-	}, nil
-}

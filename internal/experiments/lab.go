@@ -90,14 +90,6 @@ type Lab struct {
 	// execution-speed opt-in (cmd/reproduce's -parallel flag).
 	Parallel int
 
-	// Dense routes every workload through the flat rank-indexed state
-	// paths: the survey's outstanding-probe ring, the scanner's pump/bitset
-	// probe loop, the dense StreamMatcher, and the model's bounded radio
-	// table. Output is byte-identical to the map paths (abl-dense checks
-	// this), so Dense is — like Parallel and Stream — purely a
-	// memory/throughput opt-in (cmd/reproduce's -dense flag).
-	Dense bool
-
 	// Stream routes Quantiles through the bounded-memory streaming pipeline
 	// (StreamMatch) instead of the in-memory matcher. At simulation scale
 	// the two are byte-identical (abl-streaming checks this), so Stream is,
@@ -138,19 +130,8 @@ func NewLab(s Scale) *Lab {
 // shard-local) with every vantage registered, while the immutable
 // Population is shared and read concurrently.
 func ShardFabric(pop *netmodel.Population) func(int) simnet.Fabric {
-	return shardFabric(pop, false)
-}
-
-// DenseShardFabric is ShardFabric with each model's radio state in its
-// bounded dense-table form.
-func DenseShardFabric(pop *netmodel.Population) func(int) simnet.Fabric {
-	return shardFabric(pop, true)
-}
-
-func shardFabric(pop *netmodel.Population, dense bool) func(int) simnet.Fabric {
 	return func(int) simnet.Fabric {
 		model := netmodel.NewModel(pop)
-		model.SetDense(dense)
 		for _, v := range survey.Vantages {
 			model.AddVantage(v.Addr, v.Continent)
 		}
@@ -159,22 +140,6 @@ func shardFabric(pop *netmodel.Population, dense bool) func(int) simnet.Fabric {
 		model.AddVantage(outageSrc, ipmeta.NorthAmerica)
 		return model
 	}
-}
-
-// fabric returns the lab's shard-fabric factory, dense when Dense is set.
-func (l *Lab) fabric(pop *netmodel.Population) func(int) simnet.Fabric {
-	if l.Dense {
-		return DenseShardFabric(pop)
-	}
-	return ShardFabric(pop)
-}
-
-// world builds a sequential-run world, with the model's radio state dense
-// when Dense is set.
-func (l *Lab) world() *World {
-	w := NewWorld(l.popCfg)
-	w.Model.SetDense(l.Dense)
-	return w
 }
 
 // PopConfig returns the lab's population config.
@@ -195,16 +160,15 @@ func (l *Lab) Survey() ([]survey.Record, survey.Stats, error) {
 			Vantage: survey.VantageW,
 			Cycles:  l.Scale.SurveyCycles,
 			Seed:    l.Scale.Seed,
-			Dense:   l.Dense,
 			Obs:     l.Obs,
 			Trace:   l.Trace,
 		}
 		if l.Parallel > 1 {
 			pop := netmodel.New(l.popCfg)
 			cfg.Blocks = pop.Blocks()
-			st, err = survey.RunSharded(cfg, l.Parallel, l.fabric(pop), &mem)
+			st, err = survey.RunSharded(cfg, l.Parallel, ShardFabric(pop), &mem)
 		} else {
-			w := l.world()
+			w := NewWorld(l.popCfg)
 			cfg.Blocks = w.Pop.Blocks()
 			st, err = survey.Run(w.Net, cfg, &mem)
 		}
@@ -234,19 +198,16 @@ func (l *Lab) Match() (*core.Result, error) {
 // probes straight into a core.StreamMatcher — under -parallel the sharded
 // merge is streamed record-by-record into the analyzer — so no intermediate
 // dataset is ever materialized; the workload and seed match Survey()'s, so
-// the record stream the matcher sees is the same one Match() consumes.
+// the record stream the matcher sees is the same one Match() consumes. The
+// matcher's open-probe state is indexed by the population's dense address
+// rank.
 func (l *Lab) StreamMatch() (*core.StreamResult, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.streamRes == nil {
 		opt := core.MatchOptionsForCycles(l.Scale.SurveyCycles)
 		newMatcher := func(pop *netmodel.Population) *core.StreamMatcher {
-			var m *core.StreamMatcher
-			if l.Dense {
-				m = core.NewStreamMatcherDense(opt, pop.NumAddrs(), pop.IndexOf)
-			} else {
-				m = core.NewStreamMatcher(opt)
-			}
+			m := core.NewStreamMatcherDense(opt, pop.NumAddrs(), pop.IndexOf)
 			m.SetObserver(l.Obs)
 			return m
 		}
@@ -254,7 +215,6 @@ func (l *Lab) StreamMatch() (*core.StreamResult, error) {
 			Vantage: survey.VantageW,
 			Cycles:  l.Scale.SurveyCycles,
 			Seed:    l.Scale.Seed,
-			Dense:   l.Dense,
 			Obs:     l.Obs,
 			Trace:   l.Trace,
 		}
@@ -266,9 +226,9 @@ func (l *Lab) StreamMatch() (*core.StreamResult, error) {
 			pop := netmodel.New(l.popCfg)
 			m = newMatcher(pop)
 			cfg.Blocks = pop.Blocks()
-			_, err = survey.RunSharded(cfg, l.Parallel, l.fabric(pop), m)
+			_, err = survey.RunSharded(cfg, l.Parallel, ShardFabric(pop), m)
 		} else {
-			w := l.world()
+			w := NewWorld(l.popCfg)
 			m = newMatcher(w.Pop)
 			cfg.Blocks = w.Pop.Blocks()
 			_, err = survey.Run(w.Net, cfg, m)
@@ -334,17 +294,11 @@ func (l *Lab) Scans(n int) ([]*zmapper.Scan, error) {
 		}
 		if l.Parallel > 1 {
 			pop := netmodel.New(l.popCfg)
-			cfg.TargetN, cfg.TargetAt = pop.NumAddrs(), pop.AddrAt
-			if l.Dense {
-				cfg.Dense, cfg.TargetIndex = true, pop.IndexOf
-			}
-			sc, err = zmapper.RunSharded(cfg, l.Parallel, l.fabric(pop))
+			cfg.TargetN, cfg.TargetAt, cfg.TargetIndex = pop.NumAddrs(), pop.AddrAt, pop.IndexOf
+			sc, err = zmapper.RunSharded(cfg, l.Parallel, ShardFabric(pop))
 		} else {
-			w := l.world()
-			cfg.TargetN, cfg.TargetAt = w.Pop.NumAddrs(), w.Pop.AddrAt
-			if l.Dense {
-				cfg.Dense, cfg.TargetIndex = true, w.Pop.IndexOf
-			}
+			w := NewWorld(l.popCfg)
+			cfg.TargetN, cfg.TargetAt, cfg.TargetIndex = w.Pop.NumAddrs(), w.Pop.AddrAt, w.Pop.IndexOf
 			sc, err = zmapper.Run(w.Net, cfg)
 		}
 		if err != nil {

@@ -55,7 +55,6 @@ var Registry = []Entry{
 	{"abl-scale", "Ablation: sample-count sensitivity of Table 2", (*Lab).AblScale},
 	{"abl-vantage", "Ablation: vantage-point consistency (§5.2)", (*Lab).AblVantage},
 	{"abl-streaming", "Ablation: streaming pipeline equivalence vs in-memory", (*Lab).AblStreaming},
-	{"abl-dense", "Ablation: dense rank-indexed state equivalence vs maps", (*Lab).AblDense},
 }
 
 // Find returns the registry entry with the given id.

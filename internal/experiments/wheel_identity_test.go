@@ -1,95 +1,18 @@
 package experiments
 
-import (
-	"bytes"
-	"fmt"
-	"reflect"
-	"testing"
+import "testing"
 
-	"timeouts/internal/obs"
-	"timeouts/internal/simnet"
-	"timeouts/internal/survey"
-	"timeouts/internal/zmapper"
-)
-
-// engineRun captures everything a run produces that the determinism
-// contract covers: the survey dataset, the scan responses, the metric
-// snapshot and the manifest's deterministic section.
-type engineRun struct {
-	label     string
-	records   []survey.Record
-	responses []zmapper.Response
-	snap      []byte
-	manifest  []byte
-}
-
-// runEngineWorkloads runs the instrumented survey + scan workloads under the
-// currently selected scheduler engine and shard count.
-func runEngineWorkloads(t *testing.T, label string, parallel int) engineRun {
-	t.Helper()
-	lab := NewLab(obsScale)
-	lab.Parallel = parallel
-	lab.Obs = obs.NewRegistry()
-	lab.Trace = obs.NewTracer()
-	recs, _, err := lab.Survey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	scans, err := lab.Scans(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := lab.Obs.Snapshot().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m := obs.BuildManifest("wheel-identity", obsScale.Seed, parallel, nil, nil, lab.Trace, lab.Obs)
-	det, err := m.DeterministicJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return engineRun{label: label, records: recs, responses: scans[0].Responses,
-		snap: buf.Bytes(), manifest: det}
-}
-
-// TestWheelByteIdentity is the cross-engine equivalence suite for the
-// timing-wheel scheduler: for a fixed seed, the survey dataset, the scan's
-// response stream, the deterministic metric snapshot and the manifest's run
-// section must be identical across {wheel, heap} × {sequential, 8 shards} —
-// four runs, one answer.
+// TestWheelByteIdentity pins the timing-wheel scheduler's end-to-end
+// output: for obsScale's seed the survey dataset, the scan's response
+// stream, the deterministic metric snapshot, the manifest's run section and
+// the streaming report must equal the goldens captured while the
+// binary-heap engine still ran beside the wheel (and matched it), both
+// sequentially and on 8 shards. The scheduler's own ordering contract is
+// checked against a test-local heap oracle in internal/simnet.
 func TestWheelByteIdentity(t *testing.T) {
-	var runs []engineRun
-	for _, useHeap := range []bool{false, true} {
-		prev := simnet.SetDefaultHeapScheduler(useHeap)
-		for _, parallel := range []int{1, 8} {
-			engine := "wheel"
-			if useHeap {
-				engine = "heap"
-			}
-			label := fmt.Sprintf("%s/parallel=%d", engine, parallel)
-			runs = append(runs, runEngineWorkloads(t, label, parallel))
-		}
-		simnet.SetDefaultHeapScheduler(prev)
-	}
-	ref := runs[0]
-	if len(ref.records) == 0 || len(ref.responses) == 0 {
-		t.Fatalf("reference run is empty: %d records, %d responses", len(ref.records), len(ref.responses))
-	}
-	for _, r := range runs[1:] {
-		if !reflect.DeepEqual(ref.records, r.records) {
-			t.Errorf("survey dataset differs: %s vs %s (%d vs %d records)",
-				ref.label, r.label, len(ref.records), len(r.records))
-		}
-		if !reflect.DeepEqual(ref.responses, r.responses) {
-			t.Errorf("scan responses differ: %s vs %s (%d vs %d responses)",
-				ref.label, r.label, len(ref.responses), len(r.responses))
-		}
-		if !bytes.Equal(ref.snap, r.snap) {
-			t.Errorf("metric snapshots differ: %s vs %s:\n%s\nvs\n%s",
-				ref.label, r.label, ref.snap, r.snap)
-		}
-		if !bytes.Equal(ref.manifest, r.manifest) {
-			t.Errorf("deterministic manifest sections differ: %s vs %s", ref.label, r.label)
-		}
+	sc := goldenScales[0].scale
+	sc.Seed = obsScale.Seed
+	for _, parallel := range []int{1, 8} {
+		checkGoldens(t, "blocks96/seed42", parallel, runDiffWorkloads(t, sc, parallel))
 	}
 }

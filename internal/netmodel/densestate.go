@@ -1,12 +1,12 @@
 package netmodel
 
-import "timeouts/internal/ipaddr"
+import "fmt"
 
-// Dense radio state: the map of *hostState in Model caps populations at
-// simulation scale — one heap allocation and one map entry per cellular
-// address ever probed. At internet scale almost all of that state is dead
-// weight, because the radio state machine only distinguishes an address from
-// a fresh one while it is *recent*:
+// Radio state: a map of per-host state would cap populations at simulation
+// scale — one heap allocation and one map entry per cellular address ever
+// probed. At internet scale almost all of that state is dead weight,
+// because the radio state machine only distinguishes an address from a
+// fresh one while it is *recent*:
 //
 //   - wakeHold's first branch needs wakeUntil only while t < wakeUntil, and
 //     wakeUntil ≤ lastActive always holds after every update (lastActive is
@@ -18,37 +18,45 @@ import "timeouts/internal/ipaddr"
 //
 // So once sim time has moved more than radioHorizon past an entry's
 // lastActive, dropping the entry cannot change any future decision: the
-// model is byte-for-byte equivalent with or without it. Each shard's
-// scheduler clock is monotone, which makes a bounded open-addressing table
-// with horizon pruning a drop-in replacement for the unbounded map — the
-// table holds only the working set of recently active radios, independent of
-// population size.
+// model is byte-for-byte equivalent with or without it — an equivalence the
+// goldens pinned from the unbounded per-address map still check. That
+// holds for every probe at or after the drop, so probe times must not go
+// back past the last prune; each shard's scheduler clock is monotone, and
+// get panics on a probe that breaks the rule. The table holds only the
+// working set of recently active radios, independent of population size.
 const radioHorizon = 70.0
 
-// radioEntry is one open-addressed slot: the address key plus the same
-// hostState the map path stores behind a pointer, inline.
+// radioEntry is one open-addressed slot: the address key plus its
+// hostState, inline.
 type radioEntry struct {
 	addr uint32
 	occ  bool
 	st   hostState
 }
 
-// radioTable is the dense-mode replacement for Model.state: an
-// open-addressed, linearly probed hash table over uint32 addresses whose
-// growth step first evicts entries older than radioHorizon (see above for
-// why eviction is invisible to the model's outputs).
+// radioTable is the model's per-host radio state: an open-addressed,
+// linearly probed hash table over uint32 addresses whose growth step first
+// evicts entries older than radioHorizon (see above for why eviction is
+// invisible to the model's outputs).
 type radioTable struct {
 	slots []radioEntry
 	count int
+	// prunedAt is the sim time of the last rehash that evicted an entry;
+	// no probe may come earlier (zero: nothing evicted yet).
+	prunedAt float64
 }
 
 const radioTableMinSize = 1024
 
 // get returns the state cell for addr, claiming an empty slot if the
-// address has none. now is the current (monotone) sim time, used by the
-// horizon prune when the table needs room. The returned pointer is valid
-// until the next get call.
+// address has none. now is the current sim time, used by the horizon prune
+// when the table needs room; it must not be earlier than the last prune.
+// The returned pointer is valid until the next get call.
 func (rt *radioTable) get(addr uint32, now float64) *hostState {
+	if now < rt.prunedAt {
+		panic(fmt.Sprintf("netmodel: probe at %.6fs comes before the radio table's last horizon prune at %.6fs; "+
+			"probe times must not go backwards (call ResetRadioState between independent runs)", now, rt.prunedAt))
+	}
 	if rt.slots == nil {
 		rt.slots = make([]radioEntry, radioTableMinSize)
 	}
@@ -89,6 +97,9 @@ func (rt *radioTable) rehash(now float64) {
 	for (live+1)*2 > size {
 		size *= 2
 	}
+	if live < rt.count {
+		rt.prunedAt = now
+	}
 	rt.slots = make([]radioEntry, size)
 	rt.count = 0
 	mask := uint32(size - 1)
@@ -106,22 +117,3 @@ func (rt *radioTable) rehash(now float64) {
 		}
 	}
 }
-
-// SetDense switches the model's per-host radio state between the default
-// map (per-address allocation, unbounded) and the dense bounded table
-// (O(active radios) memory, no per-address allocation). The two are
-// byte-identical in every output; dense mode additionally makes
-// ResetRadioState O(1). Switching discards existing radio state, so call it
-// before the first probe.
-func (m *Model) SetDense(on bool) {
-	if on {
-		m.denseRadio = &radioTable{}
-		m.state = nil
-	} else {
-		m.denseRadio = nil
-		m.state = make(map[ipaddr.Addr]*hostState)
-	}
-}
-
-// Dense reports whether the model is in dense-state mode.
-func (m *Model) Dense() bool { return m.denseRadio != nil }

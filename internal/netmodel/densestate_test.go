@@ -1,6 +1,11 @@
 package netmodel
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"strings"
 	"testing"
 
 	"timeouts/internal/xrand"
@@ -29,7 +34,7 @@ func denseProbePlan(p *Population, n int) []struct {
 	for i := 0; i < n; i++ {
 		r := xrand.Hash(99, uint64(i))
 		// Steps from 0.25s (inside a wake) through minutes (idle expiry)
-		// to multi-hour gaps (horizon eviction in the dense table).
+		// to multi-hour gaps (horizon eviction in the table).
 		switch r % 5 {
 		case 0:
 			t += 0.25
@@ -50,59 +55,96 @@ func denseProbePlan(p *Population, n int) []struct {
 	return plan
 }
 
-// TestDenseRadioStateMatchesMap drives the map-backed and dense-table radio
-// state machines through an identical probe schedule and requires
-// bit-identical holds — including across table growth and horizon eviction.
+// radioHoldGolden is the SHA-256 of the 20,000-step plan's hold sequence
+// (each hold's float64 bits, big-endian), pinned from the unbounded
+// per-address map the radio table replaced. Horizon eviction must be
+// invisible: the bounded table reproduces every hold bit for bit.
+const radioHoldGolden = "1d788ad040b0b295185f7365eeea6ae4f1552a1e943a80a010cbc09e101bc343"
+
+// TestDenseRadioStateMatchesMap drives the radio state machine through a
+// probe schedule that crosses table growth and horizon eviction, and
+// requires the map path's exact hold sequence with a table bounded well
+// below the number of probes.
 func TestDenseRadioStateMatchesMap(t *testing.T) {
 	p := testPop(512)
 	plan := denseProbePlan(p, 20000)
-	if len(plan) == 0 {
-		t.Skip("no cellular hosts")
+	m := NewModel(p)
+	h := sha256.New()
+	for _, step := range plan {
+		binary.Write(h, binary.BigEndian, math.Float64bits(m.wakeHold(&step.pr, step.t)))
 	}
-	mm := NewModel(p)
-	dm := NewModel(p)
-	dm.SetDense(true)
-	if !dm.Dense() || mm.Dense() {
-		t.Fatal("Dense() flag wrong")
+	if got := hex.EncodeToString(h.Sum(nil)); got != radioHoldGolden {
+		t.Errorf("hold sequence hash %s, map-path golden %q", got, radioHoldGolden)
 	}
-	for i, step := range plan {
-		hm := mm.wakeHold(&step.pr, step.t)
-		hd := dm.wakeHold(&step.pr, step.t)
-		if hm != hd {
-			t.Fatalf("step %d (addr %s t=%v): map hold %v, dense hold %v", i, step.pr.Addr, step.t, hm, hd)
-		}
-	}
-	if dm.denseRadio.count >= len(plan)/2 {
-		t.Fatalf("dense table holds %d entries after %d probes; horizon pruning is not bounding it", dm.denseRadio.count, len(plan))
+	if m.radio.count >= len(plan)/2 {
+		t.Fatalf("radio table holds %d entries after %d probes; horizon pruning is not bounding it", m.radio.count, len(plan))
 	}
 }
 
-// TestDenseResetMatchesFreshModel is the satellite regression: a mid-run
-// ResetRadioState must leave the model byte-identical to a brand-new one,
-// in both state representations, and dense reset must not degrade into a
-// rebuild (it drops the bounded table, O(1)).
+// TestDenseResetMatchesFreshModel: a mid-run ResetRadioState must leave the
+// model byte-identical to a brand-new one, and reset must not degrade into
+// a rebuild (it drops the bounded table, O(1)).
 func TestDenseResetMatchesFreshModel(t *testing.T) {
 	p := testPop(512)
 	plan := denseProbePlan(p, 4000)
-	if len(plan) == 0 {
-		t.Skip("no cellular hosts")
+	used := NewModel(p)
+	for _, step := range plan[:2000] {
+		used.wakeHold(&step.pr, step.t)
 	}
-	for _, dense := range []bool{false, true} {
-		used := NewModel(p)
-		used.SetDense(dense)
-		for _, step := range plan[:2000] {
-			used.wakeHold(&step.pr, step.t)
-		}
-		used.ResetRadioState()
+	used.ResetRadioState()
+	if used.radio.slots != nil || used.radio.prunedAt != 0 {
+		t.Fatal("ResetRadioState kept the table or its prune record")
+	}
 
-		fresh := NewModel(p)
-		fresh.SetDense(dense)
-		for i, step := range plan[2000:] {
-			hu := used.wakeHold(&step.pr, step.t)
-			hf := fresh.wakeHold(&step.pr, step.t)
-			if hu != hf {
-				t.Fatalf("dense=%v step %d: reset model hold %v, fresh model hold %v", dense, i, hu, hf)
-			}
+	fresh := NewModel(p)
+	for i, step := range plan[2000:] {
+		hu := used.wakeHold(&step.pr, step.t)
+		hf := fresh.wakeHold(&step.pr, step.t)
+		if hu != hf {
+			t.Fatalf("step %d: reset model hold %v, fresh model hold %v", i, hu, hf)
 		}
 	}
+}
+
+// TestRadioTableRejectsTimeTravel pins the table's precondition: a probe
+// earlier than the last horizon prune could have needed an evicted entry,
+// so it panics instead of silently diverging. Probes that go backwards
+// without crossing a prune are still served, and ResetRadioState clears
+// the record so an independent run may start over at time zero.
+func TestRadioTableRejectsTimeTravel(t *testing.T) {
+	p := testPop(512)
+	var cell []Profile
+	for i := 0; i < p.NumAddrs() && len(cell) < 2*radioTableMinSize; i++ {
+		if pr := p.Profile(p.AddrAt(i)); pr.Responsive && pr.Class == ClassCellular {
+			cell = append(cell, pr)
+		}
+	}
+	// One new host a second: the table fills past its load factor and the
+	// rehash evicts the hosts idle for longer than the horizon.
+	m := NewModel(p)
+	for i := range cell {
+		m.wakeHold(&cell[i], float64(i))
+	}
+	pruned := m.radio.prunedAt
+	if pruned == 0 {
+		t.Fatalf("%d hosts never pruned the table; the precondition is untested", len(cell))
+	}
+	last := &cell[len(cell)-1]
+	m.wakeHold(last, pruned) // backwards, but not past the prune: allowed
+
+	func() {
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatal("probe before the last prune did not panic")
+			}
+			if msg, _ := r.(string); !strings.Contains(msg, "before the radio table's last horizon prune") {
+				t.Fatalf("panic %v does not explain the violated rule", r)
+			}
+		}()
+		m.wakeHold(last, pruned-1)
+	}()
+
+	m.ResetRadioState()
+	m.wakeHold(&cell[0], 0) // a fresh start at time zero is fine
 }

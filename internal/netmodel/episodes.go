@@ -117,7 +117,7 @@ func (p *Population) congestionDelay(pr *Profile, level float64, t float64) floa
 		qmean = 0.06
 	}
 	diurnal := 0.55 + 0.9*humpOfDay(t, continentPhase[pr.AS.Continent])
-	rng := xrand.New(seed, key, saltSvc, uint64(int64(t*1e6)))
+	rng := xrand.Seeded(seed, key, saltSvc, uint64(int64(t*1e6)))
 	delay := rng.Exp(qmean * diurnal * (0.5 + pr.Severity))
 
 	cp := p.congParamsFor(pr, level)
@@ -247,7 +247,7 @@ func (p *Population) sleepyAt(pr *Profile, t float64) (sleepyEvent, bool) {
 		return sleepyEvent{}, false
 	}
 	ev := sleepyEvent{episode: ep, mode: mode}
-	perProbe := xrand.New(seed, key, saltSleepy, uint64(int64(t*1e6)), 0x50B)
+	perProbe := xrand.Seeded(seed, key, saltSleepy, uint64(int64(t*1e6)), 0x50B)
 	switch mode {
 	case SleepyBuffered:
 		// Some episodes lose a leading fraction of probes before the
@@ -294,7 +294,7 @@ func (p *Population) sleepyAt(pr *Profile, t float64) (sleepyEvent, bool) {
 // the rest is per-wake jitter.
 func drawWake(seed, key uint64, t float64) float64 {
 	hostMu := 0.20 + 0.9*(xrand.HashFloat(seed, key, saltWake)-0.5)
-	rng := xrand.New(seed, key, saltWake, uint64(int64(t*1e6)))
+	rng := xrand.Seeded(seed, key, saltWake, uint64(int64(t*1e6)))
 	w := math.Exp(hostMu + 0.75*rng.Norm())
 	if w < 0.3 {
 		w = 0.3

@@ -52,12 +52,11 @@ type hostState struct {
 type Model struct {
 	pop      *Population
 	vantages map[ipaddr.Addr]ipmeta.Continent
-	state    map[ipaddr.Addr]*hostState
 
-	// denseRadio, when non-nil, replaces state with the bounded
-	// open-addressing table (SetDense); see densestate.go for the
-	// equivalence argument.
-	denseRadio *radioTable
+	// radio holds the cellular radio state of recently active hosts in a
+	// bounded open-addressing table; see densestate.go for why evicting
+	// long-idle entries cannot change any output.
+	radio radioTable
 
 	// Per-call scratch. Respond is invoked synchronously from Send, which
 	// consumes the returned slice before the next probe, so the delivery
@@ -79,11 +78,17 @@ type Model struct {
 }
 
 // NewModel wraps a population in a fabric.
+//
+// A model's probe times must never go back past its radio table's last
+// prune: the table evicts hosts idle for longer than any idle timeout, which
+// is invisible only to probes at or after the eviction. Driving one model
+// from one simnet.Scheduler satisfies this (its clock is monotone); a model
+// reused for a run that starts earlier must call ResetRadioState first. A
+// probe that violates the rule panics instead of silently diverging.
 func NewModel(pop *Population) *Model {
 	return &Model{
 		pop:      pop,
 		vantages: make(map[ipaddr.Addr]ipmeta.Continent),
-		state:    make(map[ipaddr.Addr]*hostState),
 	}
 }
 
@@ -97,17 +102,12 @@ func (m *Model) AddVantage(addr ipaddr.Addr, c ipmeta.Continent) {
 }
 
 // ResetRadioState clears cellular radio state, as if all devices had been
-// idle for a long time. Tools use it between independent experiments. In
-// dense mode this is O(1): the bounded table is simply dropped, which is
+// idle for a long time. Tools use it between independent experiments. It is
+// O(1): the bounded table and its prune record are simply dropped, which is
 // exactly equivalent to a fresh model (a missing entry and a long-idle
-// entry behave identically in wakeHold).
-func (m *Model) ResetRadioState() {
-	if m.denseRadio != nil {
-		*m.denseRadio = radioTable{}
-		return
-	}
-	m.state = make(map[ipaddr.Addr]*hostState)
-}
+// entry behave identically in wakeHold), so probing may restart at any
+// time.
+func (m *Model) ResetRadioState() { m.radio = radioTable{} }
 
 // Respond implements simnet.Fabric.
 func (m *Model) Respond(from ipaddr.Addr, at simnet.Time, pkt []byte) []simnet.Delivery {
@@ -371,16 +371,7 @@ func (m *Model) congLevel(pr *Profile) float64 {
 // it is ready — which is why the paper sees RTT1-RTT2 differences of almost
 // exactly the probe spacing (Figure 12).
 func (m *Model) wakeHold(pr *Profile, t float64) float64 {
-	var st *hostState
-	if m.denseRadio != nil {
-		st = m.denseRadio.get(uint32(pr.Addr), t)
-	} else {
-		st = m.state[pr.Addr]
-		if st == nil {
-			st = &hostState{}
-			m.state[pr.Addr] = st
-		}
-	}
+	st := m.radio.get(uint32(pr.Addr), t)
 	var hold float64
 	switch {
 	case st.used && t < st.wakeUntil:

@@ -912,3 +912,58 @@ func TestSleepyModeShares(t *testing.T) {
 		t.Errorf("sustained share = %.2f, want minority of episodes", susShare)
 	}
 }
+
+// TestPerProbeDrawsDoNotAllocate pins the per-probe random draws to the
+// stack: congestionDelay, drawWake and Profile build their short-lived
+// generators with xrand.Seeded, so none of them allocates. The congestion
+// probe is placed where no congestion episode covers it, because an
+// episode's own parameter stream still lives on the heap.
+func TestPerProbeDrawsDoNotAllocate(t *testing.T) {
+	p := testPop(64)
+	seed := p.cfg.Seed
+	var cell, dup ipaddr.Addr
+	for i := 0; i < p.NumAddrs() && (cell == 0 || dup == 0); i++ {
+		a := p.AddrAt(i)
+		pr := p.Profile(a)
+		if cell == 0 && pr.Responsive && pr.Class == ClassCellular {
+			cell = a
+		}
+		if dup == 0 && pr.DupCount >= 2 {
+			dup = a
+		}
+	}
+	if cell == 0 || dup == 0 {
+		t.Fatalf("population lacks a cellular host (%v) or a duplicating one (%v)", cell, dup)
+	}
+	pr := p.Profile(cell)
+	const level = 0.5
+	cp := p.congParamsFor(&pr, level)
+	tq := 1000.5
+	for {
+		if _, in := findEpisode(seed, uint64(pr.Addr), saltCong, tq, congWindow, cp.prob, 60, 1800); !in {
+			break
+		}
+		tq += 3 * congWindow
+	}
+
+	var sink float64
+	for name, f := range map[string]func(){
+		"congestionDelay": func() { sink += p.congestionDelay(&pr, level, tq) },
+		"drawWake":        func() { sink += drawWake(seed, uint64(cell), tq) },
+		"Profile(cellular)": func() {
+			q := p.Profile(cell)
+			sink += q.AccessRTT
+		},
+		"Profile(duplicating)": func() {
+			q := p.Profile(dup)
+			sink += float64(q.DupCount)
+		},
+	} {
+		if allocs := testing.AllocsPerRun(200, f); allocs != 0 {
+			t.Errorf("%s allocated %.1f times per call, want 0", name, allocs)
+		}
+	}
+	if sink == 0 {
+		t.Fatal("draws returned nothing")
+	}
+}

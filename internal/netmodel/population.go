@@ -371,7 +371,7 @@ func (p *Population) Profile(a ipaddr.Addr) Profile {
 		pr.DistanceJitter = 0.25 + 0.35*xrand.HashFloat(seed, key, saltDistance)
 	}
 
-	rng := xrand.New(seed, key, saltAccess)
+	rng := xrand.Seeded(seed, key, saltAccess)
 	switch pr.Class {
 	case ClassServer:
 		pr.AccessRTT = 0.001 + 0.004*rng.Float64()
@@ -400,7 +400,7 @@ func (p *Population) Profile(a ipaddr.Addr) Profile {
 	// a tiny fraction of those are misconfigured or retaliating and send
 	// hundreds to millions of responses.
 	if xrand.HashFloat(seed, key, saltDup) < 0.022 {
-		r2 := xrand.New(seed, key, saltDupCount)
+		r2 := xrand.Seeded(seed, key, saltDupCount)
 		if r2.Float64() < 0.010 {
 			// Heavy tail: hundreds up to millions of responses per request
 			// (misconfiguration or retaliatory DoS, §3.3.2).

@@ -10,8 +10,6 @@
 package simnet
 
 import (
-	"container/heap"
-	"sync/atomic"
 	"time"
 
 	"timeouts/internal/obs"
@@ -46,52 +44,19 @@ func firingLess(a, b firing) bool {
 	return a.seq < b.seq
 }
 
-// eventHeap is the legacy binary-heap engine, kept as a reference
-// implementation: the differential fuzzer and the byte-identity equivalence
-// suite run wheel and heap side by side (see NewHeapScheduler).
-type eventHeap []firing
-
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return firingLess(h[i], h[j]) }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(firing)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = firing{}
-	*h = old[:n-1]
-	return e
-}
-
-// defaultHeap selects the heap engine for zero-value Schedulers. Pipeline
-// equivalence tests flip it to run entire sharded workloads — which
-// construct their own zero-value Schedulers internally — on the reference
-// engine. Reads are atomic because shard workers construct schedulers
-// concurrently.
-var defaultHeap atomic.Bool
-
-// SetDefaultHeapScheduler selects which engine zero-value Schedulers use:
-// the timing wheel (default) or the reference heap. It returns the previous
-// setting so tests can restore it. Intended for equivalence testing only.
-func SetDefaultHeapScheduler(on bool) (prev bool) { return defaultHeap.Swap(on) }
-
 // Scheduler is a deterministic discrete-event scheduler. The zero value is
 // ready to use, starting at time zero.
 //
 // Events are ordered by (time, insertion sequence). The engine is a
 // hierarchical timing wheel (see wheel.go): O(1) insert and amortized-O(1)
-// dequeue against the heap's O(log n), with zero steady-state allocations —
-// event nodes come from an intrusive free list. The heap engine is retained
-// for differential testing (NewHeapScheduler); both produce identical
-// dequeue orders by construction, which FuzzWheelVsHeap checks.
+// dequeue, with zero steady-state allocations — event nodes come from an
+// intrusive free list. Its dequeue order equals a binary heap's over
+// (time, sequence) by construction; FuzzWheelVsHeap checks that against a
+// test-local heap oracle.
 type Scheduler struct {
 	now Time
 	seq uint64
-	n   int // total pending events (both engines)
-
-	inited   bool
-	heapMode bool
+	n   int // total pending events
 
 	// Wheel engine state. curList holds the events of the current (already
 	// expired) level-0 slot, sorted by (at, seq); curIdx is the next to run;
@@ -107,9 +72,6 @@ type Scheduler struct {
 	free    *enode
 	chunk   int // current free-list refill size (doubles up to nodeChunkMax)
 
-	// Heap engine state.
-	events eventHeap
-
 	// Observability (installed by SetObserver). obsOn gates the hot path:
 	// with no registry the per-event cost is one predictable branch.
 	// Event counts and queue depth depend on how a run is partitioned — a
@@ -120,29 +82,9 @@ type Scheduler struct {
 	queueDepthHWM   *obs.Gauge
 }
 
-// NewScheduler returns a wheel-backed scheduler regardless of the package
-// default. Equivalent to &Scheduler{} under the default configuration.
-func NewScheduler() *Scheduler {
-	s := &Scheduler{inited: true}
-	s.wh = new(wheel)
-	return s
-}
-
-// NewHeapScheduler returns a scheduler running the reference binary-heap
-// engine. Dequeue order is identical to the wheel's; the heap exists so
-// equivalence suites can check that claim against real workloads.
-func NewHeapScheduler() *Scheduler {
-	return &Scheduler{inited: true, heapMode: true}
-}
-
-func (s *Scheduler) init() {
-	s.inited = true
-	if defaultHeap.Load() {
-		s.heapMode = true
-		return
-	}
-	s.wh = new(wheel)
-}
+// NewScheduler returns an empty scheduler at time zero, equivalent to
+// &Scheduler{}.
+func NewScheduler() *Scheduler { return &Scheduler{} }
 
 // SetObserver registers the scheduler's diagnostic metrics (events
 // scheduled, event-queue depth high-water mark) on reg.
@@ -178,11 +120,12 @@ func (s *Scheduler) AfterEvent(d time.Duration, ev Event) { s.schedule(s.now+d, 
 const seqNormalBand = uint64(1) << 63
 
 // AtEventFront schedules ev at absolute time t ahead of every normally
-// scheduled event at the same instant. The dense scan path uses it for its
-// self-rescheduling probe pump: the map path pre-inserts all probe events
-// before any delivery exists, so its probes carry lower sequence numbers and
-// win every equal-time tie; a pump that re-schedules itself mid-run can only
-// reproduce that order from the front band.
+// scheduled event at the same instant. The scanner uses it for its
+// self-rescheduling probe pump: probes must win every equal-time tie
+// against deliveries — the order a scan that pre-inserted one event per
+// probe before any delivery existed would produce — and a pump that
+// re-schedules itself mid-run can only reproduce that order from the front
+// band.
 func (s *Scheduler) AtEventFront(t Time, ev Event) { s.scheduleBand(t, nil, ev, 0) }
 
 func (s *Scheduler) schedule(t Time, fn func(), ev Event) {
@@ -190,8 +133,8 @@ func (s *Scheduler) schedule(t Time, fn func(), ev Event) {
 }
 
 func (s *Scheduler) scheduleBand(t Time, fn func(), ev Event, band uint64) {
-	if !s.inited {
-		s.init()
+	if s.wh == nil {
+		s.wh = new(wheel)
 	}
 	if t < s.now {
 		t = s.now
@@ -199,14 +142,11 @@ func (s *Scheduler) scheduleBand(t Time, fn func(), ev Event, band uint64) {
 	s.seq++
 	key := band | s.seq
 	s.n++
-	switch {
-	case s.heapMode:
-		heap.Push(&s.events, firing{at: t, seq: key, fn: fn, ev: ev})
-	case t < s.curEnd:
+	if t < s.curEnd {
 		// The wheel's current slot has already been expired into curList;
 		// late arrivals for its window sort in after the dequeue cursor.
 		s.insertFiring(firing{at: t, seq: key, fn: fn, ev: ev})
-	default:
+	} else {
 		nd := s.newNode()
 		nd.at, nd.seq, nd.fn, nd.ev = t, key, fn, ev
 		s.wh.insert(nd)
@@ -223,20 +163,6 @@ func (s *Scheduler) Pending() int { return s.n }
 // Step runs the next event, advancing the clock. It reports false when no
 // events remain.
 func (s *Scheduler) Step() bool {
-	if s.heapMode {
-		if len(s.events) == 0 {
-			return false
-		}
-		e := heap.Pop(&s.events).(firing)
-		s.n--
-		s.now = e.at
-		if e.fn != nil {
-			e.fn()
-		} else {
-			e.ev.Run(e.at)
-		}
-		return true
-	}
 	if s.curIdx >= len(s.curList) {
 		if s.n == 0 {
 			return false
@@ -259,12 +185,6 @@ func (s *Scheduler) Step() bool {
 
 // peek returns the time of the next event without running it.
 func (s *Scheduler) peek() (Time, bool) {
-	if s.heapMode {
-		if len(s.events) == 0 {
-			return 0, false
-		}
-		return s.events[0].at, true
-	}
 	if s.curIdx < len(s.curList) {
 		return s.curList[s.curIdx].at, true
 	}

@@ -2,16 +2,16 @@ package simnet
 
 import "math/bits"
 
-// Hierarchical timing wheel (Varghese & Lauck), the scheduler's default
-// engine. Six levels of 256 slots each cover the whole non-negative int64
+// Hierarchical timing wheel (Varghese & Lauck), the scheduler's engine.
+// Six levels of 256 slots each cover the whole non-negative int64
 // nanosecond range: a level-l slot spans 2^(16+8l) ns, so level 0 buckets
 // ~65.5 µs of sim time and level 5 slots span ~833 days. Inserting hashes
 // the event time to a (level, slot) pair; dequeuing scans per-level
 // occupancy bitmaps for the next set slot, so advancing across long empty
 // stretches costs O(levels), not O(slots).
 //
-// Determinism is preserved exactly — same (at, seq) dequeue order as the
-// reference heap — by construction:
+// Determinism is preserved exactly — the same dequeue order as a binary
+// heap over (at, seq) — by construction:
 //
 //   - An event is inserted at the smallest level at which its time shares a
 //     parent slot with the wheel cursor ("window-relative" indexing). Lower

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"container/heap"
 	"testing"
 	"time"
 )
@@ -34,18 +35,74 @@ func TestSchedulerZeroAlloc(t *testing.T) {
 	}
 }
 
-// engines builds one scheduler per engine for differential tests.
-func engines() map[string]*Scheduler {
-	return map[string]*Scheduler{
+// engine is the scheduling surface the differential tests drive.
+type engine interface {
+	Now() Time
+	At(t Time, fn func())
+	AtEvent(t Time, ev Event)
+	AtEventFront(t Time, ev Event)
+	Run()
+}
+
+// heapSched is the differential oracle: a plain binary heap over (time,
+// sequence) with the Scheduler's past-time clamp and front band. It is the
+// engine the timing wheel replaced, kept here only so the wheel's dequeue
+// order has an obviously-correct reference.
+type heapSched struct {
+	now Time
+	seq uint64
+	q   firingHeap
+}
+
+type firingHeap []firing
+
+func (h firingHeap) Len() int           { return len(h) }
+func (h firingHeap) Less(i, j int) bool { return firingLess(h[i], h[j]) }
+func (h firingHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *firingHeap) Push(x any)        { *h = append(*h, x.(firing)) }
+func (h *firingHeap) Pop() any {
+	old := *h
+	f := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return f
+}
+
+func (s *heapSched) push(t Time, fn func(), ev Event, band uint64) {
+	if t < s.now {
+		t = s.now
+	}
+	s.seq++
+	heap.Push(&s.q, firing{at: t, seq: band | s.seq, fn: fn, ev: ev})
+}
+
+func (s *heapSched) Now() Time                     { return s.now }
+func (s *heapSched) At(t Time, fn func())          { s.push(t, fn, nil, seqNormalBand) }
+func (s *heapSched) AtEvent(t Time, ev Event)      { s.push(t, nil, ev, seqNormalBand) }
+func (s *heapSched) AtEventFront(t Time, ev Event) { s.push(t, nil, ev, 0) }
+func (s *heapSched) Run() {
+	for s.q.Len() > 0 {
+		f := heap.Pop(&s.q).(firing)
+		s.now = f.at
+		if f.fn != nil {
+			f.fn()
+		} else {
+			f.ev.Run(f.at)
+		}
+	}
+}
+
+// engines builds the wheel and the heap oracle for differential tests.
+func engines() map[string]engine {
+	return map[string]engine{
 		"wheel": NewScheduler(),
-		"heap":  NewHeapScheduler(),
+		"heap":  &heapSched{},
 	}
 }
 
 // TestSchedulerPastClampFIFO is the regression test for the interaction of
 // the past-time clamp with the wheel's current-slot cursor: events scheduled
 // from inside a running event at t < Now and t == Now must run in the same
-// FIFO order the reference heap produces — after already-pending events of
+// FIFO order the heap oracle produces — after already-pending events of
 // the same (clamped) time, in insertion order.
 func TestSchedulerPastClampFIFO(t *testing.T) {
 	orders := map[string][]int{}
@@ -91,7 +148,7 @@ func TestSchedulerPastClampFIFO(t *testing.T) {
 // and past-time ones. It returns the event ids in execution order. Two
 // equivalent engines consume the program identically, so any divergence in
 // dequeue order shows up as a differing id sequence.
-func runSchedProgram(s *Scheduler, data []byte) []uint64 {
+func runSchedProgram(s engine, data []byte) []uint64 {
 	var order []uint64
 	var id uint64
 	pos := 0
@@ -125,7 +182,7 @@ func runSchedProgram(s *Scheduler, data []byte) []uint64 {
 	return order
 }
 
-// FuzzWheelVsHeap drives the wheel and the reference heap with the same
+// FuzzWheelVsHeap drives the wheel and the heap oracle with the same
 // scheduling program and requires identical execution orders.
 func FuzzWheelVsHeap(f *testing.F) {
 	f.Add([]byte{})
@@ -134,13 +191,13 @@ func FuzzWheelVsHeap(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 4, 4, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		wheel := runSchedProgram(NewScheduler(), data)
-		heap := runSchedProgram(NewHeapScheduler(), data)
-		if len(wheel) != len(heap) {
-			t.Fatalf("event counts diverge: wheel %d, heap %d", len(wheel), len(heap))
+		ref := runSchedProgram(&heapSched{}, data)
+		if len(wheel) != len(ref) {
+			t.Fatalf("event counts diverge: wheel %d, heap %d", len(wheel), len(ref))
 		}
 		for i := range wheel {
-			if wheel[i] != heap[i] {
-				t.Fatalf("dequeue order diverges at %d: wheel %d, heap %d", i, wheel[i], heap[i])
+			if wheel[i] != ref[i] {
+				t.Fatalf("dequeue order diverges at %d: wheel %d, heap %d", i, wheel[i], ref[i])
 			}
 		}
 	})
@@ -148,7 +205,7 @@ func FuzzWheelVsHeap(f *testing.F) {
 
 // TestWheelVsHeapLongHorizon crosses several wheel levels: sparse events up
 // to hours apart interleaved with dense microsecond bursts must dequeue in
-// heap order.
+// heap-oracle order.
 func TestWheelVsHeapLongHorizon(t *testing.T) {
 	var data []byte
 	// Deterministic pseudo-program: a SplitMix-ish byte stream.
@@ -160,13 +217,13 @@ func TestWheelVsHeapLongHorizon(t *testing.T) {
 		data = append(data, byte(x), byte(x>>8), byte(x>>16))
 	}
 	wheel := runSchedProgram(NewScheduler(), data)
-	heap := runSchedProgram(NewHeapScheduler(), data)
-	if len(wheel) != len(heap) {
-		t.Fatalf("event counts diverge: wheel %d, heap %d", len(wheel), len(heap))
+	ref := runSchedProgram(&heapSched{}, data)
+	if len(wheel) != len(ref) {
+		t.Fatalf("event counts diverge: wheel %d, heap %d", len(wheel), len(ref))
 	}
 	for i := range wheel {
-		if wheel[i] != heap[i] {
-			t.Fatalf("dequeue order diverges at %d: wheel %d, heap %d", i, wheel[i], heap[i])
+		if wheel[i] != ref[i] {
+			t.Fatalf("dequeue order diverges at %d: wheel %d, heap %d", i, wheel[i], ref[i])
 		}
 	}
 }
@@ -179,12 +236,12 @@ type logEvent struct {
 
 func (e *logEvent) Run(Time) { *e.order = append(*e.order, e.id) }
 
-// TestSchedulerFrontBand proves AtEventFront's ordering contract on both
-// engines: at equal times every front event runs before every normal event
-// regardless of insertion order, events within a band stay FIFO among
-// themselves, and differing times still dominate both bands. Front events
-// scheduled from inside a running event (the dense scan pump re-scheduling
-// itself) keep the contract too.
+// TestSchedulerFrontBand proves AtEventFront's ordering contract on the
+// wheel and the heap oracle: at equal times every front event runs before
+// every normal event regardless of insertion order, events within a band
+// stay FIFO among themselves, and differing times still dominate both
+// bands. Front events scheduled from inside a running event (the scan pump
+// re-scheduling itself) keep the contract too.
 func TestSchedulerFrontBand(t *testing.T) {
 	orders := map[string][]int{}
 	for name, s := range engines() {

@@ -4,23 +4,23 @@ import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"time"
 
 	"timeouts/internal/ipaddr"
 	"timeouts/internal/simnet"
 )
 
-// Dense outstanding-probe tracking.
+// Outstanding-probe tracking.
 //
-// The map path tracks outstanding probes as outstanding[addr] = sendTime.
-// The dense path exploits the survey's rigid probe schedule instead: probes
-// are sent in slots (one last octet across every block), all probes of a
-// slot share one send time, and an address is probed only at its own slot —
-// so re-probing an address force-expires any older probe to it. At any
-// instant, therefore, each of the 256 slot residues has at most ONE column
-// of possibly-outstanding probes: the one created by its latest slot event.
-// The whole outstanding set collapses to a small ring of slot columns, each
-// a bitmap over the block list — O(ring × blocks/8) bytes, no per-probe
-// allocation, no map.
+// The surveyor exploits its rigid probe schedule instead of keeping a
+// per-address map: probes are sent in slots (one last octet across every
+// block), all probes of a slot share one send time, and an address is
+// probed only at its own slot — so re-probing an address force-expires any
+// older probe to it. At any instant, therefore, each of the 256 slot
+// residues has at most ONE column of possibly-outstanding probes: the one
+// created by its latest slot event. The whole outstanding set collapses to
+// a small ring of slot columns, each a bitmap over the block list —
+// O(ring × blocks/8) bytes, no per-probe allocation, no map.
 //
 // The ring is indexed by the slot's global rank (cycle*256 + slot) modulo a
 // power-of-two size chosen so that a column is provably dead before its
@@ -30,17 +30,17 @@ import (
 // suffices with a slot to spare. claim panics if this invariant is ever
 // violated.
 //
-// Byte-identity with the map path follows from three orderings:
+// The record order is the one a per-address map sorted at every expiry
+// would give — the survey goldens were pinned from exactly such a map —
+// because of three orderings:
 //
-//   - force-expiry in sendSlot visits block indices ascending, which for a
-//     strictly ascending block list (validated) is the map path's per-block
-//     iteration order;
+//   - force-expiry in sendSlot visits block indices ascending, which for
+//     the sorted block list (Config.prepare) is ascending address order;
 //   - sweeps expire whole columns in ascending rank order — ascending
 //     sendAt — and bits within a column in ascending block order, which is
-//     exactly the map path's (send time, addr) sort, because all entries of
-//     one column share a send time and no two columns share one;
-//   - the post-run residue is collected and sorted by address, as the map
-//     path sorts it.
+//     exactly a (send time, addr) sort, because all entries of one column
+//     share a send time and no two columns share one;
+//   - the post-run residue is collected and sorted by address.
 
 // outCol is one slot column: the probes of one (cycle, slot) event that are
 // still outstanding, as a bitmap over the surveyor's block list.
@@ -78,8 +78,8 @@ func (c *outCol) forEachBit(fn func(bi int)) {
 	}
 }
 
-// outRing is the dense outstanding set: a power-of-two ring of slot
-// columns indexed by rank.
+// outRing is the outstanding set: a power-of-two ring of slot columns
+// indexed by rank.
 type outRing struct {
 	cols     []outCol
 	mask     int64
@@ -87,48 +87,44 @@ type outRing struct {
 	minRank  int64 // no live column has a rank below this
 }
 
-// maxDenseRing bounds the ring so a pathological configuration (timeout
+// maxRing bounds the ring so a pathological configuration (timeout
 // enormously larger than the probing interval) fails fast instead of
-// allocating without limit; such configs should use the map path.
-const maxDenseRing = 1 << 20
+// allocating without limit.
+const maxRing = 1 << 20
 
-// denseRingSize returns the ring size for a config, or an error if the
-// config cannot run densely. The config must have defaults applied.
-func denseRingSize(cfg Config) (int, error) {
+// ringSize returns the ring size for a config, or an error naming the
+// smallest interval the config's timeout allows. The config must have
+// defaults applied.
+func ringSize(cfg Config) (int, error) {
 	slotDur := cfg.Interval / 256
 	if slotDur <= 0 {
-		return 0, fmt.Errorf("survey: dense mode needs Interval ≥ 256ns (slot duration is zero)")
+		return 0, fmt.Errorf("survey: interval %v is below 256ns, so its 256 probing slots have zero duration", cfg.Interval)
 	}
 	span := int64((cfg.Timeout+2*cfg.Sweep)/slotDur) + 2
 	size := int64(1)
 	for size < span {
 		size <<= 1
 	}
-	if size > maxDenseRing {
-		return 0, fmt.Errorf("survey: dense ring would need %d columns (Timeout+2·Sweep covers %d slots); use the map path", size, span)
+	if size > maxRing {
+		return 0, fmt.Errorf("survey: interval %v is too short for timeout %v: Timeout+2·Sweep spans %d probing slots, above the outstanding-probe ring's %d; the smallest interval this timeout allows is %v",
+			cfg.Interval, cfg.Timeout, span, maxRing, minInterval(cfg.Timeout, cfg.Sweep))
 	}
 	return int(size), nil
 }
 
-// validateDense rejects configurations the dense path cannot reproduce
-// byte-identically. The config must have defaults applied.
-func validateDense(cfg Config) error {
-	if _, err := denseRingSize(cfg); err != nil {
-		return err
-	}
-	for i := 1; i < len(cfg.Blocks); i++ {
-		if cfg.Blocks[i] <= cfg.Blocks[i-1] {
-			return fmt.Errorf("survey: dense mode requires strictly ascending blocks (block %d is not above block %d)", i, i-1)
-		}
-	}
-	return nil
+// minInterval returns the smallest probing interval whose ring fits
+// maxRing for the given timeout and sweep: span ≤ maxRing needs
+// (Timeout+2·Sweep)/slotDur ≤ maxRing-2, i.e. slotDur > (Timeout+2·Sweep) /
+// (maxRing-1), and the interval is 256 slot durations.
+func minInterval(timeout, sweep time.Duration) time.Duration {
+	return 256 * ((timeout+2*sweep)/(maxRing-1) + 1)
 }
 
-// newOutRing builds the ring for a validated config over nblocks blocks.
+// newOutRing builds the ring for a prepared config over nblocks blocks.
 func newOutRing(cfg Config, nblocks int) *outRing {
-	size, err := denseRingSize(cfg)
+	size, err := ringSize(cfg)
 	if err != nil {
-		panic(err) // callers validate first
+		panic(err) // Config.prepare validated it
 	}
 	words := (nblocks + 63) / 64
 	g := &outRing{cols: make([]outCol, size), mask: int64(size - 1), lastRank: -1}
@@ -145,7 +141,7 @@ func (g *outRing) col(rank int64) *outCol { return &g.cols[rank&g.mask] }
 func (g *outRing) claim(rank int64, sendAt simnet.Time, nblocks int) *outCol {
 	c := g.col(rank)
 	if c.live > 0 {
-		panic("survey: dense ring column reused while live")
+		panic("survey: outstanding ring column reused while live")
 	}
 	c.rank = rank
 	c.sendAt = sendAt
@@ -171,11 +167,11 @@ func (s *surveyor) blockIndex(a ipaddr.Addr) int {
 	return -1
 }
 
-// denseLookup returns the column and block index holding a's outstanding
+// lookup returns the column and block index holding a's outstanding
 // probe, or nil. Because each slot event clears any older probes to the
 // addresses it re-probes, only the LATEST column of a's slot residue can
 // hold it — a single cell probe, no walk.
-func (s *surveyor) denseLookup(a ipaddr.Addr) (*outCol, int) {
+func (s *surveyor) lookup(a ipaddr.Addr) (*outCol, int) {
 	g := s.ring
 	if g.lastRank < 0 {
 		return nil, 0
@@ -195,9 +191,8 @@ func (s *surveyor) denseLookup(a ipaddr.Addr) (*outCol, int) {
 }
 
 // forceExpirePrior expires whatever remains of this slot's previous column
-// before rank's probes go out — the dense equivalent of the map path's
-// per-address re-probe check, emitting the same records in the same
-// (ascending block) order. Possible only when probes outlive the interval.
+// before rank's probes go out, in ascending block order. Possible only when
+// probes outlive the interval.
 func (s *surveyor) forceExpirePrior(rank int64, oct byte) {
 	prior := rank - 256
 	if prior < 0 {
@@ -218,9 +213,10 @@ func (s *surveyor) forceExpirePrior(rank int64, oct byte) {
 	c.drop()
 }
 
-// sweepDense expires every column older than the timeout, whole columns at
-// a time in ascending send-time order.
-func (s *surveyor) sweepDense(phase uint8, keyAt simnet.Time) {
+// sweepPhase expires every column older than the timeout, whole columns at
+// a time in ascending send-time order, keying the records at the given
+// phase and merge time.
+func (s *surveyor) sweepPhase(phase uint8, keyAt simnet.Time) {
 	now := s.sched.Now()
 	g := s.ring
 	for r := g.minRank; r <= g.lastRank; r++ {
@@ -256,9 +252,9 @@ func (s *surveyor) expireColumn(c *outCol, phase uint8, keyAt simnet.Time) {
 	c.drop()
 }
 
-// expireRestDense times out the post-run residue younger than the timeout,
-// sorted by address exactly as the map path sorts it.
-func (s *surveyor) expireRestDense() {
+// expireRest times out the post-run residue younger than the timeout,
+// sorted by address.
+func (s *surveyor) expireRest() {
 	g := s.ring
 	type rest struct {
 		addr ipaddr.Addr

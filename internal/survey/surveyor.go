@@ -3,7 +3,7 @@ package survey
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"timeouts/internal/faults"
@@ -41,7 +41,9 @@ var Vantages = []Vantage{VantageW, VantageC, VantageJ, VantageG}
 type Config struct {
 	Vantage Vantage
 	// Blocks are the /24s to probe (ISI surveys probe ~24,000; scaled
-	// populations use what they have).
+	// populations use what they have). The list is a set: runs probe a
+	// sorted copy, so any order of the same blocks yields the same dataset,
+	// and a duplicate block is an error.
 	Blocks []ipaddr.Prefix24
 	// Interval is the per-address probing period; ISI uses 11 minutes. The
 	// 256 addresses of a block are spread evenly across the interval in the
@@ -66,11 +68,6 @@ type Config struct {
 	ResponseDropRate float64
 	// Seed drives prober-local randomness (drop decisions, probe IDs).
 	Seed uint64
-	// Dense replaces the outstanding-probe map with a small ring of
-	// per-slot bitmaps over the block list — O(ring × blocks/8) bytes and
-	// no per-probe allocation, byte-identical output (see dense.go).
-	// Requires a strictly ascending block list.
-	Dense bool
 	// Faults optionally injects deterministic wire and process faults
 	// (nil: none). Wire faults corrupt, truncate, or duplicate deliveries
 	// in flight — the prober counts undecodable packets in
@@ -87,6 +84,27 @@ type Config struct {
 	// Trace optionally records the survey's sim-time phases (probing,
 	// drain) — deterministic per seed.
 	Trace *obs.Tracer
+}
+
+// prepare fills defaults, replaces Blocks with a sorted copy, and rejects
+// configurations a survey cannot run: no blocks, a duplicate block, or a
+// timing the outstanding-probe ring cannot cover (see ringSize).
+func (c Config) prepare() (Config, error) {
+	c = c.withDefaults()
+	if len(c.Blocks) == 0 {
+		return c, fmt.Errorf("survey: no blocks to probe")
+	}
+	c.Blocks = slices.Clone(c.Blocks)
+	slices.Sort(c.Blocks)
+	for i := 1; i < len(c.Blocks); i++ {
+		if c.Blocks[i] == c.Blocks[i-1] {
+			return c, fmt.Errorf("survey: duplicate block %v in Config.Blocks", c.Blocks[i])
+		}
+	}
+	if _, err := ringSize(c); err != nil {
+		return c, err
+	}
+	return c, nil
 }
 
 // withDefaults fills zero fields with ISI-like values.
@@ -196,26 +214,17 @@ func (c Config) traceSimPhases() {
 // address of every block once per cycle, writes the dataset to out, drains
 // the scheduler, and detaches. The scheduler is run to completion.
 func Run(net *simnet.Network, cfg Config, out RecordWriter) (Stats, error) {
-	cfg = cfg.withDefaults()
-	if len(cfg.Blocks) == 0 {
-		return Stats{}, fmt.Errorf("survey: no blocks to probe")
-	}
-	if cfg.Dense {
-		if err := validateDense(cfg); err != nil {
-			return Stats{}, err
-		}
+	cfg, err := cfg.prepare()
+	if err != nil {
+		return Stats{}, err
 	}
 	cfg.traceSimPhases()
 	tr := transport.NewSim(net, cfg.Vantage.Addr)
 	s := &surveyor{
 		tr: tr, seq: tr, sched: net.Scheduler(), cfg: cfg, out: out,
+		ring:       newOutRing(cfg, len(cfg.Blocks)),
 		blockTotal: len(cfg.Blocks),
 		o:          newSurveyObs(cfg.Obs),
-	}
-	if cfg.Dense {
-		s.ring = newOutRing(cfg, len(cfg.Blocks))
-	} else {
-		s.outstanding = make(map[ipaddr.Addr]simnet.Time)
 	}
 	net.SetFaults(cfg.Faults)
 	net.SetObserver(cfg.Obs)
@@ -251,14 +260,9 @@ func Run(net *simnet.Network, cfg Config, out RecordWriter) (Stats, error) {
 // identically regardless of shard (netmodel.Model instances over one shared
 // Population qualify).
 func RunSharded(cfg Config, shards int, fabric func(shard int) simnet.Fabric, out RecordWriter) (Stats, error) {
-	cfg = cfg.withDefaults()
-	if len(cfg.Blocks) == 0 {
-		return Stats{}, fmt.Errorf("survey: no blocks to probe")
-	}
-	if cfg.Dense {
-		if err := validateDense(cfg); err != nil {
-			return Stats{}, err
-		}
+	cfg, err := cfg.prepare()
+	if err != nil {
+		return Stats{}, err
 	}
 	if shards < 1 {
 		shards = 1
@@ -292,13 +296,9 @@ func RunSharded(cfg Config, shards int, fabric func(shard int) simnet.Fabric, ou
 		tr := transport.NewSim(net, cfg.Vantage.Addr)
 		s := &surveyor{
 			tr: tr, seq: tr, sched: sched, cfg: scfg, tag: true,
+			ring:     newOutRing(scfg, len(scfg.Blocks)),
 			blockOff: lo, blockTotal: len(cfg.Blocks),
 			o: newSurveyObs(scfg.Obs),
-		}
-		if scfg.Dense {
-			s.ring = newOutRing(scfg, len(scfg.Blocks))
-		} else {
-			s.outstanding = make(map[ipaddr.Addr]simnet.Time)
 		}
 		surveyors[k] = s
 		tr.SetHandler(s.receive)
@@ -331,7 +331,6 @@ func RunSharded(cfg Config, shards int, fabric func(shard int) simnet.Fabric, ou
 	// intermediate slice exists, so a bounded-memory sink (a dataset writer,
 	// or core.StreamMatcher consuming the survey directly) sees the records
 	// flow straight out of the per-shard buffers in sequential order.
-	var err error
 	mergeStart := time.Now()
 	simnet.MergeTaggedFunc(streams, func(r Record) {
 		if werr := out.Write(r); werr != nil && err == nil {
@@ -352,16 +351,15 @@ func RunSharded(cfg Config, shards int, fabric func(shard int) simnet.Fabric, ou
 // network directly — while the probing schedule itself lives on the sim
 // scheduler, which is what makes the run deterministic.
 type surveyor struct {
-	tr          transport.Transport
-	seq         transport.Sequencer
-	sched       *simnet.Scheduler
-	cfg         Config
-	out         RecordWriter
-	outstanding map[ipaddr.Addr]simnet.Time
-	ring        *outRing // dense replacement for outstanding (nil: map path)
-	stats       Stats
-	o           surveyObs
-	err         error
+	tr    transport.Transport
+	seq   transport.Sequencer
+	sched *simnet.Scheduler
+	cfg   Config
+	out   RecordWriter
+	ring  *outRing // outstanding probes, one slot column per send (dense.go)
+	stats Stats
+	o     surveyObs
+	err   error
 
 	// Sharded-run state: blockOff is the global index of cfg.Blocks[0] in
 	// the full block list of blockTotal entries; with tag set, records are
@@ -431,36 +429,19 @@ func (s *surveyor) sendSlot(cycle, slot int) {
 	// Invert SlotOfOctet: slots 0..127 carry even octets, 128..255 odd.
 	oct := octOfSlot(slot)
 	slotRank := uint64(cycle)*256 + uint64(slot)
-	if s.ring != nil {
-		// Dense: still-outstanding probes to this slot's addresses all live
-		// in the slot's previous column; expire them in the same ascending
-		// block order as the map path's per-address check below, then claim
-		// a fresh column covering every block.
-		s.forceExpirePrior(int64(slotRank), oct)
-		s.ring.claim(int64(slotRank), s.sched.Now(), len(s.cfg.Blocks))
-	}
+	// Still-outstanding probes to this slot's addresses (possible only in
+	// pathological configurations where Interval < Timeout) all live in the
+	// slot's previous column; expire them in ascending block order, then
+	// claim a fresh column covering every block.
+	s.forceExpirePrior(int64(slotRank), oct)
+	s.ring.claim(int64(slotRank), s.sched.Now(), len(s.cfg.Blocks))
 	for bi, b := range s.cfg.Blocks {
 		dst := b.Addr(oct)
 		gbi := uint64(s.blockOff + bi)
-		// A still-outstanding probe (possible only in pathological
-		// configurations where Interval < Timeout) is force-expired first.
-		if s.ring == nil {
-			if send, ok := s.outstanding[dst]; ok {
-				s.record(Record{Type: RecTimeout, Addr: dst, When: TruncSecond(send)},
-					simnet.ShardKey{At: s.sched.Now(), Phase: phaseSlot, A: slotRank, B: gbi})
-				s.stats.Timeouts++
-				s.o.timeouts.Inc()
-				delete(s.outstanding, dst)
-			}
-		}
 		s.echo = wire.ICMPEcho{
 			Type: wire.ICMPTypeEchoRequest,
 			ID:   uint16(xrand.Hash(s.cfg.Seed, uint64(dst))),
 			Seq:  uint16(cycle),
-		}
-		now := s.sched.Now()
-		if s.ring == nil {
-			s.outstanding[dst] = now
 		}
 		s.stats.Probes++
 		s.o.probes.Inc()
@@ -516,29 +497,17 @@ func (s *surveyor) receive(at transport.Time, from transport.Addr, data []byte, 
 		}
 		// The ICMP error resolves the outstanding probe; the analysis
 		// ignores error-answered probes (§3.1).
-		if s.ring != nil {
-			if c, bi := s.denseLookup(dst); c != nil {
-				c.clear(bi)
-			}
-		} else {
-			delete(s.outstanding, dst)
+		if c, bi := s.lookup(dst); c != nil {
+			c.clear(bi)
 		}
 		s.stats.Errors++
 		s.o.errors.Inc()
 		emit(Record{Type: RecError, Addr: dst, When: TruncSecond(at)})
 	case p.Echo != nil && p.Echo.Type == wire.ICMPTypeEchoReply:
 		src := p.IP.Src
-		var send simnet.Time
-		var ok bool
-		if s.ring != nil {
-			if c, bi := s.denseLookup(src); c != nil {
-				send, ok = c.sendAt, true
-				c.clear(bi)
-			}
-		} else if send, ok = s.outstanding[src]; ok {
-			delete(s.outstanding, src)
-		}
-		if ok {
+		if c, bi := s.lookup(src); c != nil {
+			send := c.sendAt
+			c.clear(bi)
 			s.stats.Matched++
 			s.o.matched.Inc()
 			s.o.rtt.Observe(TruncMicro(at - send))
@@ -567,61 +536,12 @@ func (s *surveyor) sweep() {
 	s.sweepPhase(phaseSweep, s.sched.Now())
 }
 
-// sweepPhase expires outstanding probes older than the timeout, keying the
-// records at the given phase and merge time.
-func (s *surveyor) sweepPhase(phase uint8, keyAt simnet.Time) {
-	if s.ring != nil {
-		s.sweepDense(phase, keyAt)
-		return
-	}
-	now := s.sched.Now()
-	var expired []ipaddr.Addr
-	for a, send := range s.outstanding {
-		if now-send >= s.cfg.Timeout {
-			expired = append(expired, a)
-		}
-	}
-	// Deterministic record order regardless of map iteration. The (send
-	// time, addr) order is also the merge key, so K shard streams — each
-	// sorted this way — interleave back into the global sorted order.
-	sort.Slice(expired, func(i, j int) bool {
-		if s.outstanding[expired[i]] != s.outstanding[expired[j]] {
-			return s.outstanding[expired[i]] < s.outstanding[expired[j]]
-		}
-		return expired[i] < expired[j]
-	})
-	for _, a := range expired {
-		s.record(Record{Type: RecTimeout, Addr: a, When: TruncSecond(s.outstanding[a])},
-			simnet.ShardKey{At: keyAt, Phase: phase, A: uint64(s.outstanding[a]), B: uint64(a)})
-		s.stats.Timeouts++
-		s.o.timeouts.Inc()
-		delete(s.outstanding, a)
-	}
-}
-
-// expireAll times out whatever remains after the run.
+// expireAll times out whatever remains after the run: first the probes
+// older than the timeout, then — the survey is over and they will never be
+// matched — the younger residue.
 func (s *surveyor) expireAll() {
 	s.sweepPhase(phaseFinal, endKeyTime)
-	if s.ring != nil {
-		s.expireRestDense()
-		return
-	}
-	if len(s.outstanding) > 0 {
-		// Remaining entries are younger than the timeout; expire them too —
-		// the survey is over and they will never be matched.
-		var rest []ipaddr.Addr
-		for a := range s.outstanding {
-			rest = append(rest, a)
-		}
-		sort.Slice(rest, func(i, j int) bool { return rest[i] < rest[j] })
-		for _, a := range rest {
-			s.record(Record{Type: RecTimeout, Addr: a, When: TruncSecond(s.outstanding[a])},
-				simnet.ShardKey{At: endKeyTime, Phase: phaseRest, A: uint64(a)})
-			s.stats.Timeouts++
-			s.o.timeouts.Inc()
-			delete(s.outstanding, a)
-		}
-	}
+	s.expireRest()
 }
 
 // record emits one record: in a sharded run it is buffered with its merge

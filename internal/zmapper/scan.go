@@ -2,7 +2,7 @@ package zmapper
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"timeouts/internal/faults"
@@ -57,19 +57,10 @@ type Config struct {
 	// Trace optionally records the scan's sim-time phases (probing, drain)
 	// — deterministic per seed — plus wall-clock diagnostics.
 	Trace *obs.Tracer
-	// Dense selects the flat O(1)-memory probe path: instead of one
-	// preallocated event per probe in the range, a single self-rescheduling
-	// pump event walks the permutation (seeked directly to the shard's
-	// slice) and fires each probe from the scheduler's front band, which
-	// reproduces the map path's equal-time tie order exactly (see
-	// simnet.Scheduler.AtEventFront). First-self-response tracking uses a
-	// bitset indexed by TargetIndex instead of a map. Byte-identical to the
-	// default path for any shard count.
-	Dense bool
 	// TargetIndex inverts TargetAt: the dense index of an address, or a
-	// negative value for addresses outside the population. Used by Dense
-	// runs collecting metrics; when nil the dense path falls back to the
-	// map-based first-self tracking (results are unaffected either way).
+	// negative value for addresses outside the population. Required when
+	// Obs is set: the zmap.rtt_first_self histogram tracks which targets
+	// have answered in a bitset indexed by it.
 	TargetIndex func(ipaddr.Addr) int
 }
 
@@ -112,6 +103,9 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.TargetN <= 0 || cfg.TargetAt == nil {
 		return cfg, fmt.Errorf("zmapper: no targets")
 	}
+	if cfg.Obs != nil && cfg.TargetIndex == nil {
+		return cfg, fmt.Errorf("zmapper: metrics need Config.TargetIndex to track first self-responses")
+	}
 	if cfg.Duration == 0 {
 		cfg.Duration = time.Duration(cfg.TargetN) * DefaultProbeGap
 	}
@@ -153,11 +147,10 @@ type rangeRun struct {
 	obsCorrupt   *obs.Counter
 	obsRTT       *obs.Histogram
 	obsRTTSelf   *obs.Histogram
-	// First self-response tracking for the rtt_first_self histogram: every
-	// address is probed once per scan, so all its deliveries stay within
-	// the shard that sent its probe and "first" is shard-local. Dense runs
-	// with a TargetIndex use the bitset; everything else uses the map.
-	seenSelf    map[ipaddr.Addr]bool
+	// First self-response tracking for the rtt_first_self histogram (nil
+	// without metrics): every address is probed once per scan, so all its
+	// deliveries stay within the shard that sent its probe and "first" is
+	// shard-local. One bit per target, indexed by TargetIndex.
 	seenBits    []uint64
 	targetIndex func(ipaddr.Addr) int
 
@@ -165,19 +158,6 @@ type rangeRun struct {
 	// buffering into res.responses (single-shard streaming; mutually
 	// exclusive with tag).
 	sink func(Response)
-}
-
-// probeEvent is one scheduled probe: a preallocated simnet.Event replacing
-// the per-probe closure.
-type probeEvent struct {
-	r   *rangeRun
-	dst ipaddr.Addr
-	pos int
-}
-
-// Run sends the probe at permutation position pos.
-func (e *probeEvent) Run(now simnet.Time) {
-	e.r.sendProbe(now, e.dst, e.pos)
 }
 
 // sendProbe emits the probe for dst at permutation position pos.
@@ -197,14 +177,14 @@ func (r *rangeRun) sendProbe(now simnet.Time, dst ipaddr.Addr, pos int) {
 	r.tr.SendTo(transport.InPacket, pkt)
 }
 
-// pumpEvent is the dense path's probe driver: one event for the whole
-// range, re-scheduling itself for each successive permutation position. It
-// always schedules on the scheduler's front band — the map path pre-inserts
-// every probe event before any delivery exists, so its probes win every
-// equal-time tie against deliveries, and the pump must too for the two
-// paths to stay byte-identical (at the default 100 µs probe gap roughly one
-// delivery in 10^5 lands exactly on a probe instant, so such ties occur in
-// any sizable scan).
+// pumpEvent is the scanner's probe driver: one event for the whole range,
+// re-scheduling itself for each successive permutation position, so probe
+// state is O(1) however large the range. It always schedules on the
+// scheduler's front band, so probes win every equal-time tie against
+// deliveries — the order of a scan that pre-inserts one event per probe
+// before any delivery exists, which the scan goldens pin (at the default
+// 100 µs probe gap roughly one delivery in 10^5 lands exactly on a probe
+// instant, so such ties occur in any sizable scan).
 type pumpEvent struct {
 	r        *rangeRun
 	sched    *simnet.Scheduler
@@ -268,19 +248,11 @@ func (r *rangeRun) receive(at transport.Time, from transport.Addr, data []byte, 
 	}
 	r.obsResponses.Inc()
 	r.obsRTT.Observe(rtt)
-	if p.IP.Src == zp.Dst {
-		switch {
-		case r.seenBits != nil:
-			if i := r.targetIndex(zp.Dst); i >= 0 && i < len(r.seenBits)<<6 &&
-				r.seenBits[i>>6]&(1<<(uint(i)&63)) == 0 {
-				r.seenBits[i>>6] |= 1 << (uint(i) & 63)
-				r.obsRTTSelf.Observe(rtt)
-			}
-		case r.seenSelf != nil:
-			if !r.seenSelf[zp.Dst] {
-				r.seenSelf[zp.Dst] = true
-				r.obsRTTSelf.Observe(rtt)
-			}
+	if p.IP.Src == zp.Dst && r.seenBits != nil {
+		if i := r.targetIndex(zp.Dst); i >= 0 && i < len(r.seenBits)<<6 &&
+			r.seenBits[i>>6]&(1<<(uint(i)&63)) == 0 {
+			r.seenBits[i>>6] |= 1 << (uint(i) & 63)
+			r.obsRTTSelf.Observe(rtt)
 		}
 	}
 	if r.tag {
@@ -321,12 +293,8 @@ func runRangeSink(net *simnet.Network, cfg Config, lo, hi int, tag bool, sink fu
 	}
 	defer func() { wire.PutBuf(rr.buf); rr.buf = nil }()
 	if cfg.Obs != nil {
-		if cfg.Dense && cfg.TargetIndex != nil {
-			rr.targetIndex = cfg.TargetIndex
-			rr.seenBits = make([]uint64, (cfg.TargetN+63)/64)
-		} else {
-			rr.seenSelf = make(map[ipaddr.Addr]bool)
-		}
+		rr.targetIndex = cfg.TargetIndex
+		rr.seenBits = make([]uint64, (cfg.TargetN+63)/64)
 	}
 
 	tr.SetHandler(rr.receive)
@@ -338,30 +306,12 @@ func runRangeSink(net *simnet.Network, cfg Config, lo, hi int, tag bool, sink fu
 	// walking (and discarding) everything before lo; O(log n) when the
 	// population is a power of two.
 	perm.Seek(lo)
-	if cfg.Dense {
-		// One pump event for the whole range: O(1) probe state instead of
-		// O(hi-lo) preallocated events.
-		if lo < hi {
-			if idx, ok := perm.Next(); ok {
-				pump := &pumpEvent{r: rr, sched: sched, perm: perm,
-					targetAt: cfg.TargetAt, dst: cfg.TargetAt(idx),
-					pos: lo, hi: hi, gap: gap, start: cfg.Start}
-				sched.AtEventFront(cfg.Start+simnet.Time(lo)*gap, pump)
-			}
-		}
-	} else {
-		// One preallocated event per probe in the range; the exact capacity
-		// keeps element addresses stable across appends.
-		events := make([]probeEvent, 0, hi-lo)
-		for pos := lo; pos < hi; pos++ {
-			idx, ok := perm.Next()
-			if !ok {
-				break
-			}
-			dst := cfg.TargetAt(idx)
-			at := cfg.Start + simnet.Time(pos)*gap
-			events = append(events, probeEvent{r: rr, dst: dst, pos: pos})
-			sched.AtEvent(at, &events[len(events)-1])
+	if lo < hi {
+		if idx, ok := perm.Next(); ok {
+			pump := &pumpEvent{r: rr, sched: sched, perm: perm,
+				targetAt: cfg.TargetAt, dst: cfg.TargetAt(idx),
+				pos: lo, hi: hi, gap: gap, start: cfg.Start}
+			sched.AtEventFront(cfg.Start+simnet.Time(lo)*gap, pump)
 		}
 	}
 	stop := cfg.Start + cfg.Duration + cfg.Drain
@@ -545,12 +495,15 @@ func (s *Scan) Broadcast() BroadcastFindings {
 
 // RTTPercentiles returns the scan's per-address RTTs sorted ascending,
 // ready for percentile extraction.
-func (s *Scan) RTTPercentiles() []time.Duration {
-	m := s.SelfResponses()
-	out := make([]time.Duration, 0, len(m))
-	for _, rtt := range m {
+func (s *Scan) RTTPercentiles() []time.Duration { return SortedRTTs(s.SelfResponses()) }
+
+// SortedRTTs returns the RTTs of a SelfResponses map sorted ascending, for
+// callers that also need the map itself and should build it only once.
+func SortedRTTs(self map[ipaddr.Addr]time.Duration) []time.Duration {
+	out := make([]time.Duration, 0, len(self))
+	for _, rtt := range self {
 		out = append(out, rtt)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }

@@ -1,10 +1,10 @@
-// Large-population benchmarks: the map-backed and dense rank-indexed state
-// paths side by side on the same workload, at populations big enough for the
-// memory difference to dominate (see DESIGN.md §17). Each sub-benchmark
-// reports its peak live heap — an obs.HeapSampler threaded through the
-// output sink, so the figure is scoped to the run rather than to whatever
-// earlier benchmarks in the shared process already forced — and
-// BENCH_<date>.json carries it for the `make bench-compare` gate.
+// Large-population benchmarks: one full scan and one survey cycle at
+// populations big enough for per-address state to dominate if it crept
+// back in (see DESIGN.md §17). Each reports its peak live heap — an
+// obs.HeapSampler threaded through the output sink, so the figure is
+// scoped to the run rather than to whatever earlier benchmarks in the
+// shared process already forced — and BENCH_<date>.json carries it for the
+// `make bench-compare` gate.
 //
 // `make scale-check` (scale_test.go) runs the same workloads at full
 // internet-demonstration scale — a 2^24-address scan and a 4M-address
@@ -56,84 +56,68 @@ const heapSampleEvery = 4096
 func BenchmarkScaleScan(b *testing.B) {
 	pop := netmodel.New(netmodel.Config{Seed: 42, Blocks: scaleScanBlocks})
 	src := ipaddr.MustParse("240.0.2.1")
-	base := zmapper.Config{
+	cfg := zmapper.Config{
 		Src: src, Continent: ipmeta.NorthAmerica,
 		TargetN: pop.NumAddrs(), TargetAt: pop.AddrAt,
 		Seed: 42,
 	}
-	for _, dense := range []bool{true, false} {
-		name := map[bool]string{true: "state=dense", false: "state=map"}[dense]
-		b.Run(name, func(b *testing.B) {
-			cfg := base
-			if dense {
-				cfg.Dense, cfg.TargetIndex = true, pop.IndexOf
-			}
-			fabric := func(int) simnet.Fabric {
-				model := netmodel.NewModel(pop)
-				model.SetDense(dense)
-				model.AddVantage(src, ipmeta.NorthAmerica)
-				return model
-			}
-			b.ReportAllocs()
-			sampler := obs.NewHeapSampler(heapSampleEvery)
-			b.ResetTimer()
-			var responses uint64
-			for i := 0; i < b.N; i++ {
-				probes, _, err := zmapper.RunShardedInto(cfg, 1, fabric, func(zmapper.Response) {
-					responses++
-					sampler.Sample()
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if probes != uint64(pop.NumAddrs()) {
-					b.Fatalf("sent %d probes, want %d", probes, pop.NumAddrs())
-				}
-			}
-			if responses == 0 {
-				b.Fatal("no responses")
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pop.NumAddrs()), "ns/probe")
-			sampler.Report(b)
-		})
+	fabric := func(int) simnet.Fabric {
+		model := netmodel.NewModel(pop)
+		model.AddVantage(src, ipmeta.NorthAmerica)
+		return model
 	}
+	b.ReportAllocs()
+	sampler := obs.NewHeapSampler(heapSampleEvery)
+	b.ResetTimer()
+	var responses uint64
+	for i := 0; i < b.N; i++ {
+		probes, _, err := zmapper.RunShardedInto(cfg, 1, fabric, func(zmapper.Response) {
+			responses++
+			sampler.Sample()
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if probes != uint64(pop.NumAddrs()) {
+			b.Fatalf("sent %d probes, want %d", probes, pop.NumAddrs())
+		}
+	}
+	if responses == 0 {
+		b.Fatal("no responses")
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pop.NumAddrs()), "ns/probe")
+	sampler.Report(b)
 }
 
 func BenchmarkScaleSurvey(b *testing.B) {
 	pop := netmodel.New(netmodel.Config{Seed: 42, Blocks: scaleSurveyBlocks})
-	for _, dense := range []bool{true, false} {
-		name := map[bool]string{true: "state=dense", false: "state=map"}[dense]
-		b.Run(name, func(b *testing.B) {
-			cfg := survey.Config{
-				Vantage: survey.VantageW, Blocks: pop.Blocks(),
-				Cycles: 1, Seed: 42, Dense: dense,
-			}
-			b.ReportAllocs()
-			sampler := obs.NewHeapSampler(heapSampleEvery)
-			b.ResetTimer()
-			sink := countRecords{sample: sampler.Sample}
-			for i := 0; i < b.N; i++ {
-				model := netmodel.NewModel(pop)
-				model.SetDense(dense)
-				model.AddVantage(survey.VantageW.Addr, survey.VantageW.Continent)
-				net := simnet.NewNetwork(&simnet.Scheduler{}, model)
-				st, err := survey.Run(net, cfg, &sink)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st.Probes == 0 {
-					b.Fatal("no probes")
-				}
-			}
-			if sink.n == 0 {
-				b.Fatal("no records")
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pop.NumAddrs()), "ns/probe")
-			sampler.Report(b)
-		})
+	cfg := survey.Config{
+		Vantage: survey.VantageW, Blocks: pop.Blocks(),
+		Cycles: 1, Seed: 42,
 	}
+	b.ReportAllocs()
+	sampler := obs.NewHeapSampler(heapSampleEvery)
+	b.ResetTimer()
+	sink := countRecords{sample: sampler.Sample}
+	for i := 0; i < b.N; i++ {
+		model := netmodel.NewModel(pop)
+		model.AddVantage(survey.VantageW.Addr, survey.VantageW.Continent)
+		net := simnet.NewNetwork(&simnet.Scheduler{}, model)
+		st, err := survey.Run(net, cfg, &sink)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if st.Probes == 0 {
+			b.Fatal("no probes")
+		}
+	}
+	if sink.n == 0 {
+		b.Fatal("no records")
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pop.NumAddrs()), "ns/probe")
+	sampler.Report(b)
 }
 
 // BenchmarkScalePermutationRank measures the rank (inverse-permutation)

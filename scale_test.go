@@ -1,7 +1,7 @@
-// Bounded-memory smoke test behind `make scale-check`: the dense
-// rank-indexed paths at internet-demonstration scale — a 2^24-address scan
-// and a multi-million-address survey — must complete with the process heap
-// under a fixed budget. The budgets are deliberately generous multiples of
+// Bounded-memory smoke test behind `make scale-check`: the rank-indexed
+// prober, scanner and model state at internet-demonstration scale — a
+// 2^24-address scan and a multi-million-address survey — must complete
+// with the process heap under a fixed budget. The budgets are deliberately generous multiples of
 // the measured footprint (see README "Scaling to internet-size
 // populations") so the gate only trips on a real complexity regression —
 // per-address state creeping back in — not on allocator noise.
@@ -60,12 +60,10 @@ func TestScaleCheckScan(t *testing.T) {
 	cfg := zmapper.Config{
 		Src: src, Continent: ipmeta.NorthAmerica,
 		TargetN: pop.NumAddrs(), TargetAt: pop.AddrAt,
-		Seed:  42,
-		Dense: true, TargetIndex: pop.IndexOf,
+		Seed: 42,
 	}
 	fabric := func(int) simnet.Fabric {
 		model := netmodel.NewModel(pop)
-		model.SetDense(true)
 		model.AddVantage(src, ipmeta.NorthAmerica)
 		return model
 	}
@@ -81,10 +79,10 @@ func TestScaleCheckScan(t *testing.T) {
 		t.Fatal("no responses")
 	}
 	if h := heapSys(); h > scaleCheckScanBudget {
-		t.Fatalf("2^24-address dense scan peak heap %d MB exceeds the %d MB budget",
+		t.Fatalf("2^24-address scan peak heap %d MB exceeds the %d MB budget",
 			h>>20, int64(scaleCheckScanBudget)>>20)
 	} else {
-		t.Logf("2^24-address dense scan: %d probes, %d responses, peak heap %d MB (budget %d MB)",
+		t.Logf("2^24-address scan: %d probes, %d responses, peak heap %d MB (budget %d MB)",
 			probes, responses, h>>20, int64(scaleCheckScanBudget)>>20)
 	}
 }
@@ -93,13 +91,12 @@ func TestScaleCheckSurvey(t *testing.T) {
 	requireScaleCheck(t)
 	pop := netmodel.New(netmodel.Config{Seed: 42, Blocks: scaleCheckSurveyBlocks})
 	model := netmodel.NewModel(pop)
-	model.SetDense(true)
 	model.AddVantage(survey.VantageW.Addr, survey.VantageW.Continent)
 	net := simnet.NewNetwork(&simnet.Scheduler{}, model)
 	var sink countRecords
 	st, err := survey.Run(net, survey.Config{
 		Vantage: survey.VantageW, Blocks: pop.Blocks(),
-		Cycles: 1, Seed: 42, Dense: true,
+		Cycles: 1, Seed: 42,
 	}, &sink)
 	if err != nil {
 		t.Fatal(err)
@@ -111,10 +108,10 @@ func TestScaleCheckSurvey(t *testing.T) {
 		t.Fatalf("degenerate survey: matched=%d records=%d", st.Matched, sink.n)
 	}
 	if h := heapSys(); h > scaleCheckSurveyBudget {
-		t.Fatalf("%d-address dense survey peak heap %d MB exceeds the %d MB budget",
+		t.Fatalf("%d-address survey peak heap %d MB exceeds the %d MB budget",
 			pop.NumAddrs(), h>>20, int64(scaleCheckSurveyBudget)>>20)
 	} else {
-		t.Logf("%d-address dense survey: %d probes, %d matched, peak heap %d MB (budget %d MB)",
+		t.Logf("%d-address survey: %d probes, %d matched, peak heap %d MB (budget %d MB)",
 			pop.NumAddrs(), st.Probes, st.Matched, h>>20, int64(scaleCheckSurveyBudget)>>20)
 	}
 }
