@@ -27,9 +27,11 @@ race:
 
 # Short fuzz pass over the merge-ordering contract (FuzzShardMerge), the
 # timing wheel's dequeue order against a heap oracle (FuzzWheelVsHeap), the
-# P² quantile invariants (FuzzP2AgainstExact), and the dataset readers
+# P² quantile invariants (FuzzP2AgainstExact), the dataset readers
 # (FuzzOpenSource strict+lenient over all three formats, FuzzCompactReader
-# on the varint decoder); seeds alone run in `make test`.
+# on the varint decoder), and the §3.3 attribution kernel's three users
+# against the pre-kernel matcher (FuzzAttribution); seeds alone run in
+# `make test`.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzShardMerge -fuzztime=30s ./internal/simnet
 	$(GO) test -run=Fuzz -fuzz=FuzzWheelVsHeap -fuzztime=30s ./internal/simnet
@@ -39,6 +41,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzSessionPacket -fuzztime=30s ./internal/rtt
 	$(GO) test -run=Fuzz -fuzz=FuzzCheckpointRoundTrip -fuzztime=30s ./internal/advisor
 	$(GO) test -run=Fuzz -fuzz=FuzzPermutationRank -fuzztime=30s ./internal/zmapper
+	$(GO) test -run=Fuzz -fuzz=FuzzAttribution -fuzztime=30s ./internal/core
 
 # Faster fuzz smoke for CI: same targets, 10 s each.
 fuzz-smoke:
@@ -50,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzSessionPacket -fuzztime=10s ./internal/rtt
 	$(GO) test -run=Fuzz -fuzz=FuzzCheckpointRoundTrip -fuzztime=10s ./internal/advisor
 	$(GO) test -run=Fuzz -fuzz=FuzzPermutationRank -fuzztime=10s ./internal/zmapper
+	$(GO) test -run=Fuzz -fuzz=FuzzAttribution -fuzztime=10s ./internal/core
 
 # The chaos suite: every fault-injection test (TestChaos*) under the race
 # detector — fault-off byte-identity, fixed-seed fault determinism,

@@ -142,6 +142,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "advisord: need -i DATASET, -sim, or a recoverable -checkpoint-dir (see -h)")
 		os.Exit(2)
 	}
+	popCfg := netmodel.Config{Seed: *seed, Blocks: *blocks}
+	if *sim {
+		if err := popCfg.Validate(); err != nil {
+			fmt.Fprintln(os.Stderr, "advisord:", err)
+			os.Exit(2)
+		}
+	}
 
 	// Bind and serve before ingest: /healthz answers (and reports
 	// "recovering") from the first moment the address is printed, and a
@@ -246,7 +253,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "advisord: unknown vantage %q\n", *vantage)
 			os.Exit(2)
 		}
-		pop := netmodel.New(netmodel.Config{Seed: *seed, Blocks: *blocks})
+		pop := netmodel.New(popCfg)
 		cfg := survey.Config{
 			Vantage: vp,
 			Blocks:  pop.Blocks(),

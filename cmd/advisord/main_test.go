@@ -318,6 +318,28 @@ func TestAdvisordRequiresInput(t *testing.T) {
 	}
 }
 
+// TestAdvisordSimRejectsTooFewBlocks pins the flag check: a -sim
+// population too small for the AS catalog must exit 2 with the reason,
+// before binding the listener, not crash with a stack trace.
+func TestAdvisordSimRejectsTooFewBlocks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	bin := buildAdvisord(t)
+	cmd := exec.Command(bin, "-listen", "127.0.0.1:0", "-sim", "-blocks", "8")
+	out, err := cmd.CombinedOutput()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
+		t.Fatalf("exit = %v (output %q), want exit code 2", err, out)
+	}
+	if strings.Contains(string(out), "panic") || strings.Contains(string(out), "serving on") {
+		t.Errorf("output %q: want a flag error before serving, no panic", out)
+	}
+	if !strings.Contains(string(out), "8 blocks cannot cover") {
+		t.Errorf("reason missing: %q", out)
+	}
+}
+
 // TestAdvisordSimServesAndDrains covers the -sim boot path end to end with a
 // tiny population: advice must come from the in-process survey and SIGTERM
 // must still exit 0 even with no checkpoint directory configured.

@@ -7,12 +7,16 @@
 //	analyze survey.tosv [-cycles N] [-naive] [-stream] [-lenient] [-max-skip F]
 //	        [-metrics FILE] [-trace FILE] [-manifest FILE] [-debug-addr ADDR]
 //
-// With -stream the full pipeline runs in bounded memory: records stream out
-// of the dataset reader straight into a core.StreamMatcher, which keeps only
-// per-address open state, so memory is O(addresses) rather than O(records).
-// At simulation scale (per-address streams within the exact-quantile buffer)
-// the streaming report is byte-identical to the in-memory one; beyond that
-// the per-address quantiles are P² estimates.
+// Both pipelines run the same §3.3 attribution kernel and filters; they
+// differ in what they keep. By default every record is read into memory and
+// core.Match keeps each address's samples exactly. With -stream the pipeline
+// runs in bounded memory: records stream out of the dataset reader straight
+// into a core.StreamMatcher, which keeps only open state and a quantile
+// sketch per address, in one 256-cell block per probed /24, so memory is
+// O(addresses) rather than O(records). While every address has at most 64
+// samples (the exact-quantile buffer) the two reports are byte-identical;
+// beyond that — a full-scale survey's 130 cycles, for one — the streaming
+// quantiles are P² estimates and the reports differ.
 //
 // With -lenient, corrupt records are skipped and counted per cause instead
 // of aborting the run: CSV resynchronizes at the next row, the fixed binary

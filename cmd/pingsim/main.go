@@ -45,7 +45,12 @@ func main() {
 		os.Exit(1)
 	}
 
-	pop := netmodel.New(netmodel.Config{Seed: *seed, Blocks: *blocks})
+	popCfg := netmodel.Config{Seed: *seed, Blocks: *blocks}
+	if err := popCfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "pingsim:", err)
+		os.Exit(2)
+	}
+	pop := netmodel.New(popCfg)
 	var dst ipaddr.Addr
 	if flag.NArg() >= 1 {
 		a, err := ipaddr.Parse(flag.Arg(0))

@@ -99,7 +99,12 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	pop := netmodel.New(netmodel.Config{Seed: *seed, Blocks: *blocks, Catalog: specs})
+	popCfg := netmodel.Config{Seed: *seed, Blocks: *blocks, Catalog: specs}
+	if err := popCfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "surveyor:", err)
+		os.Exit(2)
+	}
+	pop := netmodel.New(popCfg)
 
 	var plan *faults.Plan
 	if *faultCorrupt > 0 || *faultTruncate > 0 || *faultDup > 0 || *faultData > 0 {

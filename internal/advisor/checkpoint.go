@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"timeouts/internal/core"
 	"timeouts/internal/ipaddr"
 	"timeouts/internal/obs"
 )
@@ -127,37 +128,24 @@ func EncodeCheckpoint(w io.Writer, st *Store, epoch uint64) error {
 		}
 	}
 
-	addrs := make([]ipaddr.Addr, 0, len(st.open))
-	for a, pair := range st.open {
-		if pair.n > 0 {
-			addrs = append(addrs, a)
-		}
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	if err := put(uint64(len(addrs))); err != nil {
+	// The open rings, in ascending address order; the store only brings a
+	// ring to life to open a probe on it, so none is empty. bufio.Writer
+	// errors are sticky: the Flush below reports any failure in here.
+	if err := put(uint64(st.open.Len())); err != nil {
 		return err
 	}
-	for _, a := range addrs {
-		pair := st.open[a]
-		if err := put(uint64(a)); err != nil {
-			return err
-		}
-		if err := put(uint64(pair.n)); err != nil {
-			return err
-		}
-		for i := 0; i < int(pair.n); i++ {
-			if err := put(uint64(pair.send[i])); err != nil {
-				return err
-			}
+	st.open.Range(func(a ipaddr.Addr, ring *core.OpenProbes) {
+		put(uint64(a))
+		put(uint64(ring.Len()))
+		for i := 0; i < ring.Len(); i++ {
+			put(uint64(ring.Send(i)))
 			b := byte(0)
-			if pair.resolved[i] {
+			if ring.Resolved(i) {
 				b = 1
 			}
-			if err := bw.WriteByte(b); err != nil {
-				return err
-			}
+			bw.WriteByte(b)
 		}
-	}
+	})
 
 	if err := bw.Flush(); err != nil {
 		return err
@@ -309,14 +297,14 @@ func DecodeCheckpoint(r io.Reader) (*Store, uint64, error) {
 		if n < 1 || n > 2 {
 			return corrupt("open %d ring size %d", i, n)
 		}
-		var pair openPair
-		pair.n = int8(n)
+		// A decoded probe's response count is not in the format: the store
+		// never reads it.
+		ring, _ := st.open.Get(ipaddr.Addr(av))
 		for j := 0; j < int(n); j++ {
 			send, err := get()
 			if err != nil {
 				return corrupt("open %d send %d: %v", i, j, err)
 			}
-			pair.send[j] = int64(send)
 			b, err := cr.ReadByte()
 			if err != nil {
 				return corrupt("open %d resolved %d: %v", i, j, err)
@@ -324,9 +312,8 @@ func DecodeCheckpoint(r io.Reader) (*Store, uint64, error) {
 			if b > 1 {
 				return corrupt("open %d resolved %d value %d", i, j, b)
 			}
-			pair.resolved[j] = b == 1
+			ring.Push(time.Duration(send), b == 1)
 		}
-		st.open[ipaddr.Addr(av)] = pair
 	}
 
 	sum := cr.h.Sum32()

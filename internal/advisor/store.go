@@ -4,18 +4,20 @@ import (
 	"io"
 	"time"
 
+	"timeouts/internal/core"
 	"timeouts/internal/ipaddr"
 	"timeouts/internal/obs"
 	"timeouts/internal/survey"
 )
 
-// Store is the advisor's ingest side: per-/24 latency sketches plus the
-// core.StreamMatcher-style bounded attribution state that recovers delayed
-// responses — the paper's central trick, without which advice would miss
-// exactly the surprisingly-high-delay tail it exists to serve. Memory is
-// O(prefixes + addresses-with-open-probes): each address holds at most the
-// last two probes (the only ones a future unmatched response can still be
-// attributed to), each prefix one fixed-size Sketch.
+// Store is the advisor's ingest side: per-/24 latency sketches plus core's
+// attribution kernel, which recovers delayed responses — the paper's
+// central trick, without which advice would miss exactly the
+// surprisingly-high-delay tail it exists to serve. Memory is O(prefixes):
+// each probed /24 holds one core.OpenProbes ring per address (the last two
+// probes, the only ones a future unmatched response can still be
+// attributed to) in a core.Blocks block, and each sampled /24 one
+// fixed-size Sketch.
 //
 // A Store is single-writer: the sharded engine gives each shard its own
 // Store and merges afterwards (Merge), exactly as it does per-shard
@@ -25,7 +27,7 @@ import (
 type Store struct {
 	sketches map[ipaddr.Prefix24]*Sketch
 	updated  map[ipaddr.Prefix24]int64 // wall time (unix ns) of each prefix's newest sample
-	open     map[ipaddr.Addr]openPair
+	open     core.Blocks[core.OpenProbes]
 	records  uint64
 	matched  uint64
 	delayed  uint64
@@ -40,20 +42,11 @@ type Store struct {
 	obsPrefixes *obs.Gauge
 }
 
-// openPair is one address's open-probe ring: the last two probe send times,
-// mirroring core.StreamMatcher's eviction discipline.
-type openPair struct {
-	send     [2]int64 // send times, ns; [n-1] newest
-	resolved [2]bool  // matched or already credited with a delayed response
-	n        int8
-}
-
 // NewStore creates an empty ingest store.
 func NewStore() *Store {
 	return &Store{
 		sketches: make(map[ipaddr.Prefix24]*Sketch),
 		updated:  make(map[ipaddr.Prefix24]int64),
-		open:     make(map[ipaddr.Addr]openPair),
 	}
 }
 
@@ -109,11 +102,8 @@ func (s *Store) sketch(p ipaddr.Prefix24) *Sketch {
 // sketch — the entry point for the live rtt plane, where the RTT is known
 // without record-stream attribution.
 func (s *Store) Add(addr ipaddr.Addr, rtt time.Duration) {
-	p := addr.Prefix()
-	s.sketch(p).Add(rtt)
-	s.touch(p)
+	s.sample(addr, rtt)
 	s.matched++
-	s.obsSamples.Inc()
 }
 
 // Write implements survey.RecordWriter, so a survey (sequential or sharded)
@@ -125,46 +115,30 @@ func (s *Store) Write(rec survey.Record) error {
 
 // Observe folds one survey record into the store. Matched records
 // contribute their RTT directly; timeout records open probes; unmatched
-// responses are attributed to the newest open probe sent strictly before
-// their arrival — core.StreamMatcher's recovery rule — yielding the delayed
-// samples that populate the advice tail.
+// responses go through core's attribution kernel, which credits the newest
+// open probe sent strictly before their arrival and yields the delayed
+// samples that populate the advice tail. The advisor keeps no duplicate or
+// broadcast verdicts, so it credits every response as a single packet.
 func (s *Store) Observe(rec survey.Record) {
 	s.records++
 	s.obsRecords.Inc()
 	switch rec.Type {
 	case survey.RecMatched:
-		st := s.open[rec.Addr]
-		st.push(int64(rec.When), true)
-		s.open[rec.Addr] = st
-		p := rec.Addr.Prefix()
-		s.sketch(p).Add(rec.RTT)
-		s.touch(p)
+		ring, _ := s.open.Get(rec.Addr)
+		ring.Push(rec.When, true)
+		s.sample(rec.Addr, rec.RTT)
 		s.matched++
-		s.obsSamples.Inc()
 	case survey.RecTimeout:
-		st := s.open[rec.Addr]
-		st.push(int64(rec.When), false)
-		s.open[rec.Addr] = st
+		ring, _ := s.open.Get(rec.Addr)
+		ring.Push(rec.When, false)
 	case survey.RecUnmatched:
-		st, ok := s.open[rec.Addr]
-		if !ok {
+		ring := s.open.Lookup(rec.Addr)
+		if ring == nil {
 			return
 		}
-		for i := int(st.n) - 1; i >= 0; i-- {
-			if st.send[i] >= int64(rec.When) {
-				continue
-			}
-			if !st.resolved[i] {
-				st.resolved[i] = true
-				s.open[rec.Addr] = st
-				lat := rec.When - time.Duration(st.send[i])
-				p := rec.Addr.Prefix()
-				s.sketch(p).Add(lat)
-				s.touch(p)
-				s.delayed++
-				s.obsSamples.Inc()
-			}
-			break
+		if lat, fresh := ring.Attribute(rec.When, 1); fresh {
+			s.sample(rec.Addr, lat)
+			s.delayed++
 		}
 	case survey.RecError:
 		// ICMP errors carry no latency; the analysis pipeline discards such
@@ -172,15 +146,12 @@ func (s *Store) Observe(rec survey.Record) {
 	}
 }
 
-// push opens a probe on the pair, evicting the oldest beyond two.
-func (p *openPair) push(send int64, matched bool) {
-	if p.n == 2 {
-		p.send[0], p.resolved[0] = p.send[1], p.resolved[1]
-		p.n = 1
-	}
-	p.send[p.n] = send
-	p.resolved[p.n] = matched
-	p.n++
+// sample folds one latency sample for addr into its prefix sketch.
+func (s *Store) sample(addr ipaddr.Addr, lat time.Duration) {
+	p := addr.Prefix()
+	s.sketch(p).Add(lat)
+	s.touch(p)
+	s.obsSamples.Inc()
 }
 
 // Consume drains a RecordSource into the store, stopping at io.EOF or the
@@ -228,11 +199,11 @@ func (s *Store) Merge(other *Store) {
 			s.updated[p] = t
 		}
 	}
-	for a, st := range other.open {
-		if cur, ok := s.open[a]; !ok || st.newest() > cur.newest() {
-			s.open[a] = st
+	other.open.Range(func(a ipaddr.Addr, ring *core.OpenProbes) {
+		if cur, created := s.open.Get(a); created || newest(ring) > newest(cur) {
+			*cur = *ring
 		}
-	}
+	})
 	s.records += other.records
 	s.matched += other.matched
 	s.delayed += other.delayed
@@ -241,10 +212,11 @@ func (s *Store) Merge(other *Store) {
 	s.obsPrefixes.Observe(int64(len(s.sketches)))
 }
 
-// newest returns the newest open probe send time (or a sentinel past).
-func (p openPair) newest() int64 {
-	if p.n == 0 {
+// newest returns the ring's newest open probe send time (or a sentinel
+// past).
+func newest(ring *core.OpenProbes) time.Duration {
+	if ring.Len() == 0 {
 		return -1
 	}
-	return p.send[p.n-1]
+	return ring.Send(ring.Len() - 1)
 }

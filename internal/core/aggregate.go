@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -22,12 +23,34 @@ type Table1 struct {
 	CombinedPackets, CombinedAddrs   uint64
 }
 
+// tallies is what Table 1 and the responder lists read from a per-address
+// result of either pipeline: its verdict and its sample counts.
+type tallies interface {
+	verdict() *Verdict
+	samples() (matched, delayed uint64)
+}
+
+func (a *AddressResult) verdict() *Verdict { return &a.Verdict }
+func (a *AddressResult) samples() (matched, delayed uint64) {
+	return uint64(len(a.Matched)), uint64(len(a.Delayed))
+}
+
+func (a *StreamAddressResult) verdict() *Verdict { return &a.Verdict }
+func (a *StreamAddressResult) samples() (matched, delayed uint64) {
+	return a.Matched, a.Delayed
+}
+
 // BuildTable1 computes the Table 1 accounting from a match result.
-func (r *Result) BuildTable1() Table1 {
+func (r *Result) BuildTable1() Table1 { return buildTable1(r.Addr) }
+
+// BuildTable1 computes the Table 1 accounting from a streaming result.
+func (r *StreamResult) BuildTable1() Table1 { return buildTable1(r.Addr) }
+
+func buildTable1[T tallies](addrs map[ipaddr.Addr]T) Table1 {
 	var t Table1
-	for _, ar := range r.Addr {
-		matched := uint64(len(ar.Matched))
-		delayed := uint64(len(ar.Delayed))
+	for _, ar := range addrs {
+		v := ar.verdict()
+		matched, delayed := ar.samples()
 		if matched > 0 {
 			t.SurveyPackets += matched
 			t.SurveyAddrs++
@@ -37,19 +60,54 @@ func (r *Result) BuildTable1() Table1 {
 			t.NaiveAddrs++
 		}
 		switch {
-		case ar.Broadcast:
-			t.BroadcastPackets += ar.packets
+		case v.Broadcast:
+			t.BroadcastPackets += v.packets
 			t.BroadcastAddrs++
-		case ar.Duplicate:
-			t.DuplicatePackets += ar.packets
+		case v.Duplicate:
+			t.DuplicatePackets += v.packets
 			t.DuplicateAddrs++
 		}
-		if !ar.Discarded() && matched+delayed > 0 {
+		if !v.Discarded() && matched+delayed > 0 {
 			t.CombinedPackets += matched + delayed
 			t.CombinedAddrs++
 		}
 	}
 	return t
+}
+
+// BroadcastResponders lists addresses the EWMA filter marked.
+func (r *Result) BroadcastResponders() []ipaddr.Addr { return responders(r.Addr, isBroadcast) }
+
+// BroadcastResponders lists addresses the EWMA filter marked.
+func (r *StreamResult) BroadcastResponders() []ipaddr.Addr {
+	return responders(r.Addr, isBroadcast)
+}
+
+// DuplicateResponders lists addresses exceeding the duplicate threshold
+// (and not already marked broadcast), mirroring the paper's mutually
+// exclusive discard accounting.
+func (r *Result) DuplicateResponders() []ipaddr.Addr { return responders(r.Addr, isDuplicate) }
+
+// DuplicateResponders lists addresses exceeding the duplicate threshold
+// and not already marked broadcast.
+func (r *StreamResult) DuplicateResponders() []ipaddr.Addr {
+	return responders(r.Addr, isDuplicate)
+}
+
+func isBroadcast(v *Verdict) bool { return v.Broadcast }
+func isDuplicate(v *Verdict) bool { return v.Duplicate && !v.Broadcast }
+
+// responders lists, in ascending order, the addresses whose verdict is
+// marked.
+func responders[T tallies](addrs map[ipaddr.Addr]T, marked func(*Verdict) bool) []ipaddr.Addr {
+	var out []ipaddr.Addr
+	for a, ar := range addrs {
+		if marked(ar.verdict()) {
+			out = append(out, a)
+		}
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Format renders Table 1 in the paper's layout.

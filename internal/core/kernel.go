@@ -1,0 +1,167 @@
+package core
+
+import (
+	"time"
+
+	"timeouts/internal/stats"
+	"timeouts/internal/survey"
+)
+
+// OpenProbes is one address's open-probe ring: its last two probes, the
+// only ones a future unmatched response can still be credited to (DESIGN.md
+// §9 argues why two suffice). It is the attribution kernel every pipeline
+// shares — Match, StreamMatcher and the advisor's ingest store. The zero
+// value is empty.
+type OpenProbes struct {
+	send     [2]time.Duration // send times; [n-1] is the newest
+	resp     [2]int           // response packets credited to each probe
+	resolved [2]bool          // matched, or already credited with a delayed response
+	n        int8
+}
+
+// Push opens a probe sent at send, evicting the oldest if two are open, and
+// returns the evicted probe's response count (0 when nothing was evicted).
+// A matched probe opens resolved, holding its one response.
+func (o *OpenProbes) Push(send time.Duration, matched bool) (evicted int) {
+	if o.n == 2 {
+		evicted = o.resp[0]
+		o.send[0], o.resp[0], o.resolved[0] = o.send[1], o.resp[1], o.resolved[1]
+		o.n = 1
+	}
+	o.send[o.n], o.resp[o.n], o.resolved[o.n] = send, 0, matched
+	if matched {
+		o.resp[o.n] = 1
+	}
+	o.n++
+	return evicted
+}
+
+// Attribute credits count response packets arriving at `at` to the newest
+// open probe sent strictly before it — the paper's §3.3 rule. The boundary
+// must be strict: record times are truncated (to seconds for timeout and
+// unmatched records), so a response can land exactly on a later probe's
+// recorded send instant, and crediting that just-sent probe would
+// manufacture a zero-latency sample; the response belongs to the earlier,
+// timed-out probe. The first credit to a timed-out probe yields its latency
+// sample (fresh); later credits, and credits to a matched probe, are
+// duplicates. A response preceding every open probe is stray traffic and
+// changes nothing.
+func (o *OpenProbes) Attribute(at time.Duration, count int) (lat time.Duration, fresh bool) {
+	for i := int(o.n) - 1; i >= 0; i-- {
+		if o.send[i] >= at {
+			continue
+		}
+		o.resp[i] += count
+		if o.resolved[i] {
+			return 0, false
+		}
+		o.resolved[i] = true
+		return at - o.send[i], true
+	}
+	return 0, false
+}
+
+// Len returns how many probes are open (0, 1 or 2).
+func (o *OpenProbes) Len() int { return int(o.n) }
+
+// Send returns the send time of open probe i; Send(Len()-1) is the newest.
+func (o *OpenProbes) Send(i int) time.Duration { return o.send[i] }
+
+// Resolved reports whether open probe i was matched or already credited
+// with a delayed response.
+func (o *OpenProbes) Resolved(i int) bool { return o.resolved[i] }
+
+// Verdict is one address's §3.3 accounting once its records are done: the
+// probes it drew, the duplicate tallies, and the filters' decisions.
+type Verdict struct {
+	// Probes counts echo requests sent to the address.
+	Probes int
+	// MaxResponses is the largest number of responses attributed to a
+	// single request (Figure 5).
+	MaxResponses int
+	// Broadcast marks the address as a broadcast responder per the EWMA
+	// filter.
+	Broadcast bool
+	// Duplicate marks the address as exceeding DuplicateMax.
+	Duplicate bool
+	// ErrorSeen marks addresses whose probes drew ICMP errors; the
+	// analysis ignores them entirely (§3.1).
+	ErrorSeen bool
+
+	packets uint64 // total response packets attributed to this address
+}
+
+// Discarded reports whether the filters remove this address.
+func (v *Verdict) Discarded() bool { return v.Broadcast || v.Duplicate || v.ErrorSeen }
+
+// ResponsePackets counts all response packets attributed to the address.
+func (v *Verdict) ResponsePackets() uint64 { return v.packets }
+
+// addrState is one address's attribution and filter state: the open-probe
+// ring, the broadcast persistence filter (§3.3.1), and the tallies that
+// finish into its Verdict.
+type addrState struct {
+	ring      OpenProbes
+	ew        stats.EWMA
+	lastRound int64
+	lastLat   time.Duration
+	v         Verdict // Probes, MaxResponses, ErrorSeen and packets accumulate here
+}
+
+func newAddrState(opt *Options) addrState {
+	return addrState{ew: stats.EWMA{Alpha: opt.BroadcastAlpha}, lastRound: -10}
+}
+
+// probe opens a probe sent at send.
+func (s *addrState) probe(send time.Duration, matched bool) {
+	s.v.Probes++
+	s.seal(s.ring.Push(send, matched))
+}
+
+// seal folds a closed probe's response count into the duplicate tallies.
+func (s *addrState) seal(resp int) {
+	if resp > s.v.MaxResponses {
+		s.v.MaxResponses = resp
+	}
+	s.v.packets += uint64(resp)
+}
+
+// response attributes count unmatched response packets arriving at `at`
+// and returns the latency sample that yields, if any. A fresh sample of at
+// least BroadcastMinLat feeds the broadcast filter, which counts rounds in
+// which the address repeats a similar latency.
+func (s *addrState) response(at time.Duration, count int, opt *Options) (lat time.Duration, fresh bool) {
+	lat, fresh = s.ring.Attribute(at, count)
+	if fresh && lat >= opt.BroadcastMinLat {
+		round := int64(at / opt.Interval)
+		d := lat - s.lastLat
+		if d < 0 {
+			d = -d
+		}
+		if round == s.lastRound+1 && d <= opt.BroadcastTol {
+			s.ew.Observe(1)
+		} else {
+			s.ew.Observe(0)
+		}
+		s.lastRound, s.lastLat = round, lat
+	}
+	return lat, fresh
+}
+
+// finish seals the probes still open and returns the address's verdict;
+// it is called once, when the address's records are done.
+func (s *addrState) finish(opt *Options) Verdict {
+	for i := 0; i < s.ring.Len(); i++ {
+		s.seal(s.ring.resp[i])
+	}
+	v := s.v
+	v.Broadcast = s.ew.Max() > opt.BroadcastMark
+	v.Duplicate = v.MaxResponses > opt.DuplicateMax
+	return v
+}
+
+// responseCount returns how many response packets an unmatched record
+// carries (its RTT field holds the count; at least one).
+func responseCount(rec survey.Record) int {
+	return max(int(rec.RTT), 1)
+}

@@ -15,8 +15,9 @@
 package core
 
 import (
+	"cmp"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,10 +49,6 @@ type Options struct {
 	// an address may exhibit before all its responses are discarded
 	// (paper: 4).
 	DuplicateMax int
-	// Parallelism bounds the worker goroutines used for the per-address
-	// matching pass; addresses are independent, so the pass parallelizes
-	// perfectly. Zero selects GOMAXPROCS.
-	Parallelism int
 }
 
 func (o Options) withDefaults() Options {
@@ -106,35 +103,16 @@ func pow1m(alpha float64, n int) float64 {
 	return v
 }
 
-// AddressResult is the per-address outcome of matching.
+// AddressResult is the per-address outcome of matching: the exact latency
+// samples and the address's Verdict.
 type AddressResult struct {
 	// Matched holds the survey-detected RTTs (microsecond precision).
 	Matched []time.Duration
 	// Delayed holds latencies recovered from unmatched responses (second
 	// precision).
 	Delayed []time.Duration
-	// Probes counts echo requests sent to the address.
-	Probes int
-	// MaxResponses is the largest number of responses attributed to a
-	// single request (Figure 5).
-	MaxResponses int
-	// Broadcast marks the address as a broadcast responder per the EWMA
-	// filter.
-	Broadcast bool
-	// Duplicate marks the address as exceeding DuplicateMax.
-	Duplicate bool
-	// ErrorSeen marks addresses whose probes drew ICMP errors; the
-	// analysis ignores them entirely (§3.1).
-	ErrorSeen bool
-
-	packets uint64 // total response packets attributed to this address
+	Verdict
 }
-
-// Discarded reports whether the filters remove this address.
-func (a *AddressResult) Discarded() bool { return a.Broadcast || a.Duplicate || a.ErrorSeen }
-
-// ResponsePackets counts all response packets attributed to the address.
-func (a *AddressResult) ResponsePackets() uint64 { return a.packets }
 
 // Result is the outcome of the matching pipeline over one dataset.
 type Result struct {
@@ -146,18 +124,17 @@ type Result struct {
 	quant [2]map[ipaddr.Addr]stats.Quantiles
 }
 
-// internal extension of AddressResult.
-type addrState struct {
+// matchCell gathers one address's records for Match, then holds its result.
+type matchCell struct {
 	probes    []probeRec
 	unmatched []umRec
+	res       AddressResult
 }
 
 type probeRec struct {
-	send     time.Duration
-	rtt      time.Duration
-	matched  bool
-	consumed bool // a delayed response has been attributed
-	resp     int  // responses attributed to this probe
+	send    time.Duration
+	rtt     time.Duration
+	matched bool
 }
 
 type umRec struct {
@@ -170,66 +147,33 @@ type umRec struct {
 // time before matching.
 func Match(records []survey.Record, opt Options) *Result {
 	opt = opt.withDefaults()
-	states := make(map[ipaddr.Addr]*addrState)
-	res := &Result{Opt: opt, Addr: make(map[ipaddr.Addr]*AddressResult)}
-
-	get := func(a ipaddr.Addr) *addrState {
-		st := states[a]
-		if st == nil {
-			st = &addrState{}
-			states[a] = st
-		}
-		return st
-	}
-	getRes := func(a ipaddr.Addr) *AddressResult {
-		r := res.Addr[a]
-		if r == nil {
-			r = &AddressResult{}
-			res.Addr[a] = r
-		}
-		return r
-	}
-
+	var cells Blocks[matchCell]
 	for _, rec := range records {
 		switch rec.Type {
 		case survey.RecMatched:
-			st := get(rec.Addr)
-			st.probes = append(st.probes, probeRec{send: rec.When, rtt: rec.RTT, matched: true, resp: 1})
+			c, _ := cells.Get(rec.Addr)
+			c.probes = append(c.probes, probeRec{send: rec.When, rtt: rec.RTT, matched: true})
 		case survey.RecTimeout:
-			st := get(rec.Addr)
-			st.probes = append(st.probes, probeRec{send: rec.When})
+			c, _ := cells.Get(rec.Addr)
+			c.probes = append(c.probes, probeRec{send: rec.When})
 		case survey.RecUnmatched:
-			st := get(rec.Addr)
-			count := int(rec.RTT)
-			if count < 1 {
-				count = 1
-			}
-			st.unmatched = append(st.unmatched, umRec{at: rec.When, count: count})
+			c, _ := cells.Get(rec.Addr)
+			c.unmatched = append(c.unmatched, umRec{at: rec.When, count: responseCount(rec)})
 		case survey.RecError:
-			getRes(rec.Addr).ErrorSeen = true
+			c, _ := cells.Get(rec.Addr)
+			c.res.ErrorSeen = true
 		}
 	}
 
+	res := &Result{Opt: opt, Addr: make(map[ipaddr.Addr]*AddressResult, cells.Len())}
+	jobs := make([]*matchCell, 0, cells.Len())
+	cells.Range(func(a ipaddr.Addr, c *matchCell) {
+		jobs = append(jobs, c)
+		res.Addr[a] = &c.res
+	})
 	// The per-address pass is embarrassingly parallel: every address's
-	// matching, filtering and accounting touches only its own state.
-	type job struct {
-		st *addrState
-		r  *AddressResult
-	}
-	jobs := make([]job, 0, len(states))
-	for a, st := range states {
-		jobs = append(jobs, job{st: st, r: getRes(a)})
-	}
-	workers := opt.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	// matching, filtering and accounting touches only its own cell.
+	workers := max(min(runtime.GOMAXPROCS(0), len(jobs)), 1)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		w := w
@@ -237,7 +181,7 @@ func Match(records []survey.Record, opt Options) *Result {
 		go func() {
 			defer wg.Done()
 			for i := w; i < len(jobs); i += workers {
-				matchAddress(jobs[i].st, jobs[i].r, opt)
+				matchAddress(jobs[i], &opt)
 			}
 		}()
 	}
@@ -245,78 +189,35 @@ func Match(records []survey.Record, opt Options) *Result {
 	return res
 }
 
-// matchAddress runs the §3.3-§4.1 per-address pass: delayed-response
-// matching, the broadcast persistence filter, and duplicate accounting.
-func matchAddress(st *addrState, r *AddressResult, opt Options) {
-	{
-		sort.Slice(st.probes, func(i, j int) bool { return st.probes[i].send < st.probes[j].send })
-		sort.Slice(st.unmatched, func(i, j int) bool { return st.unmatched[i].at < st.unmatched[j].at })
-		r.Probes = len(st.probes)
-		for _, p := range st.probes {
-			if p.matched {
-				r.Matched = append(r.Matched, p.rtt)
-			}
-		}
-
-		// Delayed-response matching (§3.3): attribute each unmatched
-		// response to the most recent request to the same address. If that
-		// request timed out and has no response yet, the gap is a latency
-		// sample; otherwise the packets are duplicates.
-		ew := stats.EWMA{Alpha: opt.BroadcastAlpha}
-		lastRound := int64(-10)
-		var lastLat time.Duration
-		pi := 0
-		for _, um := range st.unmatched {
-			// Advance to the last probe sent strictly before the arrival.
-			// The boundary must be strict: record times are truncated (to
-			// seconds for timeout/unmatched records), so a response can land
-			// exactly on a later probe's recorded send instant. Attributing
-			// it to that just-sent probe would manufacture a zero-latency
-			// "delayed" sample and miscount duplicates — the response
-			// belongs to the earlier timed-out probe.
-			for pi < len(st.probes) && st.probes[pi].send < um.at {
-				pi++
-			}
-			if pi == 0 {
-				continue // response precedes all probes; stray traffic
-			}
-			p := &st.probes[pi-1]
-			p.resp += um.count
-			if !p.matched && !p.consumed {
-				p.consumed = true
-				lat := um.at - p.send
-				r.Delayed = append(r.Delayed, lat)
-
-				// Broadcast persistence filter (§3.3.1): count rounds in
-				// which the address repeats a similar >= MinLat latency.
-				if lat >= opt.BroadcastMinLat {
-					round := int64(um.at / opt.Interval)
-					d := lat - lastLat
-					if d < 0 {
-						d = -d
-					}
-					if round == lastRound+1 && d <= opt.BroadcastTol {
-						ew.Observe(1)
-					} else {
-						ew.Observe(0)
-					}
-					lastRound, lastLat = round, lat
-				}
-			}
-		}
-		if ew.Max() > opt.BroadcastMark {
-			r.Broadcast = true
-		}
-		for i := range st.probes {
-			if st.probes[i].resp > r.MaxResponses {
-				r.MaxResponses = st.probes[i].resp
-			}
-			r.packets += uint64(st.probes[i].resp)
-		}
-		if r.MaxResponses > opt.DuplicateMax {
-			r.Duplicate = true
+// matchAddress runs the §3.3–§4.1 per-address pass: it sorts the address's
+// records and drives the attribution kernel in time order, so every probe
+// sent strictly before a response is open when the response arrives.
+func matchAddress(c *matchCell, opt *Options) {
+	slices.SortFunc(c.probes, func(a, b probeRec) int { return cmp.Compare(a.send, b.send) })
+	slices.SortFunc(c.unmatched, func(a, b umRec) int { return cmp.Compare(a.at, b.at) })
+	r := &c.res
+	st := newAddrState(opt)
+	st.v.ErrorSeen = r.ErrorSeen
+	open := func(p probeRec) {
+		st.probe(p.send, p.matched)
+		if p.matched {
+			r.Matched = append(r.Matched, p.rtt)
 		}
 	}
+	pi := 0
+	for _, um := range c.unmatched {
+		for ; pi < len(c.probes) && c.probes[pi].send < um.at; pi++ {
+			open(c.probes[pi])
+		}
+		if lat, fresh := st.response(um.at, um.count, opt); fresh {
+			r.Delayed = append(r.Delayed, lat)
+		}
+	}
+	for _, p := range c.probes[pi:] {
+		open(p)
+	}
+	r.Verdict = st.finish(opt)
+	c.probes, c.unmatched = nil, nil
 }
 
 // Samples returns the per-address latency sample sets. With filtered=false
@@ -351,31 +252,5 @@ func (r *Result) SurveyDetected() map[ipaddr.Addr][]time.Duration {
 		}
 		out[a] = append([]time.Duration(nil), ar.Matched...)
 	}
-	return out
-}
-
-// BroadcastResponders lists addresses the EWMA filter marked.
-func (r *Result) BroadcastResponders() []ipaddr.Addr {
-	var out []ipaddr.Addr
-	for a, ar := range r.Addr {
-		if ar.Broadcast {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// DuplicateResponders lists addresses exceeding the duplicate threshold
-// (and not already marked broadcast), mirroring the paper's mutually
-// exclusive discard accounting.
-func (r *Result) DuplicateResponders() []ipaddr.Addr {
-	var out []ipaddr.Addr
-	for a, ar := range r.Addr {
-		if ar.Duplicate && !ar.Broadcast {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

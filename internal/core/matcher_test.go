@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -339,7 +340,8 @@ func TestSamplesViews(t *testing.T) {
 }
 
 // TestMatchParallelDeterministic verifies that the parallel per-address
-// pass yields results identical to the sequential one.
+// pass yields results identical to the sequential one. Match sizes its
+// worker pool from GOMAXPROCS, so the test runs it at 1 and at 8.
 func TestMatchParallelDeterministic(t *testing.T) {
 	var b recBuilder
 	interval := 660 * time.Second
@@ -362,10 +364,11 @@ func TestMatchParallelDeterministic(t *testing.T) {
 			}
 		}
 	}
-	seqOpt := Options{Parallelism: 1}
-	parOpt := Options{Parallelism: 8}
-	seq := Match(b.recs, seqOpt)
-	par := Match(b.recs, parOpt)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	seq := Match(b.recs, Options{})
+	runtime.GOMAXPROCS(8)
+	par := Match(b.recs, Options{})
 	if len(seq.Addr) != len(par.Addr) {
 		t.Fatalf("address counts differ: %d vs %d", len(seq.Addr), len(par.Addr))
 	}

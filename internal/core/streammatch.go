@@ -2,7 +2,6 @@ package core
 
 import (
 	"io"
-	"sort"
 	"time"
 
 	"timeouts/internal/ipaddr"
@@ -12,14 +11,16 @@ import (
 )
 
 // StreamMatcher is the bounded-memory counterpart of Match: it consumes a
-// survey record stream incrementally and keeps only per-address *open*
-// state — the last two probes (the only ones a future unmatched response
-// can still be attributed to), the broadcast-filter EWMA, and a hybrid
-// exact/P² quantile sketch (stats.StreamingQuantiles) over the address's
-// latency samples. Closed probe state is evicted as the stream advances, so
-// memory is O(addresses), independent of the record count — the property
-// that lets the paper's §3.3–§4.1 pipeline run over ISI-scale datasets
-// (9.64 billion responses) that Match cannot hold.
+// survey record stream incrementally and drives the attribution kernel
+// (OpenProbes and its filters) record by record, keeping only per-address
+// *open* state — the last two probes (the only ones a future unmatched
+// response can still be attributed to), the broadcast-filter EWMA, and a
+// hybrid exact/P² quantile sketch (stats.StreamingQuantiles) over the
+// address's latency samples — in per-/24 Blocks. Closed probe state is
+// evicted as the stream advances, so memory is O(addresses), independent of
+// the record count — the property that lets the paper's §3.3–§4.1 pipeline
+// run over ISI-scale datasets (9.64 billion responses) that Match cannot
+// hold.
 //
 // StreamMatcher implements survey.RecordWriter, so a survey can probe
 // straight into the analyzer — survey.Run / survey.RunSharded with the
@@ -38,16 +39,8 @@ import (
 // error abl-streaming and TestP2AgainstExact quantify.
 type StreamMatcher struct {
 	opt     Options
-	addrs   map[ipaddr.Addr]*streamAddr
+	cells   Blocks[streamCell]
 	records uint64
-
-	// Dense mode (NewStreamMatcherDense): open state lives inline in a
-	// preallocated flat slice indexed by the population's address index — no
-	// map, no per-address allocation. Addresses the index function rejects
-	// spill to the map path, so stray traffic cannot corrupt the flat state.
-	dense     []streamAddr
-	index     func(ipaddr.Addr) int
-	denseUsed int
 
 	// Observability (nil-safe no-ops unless SetObserver installs them). All
 	// matcher metrics are deterministic-class: the matcher consumes the
@@ -62,52 +55,18 @@ type StreamMatcher struct {
 	openProbes    int64 // open probes across all addresses, for the HWM gauge
 }
 
-// streamAddr is the per-address open state — O(1) regardless of how many
-// records the address contributes.
-type streamAddr struct {
-	est       stats.StreamingQuantiles // matched + delayed latency samples
-	matched   uint64
-	delayed   uint64
-	probes    int
-	packets   uint64
-	maxResp   int
-	open      [2]openProbe // ring of the last two probes, open[nOpen-1] newest
-	nOpen     int
-	ew        stats.EWMA
-	lastRound int64
-	lastLat   time.Duration
-	addr      ipaddr.Addr
-	errorSeen bool
-	init      bool
-}
-
-// openProbe is one not-yet-evicted probe.
-type openProbe struct {
-	send     time.Duration
-	matched  bool
-	consumed bool
-	resp     int
+// streamCell is one address's streaming state — O(1) regardless of how
+// many records the address contributes.
+type streamCell struct {
+	st               addrState
+	est              stats.StreamingQuantiles // matched + delayed latency samples
+	matched, delayed uint64
 }
 
 // NewStreamMatcher creates a streaming matcher; zero Options select the
 // paper's settings, as with Match.
 func NewStreamMatcher(opt Options) *StreamMatcher {
-	opt = opt.withDefaults()
-	return &StreamMatcher{opt: opt, addrs: make(map[ipaddr.Addr]*streamAddr)}
-}
-
-// NewStreamMatcherDense creates a streaming matcher whose per-address open
-// state lives in a preallocated flat slice of n entries instead of a map:
-// index maps an address to its slot in [0, n) (a population's IndexOf).
-// Addresses the index rejects (negative or >= n) fall back to a spill map,
-// so the dense matcher accepts exactly the record streams the map matcher
-// does and produces byte-identical results — it only changes where the
-// state lives: O(n) up front, zero allocations per record after that.
-func NewStreamMatcherDense(opt Options, n int, index func(ipaddr.Addr) int) *StreamMatcher {
-	m := NewStreamMatcher(opt)
-	m.dense = make([]streamAddr, n)
-	m.index = index
-	return m
+	return &StreamMatcher{opt: opt.withDefaults()}
 }
 
 // SetObserver registers the matcher's metrics on reg: records consumed, the
@@ -130,7 +89,7 @@ func (m *StreamMatcher) SetObserver(reg *obs.Registry) {
 func (m *StreamMatcher) Records() uint64 { return m.records }
 
 // Addresses returns how many addresses currently hold open state.
-func (m *StreamMatcher) Addresses() int { return m.denseUsed + len(m.addrs) }
+func (m *StreamMatcher) Addresses() int { return m.cells.Len() }
 
 // Write implements survey.RecordWriter, folding one record into the match
 // state; it never returns an error.
@@ -139,66 +98,23 @@ func (m *StreamMatcher) Write(rec survey.Record) error {
 	return nil
 }
 
-// get returns (creating if needed) the address's open state.
-func (m *StreamMatcher) get(a ipaddr.Addr) *streamAddr {
-	if m.dense != nil {
-		if i := m.index(a); i >= 0 && i < len(m.dense) {
-			st := &m.dense[i]
-			if !st.init {
-				m.initAddr(st, a)
-				m.denseUsed++
-				m.obsAddrsHWM.Observe(int64(m.Addresses()))
-			}
-			return st
-		}
+// cell returns (creating if needed) the address's state.
+func (m *StreamMatcher) cell(a ipaddr.Addr) *streamCell {
+	c, created := m.cells.Get(a)
+	if created {
+		c.st = newAddrState(&m.opt)
+		m.obsAddrsHWM.Observe(int64(m.cells.Len()))
 	}
-	st := m.addrs[a]
-	if st == nil {
-		st = &streamAddr{}
-		m.initAddr(st, a)
-		m.addrs[a] = st
-		m.obsAddrsHWM.Observe(int64(m.Addresses()))
-	}
-	return st
+	return c
 }
 
-// initAddr stamps a fresh state cell with its address and the non-zero
-// initial values (EWMA alpha, the out-of-band lastRound sentinel).
-func (m *StreamMatcher) initAddr(st *streamAddr, a ipaddr.Addr) {
-	st.init = true
-	st.addr = a
-	st.ew = stats.EWMA{Alpha: m.opt.BroadcastAlpha}
-	st.lastRound = -10
-}
-
-// push opens a new probe on st, maintaining the open-probe high-water mark
-// (pushProbe may evict, so the net change can be zero).
-func (m *StreamMatcher) push(st *streamAddr, p openProbe) {
-	before := st.nOpen
-	st.pushProbe(p)
-	m.openProbes += int64(st.nOpen - before)
+// probe opens a probe on c, maintaining the open-probe high-water mark
+// (opening may evict, so the net change can be zero).
+func (m *StreamMatcher) probe(c *streamCell, send time.Duration, matched bool) {
+	before := c.st.ring.Len()
+	c.st.probe(send, matched)
+	m.openProbes += int64(c.st.ring.Len() - before)
 	m.obsOpenHWM.Observe(m.openProbes)
-}
-
-// evict seals the oldest open probe into the address summary.
-func (st *streamAddr) evict() {
-	p := st.open[0]
-	if p.resp > st.maxResp {
-		st.maxResp = p.resp
-	}
-	st.packets += uint64(p.resp)
-	st.open[0] = st.open[1]
-	st.nOpen--
-}
-
-// pushProbe opens a new probe, evicting the oldest if two are already open.
-func (st *streamAddr) pushProbe(p openProbe) {
-	if st.nOpen == 2 {
-		st.evict()
-	}
-	st.open[st.nOpen] = p
-	st.nOpen++
-	st.probes++
 }
 
 // Observe folds one record into the match state.
@@ -207,60 +123,23 @@ func (m *StreamMatcher) Observe(rec survey.Record) {
 	m.obsRecords.Inc()
 	switch rec.Type {
 	case survey.RecMatched:
-		st := m.get(rec.Addr)
-		m.push(st, openProbe{send: rec.When, matched: true, resp: 1})
-		st.matched++
-		st.est.Add(rec.RTT)
+		c := m.cell(rec.Addr)
+		m.probe(c, rec.When, true)
+		c.matched++
+		c.est.Add(rec.RTT)
 		m.obsRTTMatched.Observe(rec.RTT)
 		m.obsLatency.Observe(rec.RTT)
 	case survey.RecTimeout:
-		st := m.get(rec.Addr)
-		m.push(st, openProbe{send: rec.When})
+		m.probe(m.cell(rec.Addr), rec.When, false)
 	case survey.RecUnmatched:
-		st := m.get(rec.Addr)
-		count := int(rec.RTT)
-		if count < 1 {
-			count = 1
-		}
-		// Attribute to the newest open probe sent strictly before the
-		// arrival — the same (fixed) boundary Match uses. Record times are
-		// truncated, so the newest probe's recorded send can postdate the
-		// response's recorded arrival; then the response belongs to the
-		// probe before it. Responses preceding every known probe are stray
-		// traffic and dropped, as in Match.
-		for i := st.nOpen - 1; i >= 0; i-- {
-			p := &st.open[i]
-			if p.send >= rec.When {
-				continue
-			}
-			p.resp += count
-			if !p.matched && !p.consumed {
-				p.consumed = true
-				lat := rec.When - p.send
-				st.delayed++
-				st.est.Add(lat)
-				m.obsLatency.Observe(lat)
-				// Broadcast persistence filter (§3.3.1), streamed: the
-				// unmatched records of one address arrive in arrival order,
-				// which is the order Match's sorted pass sees them in.
-				if lat >= m.opt.BroadcastMinLat {
-					round := int64(rec.When / m.opt.Interval)
-					d := lat - st.lastLat
-					if d < 0 {
-						d = -d
-					}
-					if round == st.lastRound+1 && d <= m.opt.BroadcastTol {
-						st.ew.Observe(1)
-					} else {
-						st.ew.Observe(0)
-					}
-					st.lastRound, st.lastLat = round, lat
-				}
-			}
-			break
+		c := m.cell(rec.Addr)
+		if lat, fresh := c.st.response(rec.When, responseCount(rec), &m.opt); fresh {
+			c.delayed++
+			c.est.Add(lat)
+			m.obsLatency.Observe(lat)
 		}
 	case survey.RecError:
-		m.get(rec.Addr).errorSeen = true
+		m.cell(rec.Addr).st.v.ErrorSeen = true
 	}
 }
 
@@ -280,28 +159,15 @@ func (m *StreamMatcher) Consume(src survey.RecordSource) error {
 }
 
 // StreamAddressResult is the per-address outcome of streaming matching: the
-// same accounting AddressResult carries, with the raw sample slices replaced
-// by counts and a bounded quantile sketch.
+// same Verdict AddressResult carries, with the raw sample slices replaced by
+// counts and a bounded quantile sketch.
 type StreamAddressResult struct {
+	Verdict
 	// Matched and Delayed count the survey-detected and recovered samples.
 	Matched, Delayed uint64
-	// Probes counts echo requests sent to the address.
-	Probes int
-	// MaxResponses is the largest number of responses attributed to a
-	// single request.
-	MaxResponses int
-	// Broadcast, Duplicate and ErrorSeen mirror AddressResult's filters.
-	Broadcast, Duplicate, ErrorSeen bool
 
-	packets uint64
-	est     *stats.StreamingQuantiles
+	est stats.StreamingQuantiles
 }
-
-// Discarded reports whether the filters remove this address.
-func (a *StreamAddressResult) Discarded() bool { return a.Broadcast || a.Duplicate || a.ErrorSeen }
-
-// ResponsePackets counts all response packets attributed to the address.
-func (a *StreamAddressResult) ResponsePackets() uint64 { return a.packets }
 
 // Quantiles returns the address's latency percentile vector: exact for
 // streams within the buffer cap, P² estimates beyond.
@@ -318,92 +184,16 @@ type StreamResult struct {
 // matcher's per-address state is consumed; further Observe calls start a
 // fresh accumulation.
 func (m *StreamMatcher) Finalize() *StreamResult {
-	res := &StreamResult{Opt: m.opt, Addr: make(map[ipaddr.Addr]*StreamAddressResult, m.Addresses()), Records: m.records}
-	m.sealInto(func(a ipaddr.Addr, ar *StreamAddressResult) { res.Addr[a] = ar })
-	return res
-}
-
-// FinalizeInto seals all remaining open state like Finalize but yields each
-// per-address result to fn instead of materializing the result map — dense
-// entries in ascending index order, spill entries after them in map order.
-// The *StreamAddressResult is freshly allocated and remains valid after fn
-// returns. It returns the record count the stream contributed.
-func (m *StreamMatcher) FinalizeInto(fn func(ipaddr.Addr, *StreamAddressResult)) uint64 {
-	records := m.records
-	m.sealInto(fn)
-	return records
-}
-
-// sealInto drains every live state cell through fn and resets the matcher.
-func (m *StreamMatcher) sealInto(fn func(ipaddr.Addr, *StreamAddressResult)) {
-	for i := range m.dense {
-		if m.dense[i].init {
-			m.sealOne(&m.dense[i], fn)
+	res := &StreamResult{Opt: m.opt, Addr: make(map[ipaddr.Addr]*StreamAddressResult, m.cells.Len()), Records: m.records}
+	m.cells.Range(func(a ipaddr.Addr, c *streamCell) {
+		if c.est.Spilled() {
+			m.obsSpills.Inc()
 		}
-	}
-	for _, st := range m.addrs {
-		m.sealOne(st, fn)
-	}
-	m.addrs = make(map[ipaddr.Addr]*streamAddr)
-	if m.dense != nil {
-		m.dense = make([]streamAddr, len(m.dense))
-	}
-	m.denseUsed = 0
-	m.records = 0
-	m.openProbes = 0
-}
-
-// sealOne seals one address's open state into a StreamAddressResult. The
-// quantile sketch is copied out by value so the result never pins the dense
-// slice (or the matcher's next accumulation) in memory.
-func (m *StreamMatcher) sealOne(st *streamAddr, fn func(ipaddr.Addr, *StreamAddressResult)) {
-	for st.nOpen > 0 {
-		st.evict()
-	}
-	if st.est.Spilled() {
-		m.obsSpills.Inc()
-	}
-	est := st.est
-	fn(st.addr, &StreamAddressResult{
-		Matched:      st.matched,
-		Delayed:      st.delayed,
-		Probes:       st.probes,
-		MaxResponses: st.maxResp,
-		Broadcast:    st.ew.Max() > m.opt.BroadcastMark,
-		Duplicate:    st.maxResp > m.opt.DuplicateMax,
-		ErrorSeen:    st.errorSeen,
-		packets:      st.packets,
-		est:          &est,
+		res.Addr[a] = &StreamAddressResult{Verdict: c.st.finish(&m.opt), Matched: c.matched, Delayed: c.delayed, est: c.est}
 	})
-}
-
-// BuildTable1 computes the Table 1 accounting from a streaming result,
-// mirroring Result.BuildTable1.
-func (r *StreamResult) BuildTable1() Table1 {
-	var t Table1
-	for _, ar := range r.Addr {
-		if ar.Matched > 0 {
-			t.SurveyPackets += ar.Matched
-			t.SurveyAddrs++
-		}
-		if ar.Matched+ar.Delayed > 0 {
-			t.NaivePackets += ar.Matched + ar.Delayed
-			t.NaiveAddrs++
-		}
-		switch {
-		case ar.Broadcast:
-			t.BroadcastPackets += ar.packets
-			t.BroadcastAddrs++
-		case ar.Duplicate:
-			t.DuplicatePackets += ar.packets
-			t.DuplicateAddrs++
-		}
-		if !ar.Discarded() && ar.Matched+ar.Delayed > 0 {
-			t.CombinedPackets += ar.Matched + ar.Delayed
-			t.CombinedAddrs++
-		}
-	}
-	return t
+	m.cells = Blocks[streamCell]{}
+	m.records, m.openProbes = 0, 0
+	return res
 }
 
 // AddressQuantiles returns the per-address percentile vectors. With
@@ -421,30 +211,5 @@ func (r *StreamResult) AddressQuantiles(filtered bool) map[ipaddr.Addr]stats.Qua
 		}
 		out[a] = ar.est.Quantiles()
 	}
-	return out
-}
-
-// BroadcastResponders lists addresses the EWMA filter marked.
-func (r *StreamResult) BroadcastResponders() []ipaddr.Addr {
-	var out []ipaddr.Addr
-	for a, ar := range r.Addr {
-		if ar.Broadcast {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// DuplicateResponders lists addresses exceeding the duplicate threshold and
-// not already marked broadcast, as Result.DuplicateResponders does.
-func (r *StreamResult) DuplicateResponders() []ipaddr.Addr {
-	var out []ipaddr.Addr
-	for a, ar := range r.Addr {
-		if ar.Duplicate && !ar.Broadcast {
-			out = append(out, a)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

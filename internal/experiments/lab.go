@@ -198,19 +198,14 @@ func (l *Lab) Match() (*core.Result, error) {
 // probes straight into a core.StreamMatcher — under -parallel the sharded
 // merge is streamed record-by-record into the analyzer — so no intermediate
 // dataset is ever materialized; the workload and seed match Survey()'s, so
-// the record stream the matcher sees is the same one Match() consumes. The
-// matcher's open-probe state is indexed by the population's dense address
-// rank.
+// the record stream the matcher sees is the same one Match() consumes.
 func (l *Lab) StreamMatch() (*core.StreamResult, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.streamRes == nil {
 		opt := core.MatchOptionsForCycles(l.Scale.SurveyCycles)
-		newMatcher := func(pop *netmodel.Population) *core.StreamMatcher {
-			m := core.NewStreamMatcherDense(opt, pop.NumAddrs(), pop.IndexOf)
-			m.SetObserver(l.Obs)
-			return m
-		}
+		m := core.NewStreamMatcher(opt)
+		m.SetObserver(l.Obs)
 		cfg := survey.Config{
 			Vantage: survey.VantageW,
 			Cycles:  l.Scale.SurveyCycles,
@@ -218,18 +213,13 @@ func (l *Lab) StreamMatch() (*core.StreamResult, error) {
 			Obs:     l.Obs,
 			Trace:   l.Trace,
 		}
-		var (
-			m   *core.StreamMatcher
-			err error
-		)
+		var err error
 		if l.Parallel > 1 {
 			pop := netmodel.New(l.popCfg)
-			m = newMatcher(pop)
 			cfg.Blocks = pop.Blocks()
 			_, err = survey.RunSharded(cfg, l.Parallel, ShardFabric(pop), m)
 		} else {
 			w := NewWorld(l.popCfg)
-			m = newMatcher(w.Pop)
 			cfg.Blocks = w.Pop.Blocks()
 			_, err = survey.Run(w.Net, cfg, m)
 		}

@@ -2,6 +2,7 @@ package netmodel
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -59,6 +60,32 @@ func TestTooFewBlocksPanics(t *testing.T) {
 		}
 	}()
 	New(Config{Seed: 1, Blocks: 3})
+}
+
+// TestConfigValidate pins the check New panics on: the block count, after
+// the zero default, must cover every AS of the catalog.
+func TestConfigValidate(t *testing.T) {
+	n := len(DefaultCatalog())
+	for _, tc := range []struct {
+		cfg Config
+		ok  bool
+	}{
+		{Config{}, true}, // DefaultBlocks
+		{Config{Blocks: n}, true},
+		{Config{Blocks: n - 1}, false},
+		{Config{Blocks: 8}, false},
+		{Config{Blocks: -1}, false},
+		{Config{Blocks: 2, Catalog: DefaultCatalog()[:2]}, true},
+		{Config{Blocks: 1, Catalog: DefaultCatalog()[:2]}, false},
+	} {
+		err := tc.cfg.Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("Blocks %d, %d ASes: Validate = %v, want ok=%v", tc.cfg.Blocks, len(tc.cfg.Catalog), err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), "cannot cover") {
+			t.Errorf("Validate error %q does not name the problem", err)
+		}
+	}
 }
 
 func TestAddrAtIndexRoundtrip(t *testing.T) {

@@ -39,6 +39,29 @@ type Config struct {
 // behavioral class populated.
 const DefaultBlocks = 1024
 
+// withDefaults fills in the zero-value defaults.
+func (c Config) withDefaults() Config {
+	if c.Blocks == 0 {
+		c.Blocks = DefaultBlocks
+	}
+	if c.Catalog == nil {
+		c.Catalog = DefaultCatalog()
+	}
+	return c
+}
+
+// Validate reports a configuration New cannot build: every AS of the
+// catalog needs at least one block, so the block count (after defaults)
+// must be at least the catalog's AS count. New panics on exactly this
+// error; command-line tools call Validate first and reject bad flags.
+func (c Config) Validate() error {
+	c = c.withDefaults()
+	if c.Blocks < len(c.Catalog) {
+		return fmt.Errorf("netmodel: %d blocks cannot cover %d ASes", c.Blocks, len(c.Catalog))
+	}
+	return nil
+}
+
 // baseBlock is the /24 of 1.0.0.0; allocation proceeds upward from here.
 const baseBlock = ipaddr.Prefix24(0x010000)
 
@@ -61,14 +84,9 @@ type Population struct {
 
 // New builds a population from the config.
 func New(cfg Config) *Population {
-	if cfg.Blocks == 0 {
-		cfg.Blocks = DefaultBlocks
-	}
-	if cfg.Catalog == nil {
-		cfg.Catalog = DefaultCatalog()
-	}
-	if cfg.Blocks < len(cfg.Catalog) {
-		panic(fmt.Sprintf("netmodel: %d blocks cannot cover %d ASes", cfg.Blocks, len(cfg.Catalog)))
+	cfg = cfg.withDefaults()
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	p := &Population{cfg: cfg, catalog: cfg.Catalog, cellMul: cfg.CellularScale, sleepMul: cfg.SleepyScale}
 	if p.cellMul == 0 {
