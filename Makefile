@@ -125,8 +125,13 @@ obs-check:
 # pin on the lock-free read path (TTL paths included), checkpoint
 # encode/decode and recovery, the supervised ingest loop, overload shedding
 # and graceful drain, plus the advisord binary end-to-end lifecycle test.
+# The ingest-loop tests then run ten more times under -race: the loop's
+# reader and consumer goroutines swap record batches through a mutex and two
+# doorbell channels, and a single pass can miss an interleaving that a
+# stalled source, a mid-batch cancel or a full queue needs to show a race.
 advisor-check:
 	$(GO) test -race -count=1 ./internal/advisor ./cmd/advisord
+	$(GO) test -race -count=10 -run 'TestRunIngest' ./internal/advisor
 
 # The telemetry-plane suite, raced (scrapes race live publishes and the
 # watchdog ticker): golden-file Prometheus text exposition and its format

@@ -403,21 +403,29 @@ func BenchmarkAblationDuplicateThreshold(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
+// BenchmarkWireEncodeEcho times the probers' encode path, AppendEcho into a
+// reused buffer, at 0 allocs/op (DESIGN.md §12; TestWireEncodeZeroAlloc
+// pins it), not the allocating EncodeEcho wrapper.
 func BenchmarkWireEncodeEcho(b *testing.B) {
 	src, dst := ipaddr.MustParse("240.0.0.1"), ipaddr.MustParse("1.2.3.4")
 	echo := &wire.ICMPEcho{Type: wire.ICMPTypeEchoRequest, ID: 1, Seq: 2, Payload: make([]byte, 16)}
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		wire.EncodeEcho(src, dst, echo)
+		*buf = wire.AppendEcho((*buf)[:0], src, dst, echo)
 	}
 }
 
+// BenchmarkWireDecodeEcho times the decode path, a reused wire.Decoder, at
+// 0 allocs/op, not the allocating wire.Decode wrapper.
 func BenchmarkWireDecodeEcho(b *testing.B) {
 	src, dst := ipaddr.MustParse("240.0.0.1"), ipaddr.MustParse("1.2.3.4")
 	pkt := wire.EncodeEcho(src, dst, &wire.ICMPEcho{Type: wire.ICMPTypeEchoRequest, ID: 1, Seq: 2})
+	var dec wire.Decoder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := wire.Decode(pkt); err != nil {
+		if _, err := dec.Decode(pkt); err != nil {
 			b.Fatal(err)
 		}
 	}

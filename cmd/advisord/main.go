@@ -23,9 +23,9 @@
 //	         [-metrics FILE] [-trace FILE] [-manifest FILE] [-debug-addr ADDR]
 //
 // With -i, the dataset is streamed through the advisor's resilient ingest
-// loop (delayed responses recovered by the StreamMatcher attribution rule,
-// corrupt records counted and skipped) — memory stays proportional to the
-// number of /24 prefixes, not records. With -sim, the same survey the
+// loop (delayed responses recovered by core's §3.3 attribution kernel, which
+// the store drives record by record; corrupt records counted and skipped) —
+// memory stays proportional to the number of /24 prefixes, not records. With -sim, the same survey the
 // surveyor would write to disk is probed straight into the store; -parallel N
 // uses the sharded engine, whose published advice is byte-identical to the
 // sequential run.

@@ -3,6 +3,8 @@ package advisor
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -73,6 +75,83 @@ func TestSketchMergeEqualsCombined(t *testing.T) {
 		mc, _ := all.Quantile(p)
 		if ma != mc {
 			t.Errorf("p%v: merged %v, combined %v", p, ma, mc)
+		}
+	}
+}
+
+// quantileOracle is the per-level nearest-rank rule Sketch.Quantile
+// implemented before standardRow existed, kept verbatim as the reference
+// the one-pass row must reproduce.
+func quantileOracle(s *Sketch, p float64) time.Duration {
+	if s.n == 0 {
+		return 0
+	}
+	target := uint64(p / 100 * float64(s.n))
+	if float64(target) < p/100*float64(s.n) || target == 0 {
+		target++
+	}
+	if target > s.n {
+		target = s.n
+	}
+	var cum uint64
+	for i, c := range s.counts {
+		cum += c
+		if cum >= target {
+			if i == len(bucketBounds) {
+				return maxAdvice
+			}
+			return bucketBounds[i]
+		}
+	}
+	return maxAdvice
+}
+
+// sketchOf builds a sketch straight from bucket counts.
+func sketchOf(counts map[int]uint64) *Sketch {
+	sk := NewSketch()
+	for i, c := range counts {
+		sk.counts[i] += c
+		sk.n += c
+	}
+	return sk
+}
+
+func TestSketchStandardRowMatchesQuantile(t *testing.T) {
+	overflow := numBuckets - 1
+	cases := map[string]*Sketch{
+		"empty":         NewSketch(),
+		"overflow-only": sketchOf(map[int]uint64{overflow: 5}),
+		// n = 100 with the cumulative count landing exactly on the rank of
+		// every standard level: 1, 50, 80, 90, 95, 98, 99.
+		"exact-ranks": sketchOf(map[int]uint64{0: 1, 3: 49, 5: 30, 7: 10, 9: 5, 10: 3, 12: 1, overflow: 1}),
+	}
+	for i := 0; i < numBuckets; i++ {
+		cases[fmt.Sprintf("n1-bucket%d", i)] = sketchOf(map[int]uint64{i: 1})
+		cases[fmt.Sprintf("one-bucket%d", i)] = sketchOf(map[int]uint64{i: 37})
+	}
+	rng := rand.New(rand.NewSource(7))
+	for k := 0; k < 500; k++ {
+		counts := map[int]uint64{}
+		for i := 0; i < numBuckets; i++ {
+			if rng.Intn(3) == 0 {
+				counts[i] = uint64(rng.Intn(1 << uint(rng.Intn(16))))
+			}
+		}
+		cases[fmt.Sprintf("random%d", k)] = sketchOf(counts)
+	}
+	row := make([]time.Duration, nLevels)
+	for name, sk := range cases {
+		for i := range row {
+			row[i] = -1 // stale values must be overwritten
+		}
+		sk.standardRow(row)
+		for c, p := range stats.StandardPercentiles {
+			if want := quantileOracle(sk, p); row[c] != want {
+				t.Errorf("%s (n=%d): p%v row %v, oracle %v", name, sk.n, p, row[c], want)
+			}
+			if got, _ := sk.Quantile(p); got != row[c] {
+				t.Errorf("%s (n=%d): p%v Quantile %v, row %v", name, sk.n, p, got, row[c])
+			}
 		}
 	}
 }

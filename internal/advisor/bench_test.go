@@ -1,14 +1,19 @@
 package advisor
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
 	"timeouts/internal/ipaddr"
+	"timeouts/internal/netmodel"
 	"timeouts/internal/obs"
+	"timeouts/internal/simnet"
 	"timeouts/internal/survey"
 )
 
@@ -192,5 +197,65 @@ func BenchmarkStoreObserve(b *testing.B) {
 		rec.Addr = ipaddr.Addr(0x0a000001 + uint32(i&1023)<<8)
 		rec.RTT = time.Duration(i%1000) * time.Millisecond
 		st.Observe(rec)
+	}
+}
+
+// benchStream is an in-process survey record stream (256 blocks, 4 cycles:
+// ~262 k probes), generated once per test binary.
+var benchStream = sync.OnceValues(func() ([]survey.Record, error) {
+	pop := netmodel.New(netmodel.Config{Seed: 42, Blocks: 256})
+	model := netmodel.NewModel(pop)
+	model.AddVantage(survey.VantageW.Addr, survey.VantageW.Continent)
+	cfg := survey.Config{Vantage: survey.VantageW, Blocks: pop.Blocks(), Cycles: 4, Seed: 42}
+	var mem survey.MemWriter
+	_, err := survey.Run(simnet.NewNetwork(&simnet.Scheduler{}, model), cfg, &mem)
+	return mem.Records, err
+})
+
+// BenchmarkRunIngest measures advisord's ingest loop end to end in process:
+// a fresh store and advisor per op, the survey stream read through
+// RunIngest's reader goroutine and batched hand-off, and a publish every
+// 4096 records (the default cadence). ns/record and allocs/record divide
+// the whole op by the stream's record count.
+func BenchmarkRunIngest(b *testing.B) {
+	recs, err := benchStream()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := IngestConfig{Open: func() (survey.RecordSource, error) {
+		return survey.NewSliceSource(recs), nil
+	}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunIngest(context.Background(), cfg, NewStore(), New(), nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	n := float64(b.N) * float64(len(recs))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/record")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/record")
+}
+
+// BenchmarkAdvisorPublish measures one Publish of a 512-prefix store — the
+// size of the default survey — which advisord repeats every 4096 ingested
+// records: prefix sort, one bucket pass per prefix for its standard-level
+// row, and the population matrix.
+func BenchmarkAdvisorPublish(b *testing.B) {
+	st := NewStore()
+	for i := 0; i < 512; i++ {
+		addr := ipaddr.Addr(0x0a000001 + uint32(i)<<8)
+		for j := 0; j < 64; j++ {
+			st.Add(addr, time.Duration(1+(i*7+j*j)%2000)*time.Millisecond)
+		}
+	}
+	adv := New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		adv.Publish(st)
 	}
 }

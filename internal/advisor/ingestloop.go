@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -18,13 +19,14 @@ import (
 // mostly noise" error, matchable with errors.Is.
 var ErrSkipBudget = errors.New("advisor: ingest corrupt-record skip budget exceeded")
 
-// Resilient continuous ingest: RunIngest supervises a record source through a
-// bounded queue into the store, republishing advice as it goes. The loop is
-// built to survive the three ways a long-running feed fails — the source
-// stops opening (backoff and retry with jitter), records arrive corrupt
-// (count, skip, continue, within an error budget), and the consumer falls
-// behind (bounded queue backpressure, never unbounded memory) — because an
-// advisor that dies with its feed takes the whole serving plane down with it.
+// Resilient continuous ingest: RunIngest supervises a record source through
+// a bounded, batched queue into the store, republishing advice as it goes.
+// The loop is built to survive the three ways a long-running feed fails —
+// the source stops opening (backoff and retry with jitter), records arrive
+// corrupt (count, skip, continue, within an error budget), and the consumer
+// falls behind (bounded queue backpressure, never unbounded memory) —
+// because an advisor that dies with its feed takes the whole serving plane
+// down with it.
 
 // siteIngestBackoff salts the backoff jitter hash.
 const siteIngestBackoff uint64 = 0x696e6762 // "ingb"
@@ -39,9 +41,10 @@ type IngestConfig struct {
 	// feed. Sources that also satisfy survey.StatSource get their per-cause
 	// skip counts harvested into the loop's stats.
 	Open func() (survey.RecordSource, error)
-	// Queue bounds the records in flight between the reader and the store
+	// Queue bounds the records waiting between the reader and the store
 	// (default 1024). A full queue blocks the reader — backpressure —
-	// instead of growing memory.
+	// instead of growing memory. The consumer takes every waiting record
+	// in one hand-off, so it works through at most Queue records at a time.
 	Queue int
 	// Backoff is the initial retry delay after a failed open or a source
 	// error (default 100ms), doubling per consecutive failure up to
@@ -82,8 +85,10 @@ type IngestConfig struct {
 
 // IngestProgress is the live, concurrently-readable view of a running
 // ingest loop, shared between RunIngest (writer) and the serve plane's
-// /healthz and /metrics handlers (readers). All methods are nil-safe, so a
-// handler can hold an optional *IngestProgress without guards.
+// /healthz and /metrics handlers (readers). It counts records, not
+// hand-offs, but is updated once per hand-off: Records advances a batch at
+// a time. All methods are nil-safe, so a handler can hold an optional
+// *IngestProgress without guards.
 type IngestProgress struct {
 	records     atomic.Uint64
 	queued      atomic.Int64
@@ -99,9 +104,10 @@ func (p *IngestProgress) Records() uint64 {
 	return p.records.Load()
 }
 
-// Queued returns the ingest queue depth at the last consume — the records
-// sitting between the reader and the store right now. A persistently full
-// queue means the consumer (store + publish + checkpoint) is the bottleneck.
+// Queued returns the ingest queue depth at the last hand-off — the records
+// the consumer found waiting between the reader and the store. A
+// persistently full queue (Queue records) means the consumer (store +
+// publish + checkpoint) is the bottleneck.
 func (p *IngestProgress) Queued() int64 {
 	if p == nil {
 		return 0
@@ -140,12 +146,13 @@ func (p *IngestProgress) CollectProm(w *obs.PromWriter) {
 	w.Sample("advisor_ingest_backoff_seconds", p.Backoff().Seconds())
 }
 
-// noteRecord records one consumed record and the queue depth behind it.
-func (p *IngestProgress) noteRecord(depth int64) {
+// noteBatch records n consumed records from a hand-off that found depth
+// records waiting.
+func (p *IngestProgress) noteBatch(n uint64, depth int64) {
 	if p == nil {
 		return
 	}
-	p.records.Add(1)
+	p.records.Add(n)
 	p.queued.Store(depth)
 }
 
@@ -236,12 +243,88 @@ func sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
+// ingestQueue is RunIngest's bounded reader→consumer hand-off. The reader
+// appends each record to the queue's buffer under a mutex; the consumer
+// takes the whole buffer at once, leaving the one it just finished in its
+// place. A busy consumer thus pays one lock per batch of up to Queue records
+// instead of one channel receive per record, while every record is the
+// consumer's to take the moment it is queued — a reader blocked in a quiet
+// source's Read holds nothing back, so no record waits for a batch to fill.
+// Two buffers circulate, so steady-state hand-offs allocate nothing.
+type ingestQueue struct {
+	mu    sync.Mutex
+	recs  []survey.Record // waiting, in read order
+	limit int             // the reader blocks while recs holds this many
+	ready chan struct{}   // doorbell: recs went from empty to non-empty
+	room  chan struct{}   // doorbell: the consumer emptied a full recs
+}
+
+func newIngestQueue(limit int) *ingestQueue {
+	return &ingestQueue{
+		recs:  make([]survey.Record, 0, limit),
+		limit: limit,
+		ready: make(chan struct{}, 1),
+		room:  make(chan struct{}, 1),
+	}
+}
+
+// post rings a doorbell without blocking: one pending post wakes the
+// waiter, who re-checks the queue under the lock, so extra posts can drop.
+func post(bell chan struct{}) {
+	select {
+	case bell <- struct{}{}:
+	default:
+	}
+}
+
+// put queues rec, blocking while the queue is full (backpressure). It
+// reports false, leaving rec unqueued, if done closes while it waits; the
+// consumer, not the reader, keeps records read after a cancel out of the
+// store.
+func (q *ingestQueue) put(done <-chan struct{}, rec survey.Record) bool {
+	q.mu.Lock()
+	for len(q.recs) >= q.limit {
+		q.mu.Unlock()
+		select {
+		case <-q.room:
+		case <-done:
+			return false
+		}
+		q.mu.Lock()
+	}
+	q.recs = append(q.recs, rec)
+	first := len(q.recs) == 1
+	q.mu.Unlock()
+	if first {
+		post(q.ready)
+	}
+	return true
+}
+
+// take returns every waiting record and makes spare, emptied, the queue's
+// buffer; the caller owns the returned batch until it passes it back as
+// the next spare.
+func (q *ingestQueue) take(spare []survey.Record) []survey.Record {
+	q.mu.Lock()
+	batch := q.recs
+	q.recs = spare[:0]
+	q.mu.Unlock()
+	if len(batch) >= q.limit {
+		post(q.room)
+	}
+	return batch
+}
+
 // RunIngest tails cfg.Open into st, republishing via adv and checkpointing
 // via ck (both optional: nil adv skips publishing, nil ck no-ops saves), until
 // the source is exhausted (per Tail), the skip budget is blown, or ctx is
-// cancelled. Cancellation is the drain path and returns nil: the loop stops
-// consuming, publishes what it has, writes a final checkpoint, and hands
-// back. The returned stats are complete in every case.
+// cancelled. A reader goroutine hands records to the consumer in batches
+// through an ingestQueue; the consumer feeds them to the store one by one,
+// so publishes land after exactly every PublishEvery-th record wherever the
+// batch boundaries fall. Cancellation is the drain path and returns nil: the
+// consumer stops before its next record, publishes what the store holds,
+// writes a final checkpoint, and hands back. The returned stats are complete
+// in every case.
 //
 // Observability counters (advisor.ingest.loop.*) register on reg if the
 // caller wires one via RegisterIngestObs; RunIngest itself stays free of
@@ -260,20 +343,18 @@ func RunIngest(ctx context.Context, cfg IngestConfig, st *Store, adv *Advisor, c
 	}
 
 	var ctrs ingestCounters
-	recs := make(chan survey.Record, queue)
+	q := newIngestQueue(queue)
 	readErr := make(chan error, 1) // the reader's terminal error, if any
 	queueHWM := cfg.Obs.DiagGauge("advisor.ingest.loop.queue_hwm")
 
 	rctx, stopReader := context.WithCancel(ctx)
 	defer stopReader()
 	go func() {
-		defer close(recs)
-		readErr <- readLoop(rctx, &cfg, &ctrs, recs)
+		readErr <- readLoop(rctx, &cfg, &ctrs, q)
 	}()
 
 	var stats IngestStats
 	var sinceCkpt uint64
-	drained := false // ctx cancelled: finish up without consuming more
 	publish := func() uint64 {
 		if adv == nil {
 			return 0
@@ -307,30 +388,23 @@ func RunIngest(ctx context.Context, cfg IngestConfig, st *Store, adv *Advisor, c
 		}
 		return stats, terminal
 	}
-
-	for {
-		if drained {
-			return finish(nil)
-		}
-		select {
-		case <-ctx.Done():
-			// Drain: stop the reader, consume nothing further, keep what
-			// the store already holds.
-			stopReader()
-			drained = true
-		case rec, ok := <-recs:
-			if !ok {
-				err := <-readErr
-				if err == context.Canceled {
-					err = nil // cancellation is the drain path
-				}
-				return finish(err)
+	// consume feeds one batch to the store, publishing (and checkpointing)
+	// after every publishEvery-th record. It checks ctx before each record
+	// and reports false, the rest of the batch unconsumed, once ctx is done.
+	done := ctx.Done()
+	consume := func(batch []survey.Record) bool {
+		depth := int64(len(batch))
+		queueHWM.Observe(depth)
+		for i, rec := range batch {
+			select {
+			case <-done:
+				cfg.Progress.noteBatch(uint64(i), depth)
+				return false
+			default:
 			}
 			st.Observe(rec)
 			stats.Records++
 			sinceCkpt++
-			cfg.Progress.noteRecord(int64(len(recs)))
-			queueHWM.Observe(int64(len(recs)))
 			if stats.Records%publishEvery == 0 {
 				epoch := publish()
 				if cfg.CheckpointEvery > 0 && sinceCkpt >= cfg.CheckpointEvery && ck != nil {
@@ -341,14 +415,41 @@ func RunIngest(ctx context.Context, cfg IngestConfig, st *Store, adv *Advisor, c
 				}
 			}
 		}
+		cfg.Progress.noteBatch(uint64(len(batch)), depth)
+		return true
+	}
+
+	spare := make([]survey.Record, 0, queue)
+	for {
+		select {
+		case <-done:
+		case <-q.ready:
+			batch := q.take(spare)
+			if consume(batch) {
+				spare = batch
+				continue
+			}
+		case err := <-readErr:
+			// The reader has stopped; what it queued last still lands,
+			// unless ctx is done.
+			consume(q.take(spare))
+			if err == context.Canceled {
+				err = nil // cancellation is the drain path
+			}
+			return finish(err)
+		}
+		// Drain: stop the reader, consume nothing further, keep what the
+		// store already holds.
+		stopReader()
+		return finish(nil)
 	}
 }
 
-// readLoop is RunIngest's reader side: open the source, pump records into
-// recs (blocking on a full queue — backpressure), harvest skip stats, back
-// off and reopen on failure. It returns nil on a clean end of input,
+// readLoop is RunIngest's reader side: open the source, pump records into q
+// (blocking on a full queue — backpressure), harvest skip stats, back off
+// and reopen on failure. It returns nil on a clean end of input,
 // context.Canceled when stopped, or the terminal error (skip budget blown).
-func readLoop(ctx context.Context, cfg *IngestConfig, ctrs *ingestCounters, recs chan<- survey.Record) error {
+func readLoop(ctx context.Context, cfg *IngestConfig, ctrs *ingestCounters, q *ingestQueue) error {
 	var failures uint64 // consecutive, for backoff
 	var passes int      // clean EOFs seen, for Tail
 	for {
@@ -392,7 +493,7 @@ func readLoop(ctx context.Context, cfg *IngestConfig, ctrs *ingestCounters, recs
 				harvest()
 				// Enforce the budget on every read — including the EOF one,
 				// so an all-corrupt source still trips it — and before
-				// forwarding, so a lenient source that skips unboundedly
+				// queueing, so a lenient source that skips unboundedly
 				// between two good records cannot outrun it.
 				if berr := overBudget(); berr != nil {
 					return berr
@@ -400,9 +501,7 @@ func readLoop(ctx context.Context, cfg *IngestConfig, ctrs *ingestCounters, recs
 				if err != nil {
 					return err
 				}
-				select {
-				case recs <- rec:
-				case <-ctx.Done():
+				if !q.put(ctx.Done(), rec) {
 					return context.Canceled
 				}
 			}

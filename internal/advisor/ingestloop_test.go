@@ -109,47 +109,174 @@ func TestRunIngestReopensAfterSourceError(t *testing.T) {
 	}
 }
 
+// TestRunIngestPublishAndCheckpointCadence pins the record cadence of
+// publishes and checkpoints wherever the hand-off's batch boundaries fall
+// (the second case's counts line up with no batch size), and that the final
+// advice equals, byte for byte, a store fed the same records and published
+// directly at the same epoch.
 func TestRunIngestPublishAndCheckpointCadence(t *testing.T) {
-	dir := t.TempDir()
-	recs := ingestRecs(64)
+	for _, tc := range []struct {
+		records                 int
+		publishEvery, ckptEvery uint64
+		publishes, checkpoints  uint64
+	}{
+		// 64/16 = 4 in-stream publishes plus the final; checkpoints at
+		// records 32 and 64 plus the final.
+		{records: 64, publishEvery: 16, ckptEvery: 32, publishes: 5, checkpoints: 3},
+		// Publishes at 300, 600 and 900 plus the final; a checkpoint at 600
+		// plus the final.
+		{records: 1000, publishEvery: 300, ckptEvery: 600, publishes: 4, checkpoints: 2},
+	} {
+		t.Run(fmt.Sprintf("n%d-publish%d-ckpt%d", tc.records, tc.publishEvery, tc.ckptEvery), func(t *testing.T) {
+			dir := t.TempDir()
+			recs := ingestRecs(tc.records)
+			cfg := IngestConfig{
+				Open: func() (survey.RecordSource, error) {
+					return survey.NewSliceSource(recs), nil
+				},
+				PublishEvery:    tc.publishEvery,
+				CheckpointEvery: tc.ckptEvery,
+			}
+			st := NewStore()
+			now := int64(1)
+			st.SetClock(func() int64 { return now })
+			adv := New()
+			ck := &Checkpointer{Dir: dir, Keep: 10}
+			stats, err := RunIngest(context.Background(), cfg, st, adv, ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Publishes != tc.publishes {
+				t.Errorf("Publishes = %d, want %d", stats.Publishes, tc.publishes)
+			}
+			if stats.Checkpoints != tc.checkpoints {
+				t.Errorf("Checkpoints = %d, want %d", stats.Checkpoints, tc.checkpoints)
+			}
+			if got := len(ck.generations()); uint64(got) != tc.checkpoints {
+				t.Errorf("generations on disk = %d, want %d", got, tc.checkpoints)
+			}
+			// The newest generation is the final publish's epoch and
+			// recovers to the full store.
+			st2, epoch, _, err := ck.Load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if epoch != adv.Current().Epoch() {
+				t.Errorf("recovered epoch = %d, want %d", epoch, adv.Current().Epoch())
+			}
+			if st2.Records() != uint64(tc.records) {
+				t.Errorf("recovered records = %d, want %d", st2.Records(), tc.records)
+			}
+			direct := NewStore()
+			for _, r := range recs {
+				direct.Observe(r)
+			}
+			var got, want bytes.Buffer
+			if err := adv.Current().WriteJSON(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := direct.Snapshot(adv.Current().Epoch()).WriteJSON(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Error("final snapshot differs from a store fed the same records directly")
+			}
+		})
+	}
+}
+
+// stallSource returns its records, then blocks in Read until released —
+// a feed that bursts and goes quiet. Records read before the stall must
+// not wait in the reader for a batch that never fills.
+type stallSource struct {
+	recs    []survey.Record
+	i       int
+	release chan struct{}
+}
+
+func (s *stallSource) Read() (survey.Record, error) {
+	if s.i >= len(s.recs) {
+		<-s.release
+		return survey.Record{}, io.EOF
+	}
+	r := s.recs[s.i]
+	s.i++
+	return r, nil
+}
+
+func TestRunIngestStalledSourceDelivers(t *testing.T) {
+	const k = 100 // well under the default Queue: the queue never fills
+	src := &stallSource{recs: ingestRecs(k), release: make(chan struct{})}
+	progress := &IngestProgress{}
 	cfg := IngestConfig{
-		Open: func() (survey.RecordSource, error) {
-			return survey.NewSliceSource(recs), nil
-		},
-		PublishEvery:    16,
-		CheckpointEvery: 32,
+		Open:     func() (survey.RecordSource, error) { return src, nil },
+		Progress: progress,
 	}
 	st := NewStore()
-	now := int64(1)
-	st.SetClock(func() int64 { return now })
+	type result struct {
+		stats IngestStats
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		stats, err := RunIngest(context.Background(), cfg, st, nil, nil)
+		done <- result{stats, err}
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for progress.Records() != k {
+		if time.Now().After(deadline) {
+			close(src.release)
+			t.Fatalf("Progress.Records = %d while the source stalls, want %d", progress.Records(), k)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(src.release)
+	res := <-done
+	if res.err != nil || res.stats.Records != k {
+		t.Fatalf("RunIngest = %d records, %v; want %d, nil", res.stats.Records, res.err, k)
+	}
+}
+
+// cancelSource cancels the loop's context inside its n-th Read and keeps
+// returning records after it.
+type cancelSource struct {
+	infiniteSource
+	n      int
+	cancel context.CancelFunc
+}
+
+func (s *cancelSource) Read() (survey.Record, error) {
+	rec, err := s.infiniteSource.Read()
+	if s.i == s.n {
+		s.cancel()
+	}
+	return rec, err
+}
+
+// TestRunIngestCancelStopsBeforeNextRecord pins that the drain stops between
+// records, not only between batches: no record returned by the Read that
+// cancelled, or by any later one, reaches the store.
+func TestRunIngestCancelStopsBeforeNextRecord(t *testing.T) {
+	const n = 700
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	src := &cancelSource{n: n, cancel: cancel}
+	st := NewStore()
 	adv := New()
-	ck := &Checkpointer{Dir: dir, Keep: 10}
-	stats, err := RunIngest(context.Background(), cfg, st, adv, ck)
+	cfg := IngestConfig{
+		Open:         func() (survey.RecordSource, error) { return src, nil },
+		PublishEvery: 64,
+	}
+	stats, err := RunIngest(ctx, cfg, st, adv, &Checkpointer{Dir: t.TempDir()})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("RunIngest on cancel = %v, want nil (drain)", err)
 	}
-	// 64 records / publish every 16 = 4 in-stream publishes, plus the final.
-	if stats.Publishes != 5 {
-		t.Errorf("Publishes = %d, want 5", stats.Publishes)
+	if stats.Records >= n || st.Records() != stats.Records {
+		t.Errorf("Records = %d (store %d), want < %d", stats.Records, st.Records(), n)
 	}
-	// Checkpoints at records 32 and 64, plus the final one.
-	if stats.Checkpoints != 3 {
-		t.Errorf("Checkpoints = %d, want 3", stats.Checkpoints)
-	}
-	if got := len(ck.generations()); got != 3 {
-		t.Errorf("generations on disk = %d, want 3", got)
-	}
-	// The newest generation is the final publish's epoch and recovers to
-	// the full store.
-	st2, epoch, _, err := ck.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if epoch != adv.Current().Epoch() {
-		t.Errorf("recovered epoch = %d, want %d", epoch, adv.Current().Epoch())
-	}
-	if st2.Records() != 64 {
-		t.Errorf("recovered records = %d, want 64", st2.Records())
+	if stats.Checkpoints != 1 || adv.Current() == nil || adv.Current().Samples() != stats.Records {
+		t.Errorf("drain: checkpoints %d, published %v; want a final publish and checkpoint",
+			stats.Checkpoints, adv.Current())
 	}
 }
 

@@ -136,8 +136,7 @@ func TestHealthzIngestAndCheckpointFields(t *testing.T) {
 	st.Add(ipaddr.Addr(0x0a000001), 50*time.Millisecond)
 	adv.Publish(st)
 	gate.SetState(GateServing)
-	progress.noteRecord(17)
-	progress.noteRecord(17)
+	progress.noteBatch(2, 17)
 	progress.setBackoff(1500 * time.Millisecond)
 	if _, err := ck.Save(st, 1); err != nil {
 		t.Fatal(err)

@@ -110,6 +110,26 @@ func (s *Sketch) Merge(other *Sketch) {
 	s.n += other.n
 }
 
+// nearestRank returns the 1-based nearest rank of the p-th percentile
+// among n > 0 samples: ceil(p/100·n), clamped to [1, n]. It is monotone in
+// p, which is what lets standardRow read ascending levels in one pass.
+func nearestRank(p float64, n uint64) uint64 {
+	target := uint64(p / 100 * float64(n))
+	if float64(target) < p/100*float64(n) || target == 0 {
+		target++ // ceil, and at least rank 1
+	}
+	return min(target, n)
+}
+
+// bucketValue is the advice a rank landing in bucket i reads as: the
+// bucket's upper boundary, or maxAdvice for the overflow bucket.
+func bucketValue(i int) time.Duration {
+	if i == len(bucketBounds) {
+		return maxAdvice
+	}
+	return bucketBounds[i]
+}
+
 // Quantile returns a conservative estimate of the p-th percentile
 // (0 < p <= 100): the upper boundary of the nearest-rank bucket, clamped to
 // maxAdvice when the rank lands in the overflow bucket. ok is false only
@@ -119,43 +139,38 @@ func (s *Sketch) Quantile(p float64) (d time.Duration, ok bool) {
 	if s.n == 0 {
 		return 0, false
 	}
-	target := uint64(p / 100 * float64(s.n))
-	if float64(target) < p/100*float64(s.n) || target == 0 {
-		target++ // ceil, and at least rank 1
-	}
-	if target > s.n {
-		target = s.n
-	}
+	target := nearestRank(p, s.n)
 	var cum uint64
 	for i, c := range s.counts {
 		cum += c
 		if cum >= target {
-			if i == len(bucketBounds) {
-				return maxAdvice, true
-			}
-			return bucketBounds[i], true
+			return bucketValue(i), true
 		}
 	}
 	return maxAdvice, true // unreachable: cum == n >= target
 }
 
-// Quantiles extracts the paper's standard percentile vector from the
-// sketch. ok is false when the sketch is empty.
-func (s *Sketch) Quantiles() (stats.Quantiles, bool) {
+// standardRow fills row (one slot per stats.StandardPercentiles level) with
+// the sketch's Quantile at every standard level in a single pass over the
+// buckets: the levels ascend, so their nearest ranks do too, and each is
+// read as the cumulative count first reaches it. An empty sketch fills
+// zeros.
+func (s *Sketch) standardRow(row []time.Duration) {
 	if s.n == 0 {
-		return stats.Quantiles{}, false
+		clear(row)
+		return
 	}
-	at := func(p float64) time.Duration {
-		v, _ := s.Quantile(p)
-		return v
+	lv := 0
+	target := nearestRank(stats.StandardPercentiles[0], s.n)
+	var cum uint64
+	for i, c := range s.counts {
+		cum += c
+		for cum >= target {
+			row[lv] = bucketValue(i)
+			if lv++; lv == len(row) {
+				return
+			}
+			target = nearestRank(stats.StandardPercentiles[lv], s.n)
+		}
 	}
-	return stats.Quantiles{
-		P1:  at(1),
-		P50: at(50),
-		P80: at(80),
-		P90: at(90),
-		P95: at(95),
-		P98: at(98),
-		P99: at(99),
-	}, true
 }

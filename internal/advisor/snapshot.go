@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"sort"
+	"slices"
 	"time"
 
 	"timeouts/internal/ipaddr"
@@ -96,7 +96,9 @@ type Snapshot struct {
 // sketches, stamped with epoch. The build is read-only on the store and
 // deterministic: prefixes sort ascending, quantiles are pure functions of
 // bucket counts, and the population matrix aggregates the per-prefix
-// vectors with the Table 2 quantile-of-quantiles discipline.
+// vectors with the Table 2 quantile-of-quantiles discipline. Each prefix's
+// row of standard-level quantiles is read in one pass over its buckets and
+// serves both the flat quants array and the matrix input.
 func (s *Store) Snapshot(epoch uint64) *Snapshot {
 	snap := &Snapshot{epoch: epoch}
 	snap.prefixes = make([]ipaddr.Prefix24, 0, len(s.sketches))
@@ -105,18 +107,17 @@ func (s *Store) Snapshot(epoch uint64) *Snapshot {
 			snap.prefixes = append(snap.prefixes, p)
 		}
 	}
-	sort.Slice(snap.prefixes, func(i, j int) bool { return snap.prefixes[i] < snap.prefixes[j] })
+	slices.Sort(snap.prefixes)
 	snap.samples = make([]uint64, len(snap.prefixes))
 	snap.updated = make([]int64, len(snap.prefixes))
 	snap.quants = make([]time.Duration, len(snap.prefixes)*nLevels)
 	vecs := make([]stats.Quantiles, len(snap.prefixes))
 	for r, p := range snap.prefixes {
 		sk := s.sketches[p]
-		for c, lv := range stats.StandardPercentiles {
-			v, _ := sk.Quantile(lv)
-			snap.quants[r*nLevels+c] = v
-		}
-		vecs[r], _ = sk.Quantiles()
+		row := snap.quants[r*nLevels : (r+1)*nLevels]
+		sk.standardRow(row)
+		// row follows stats.StandardPercentiles: 1, 50, 80, 90, 95, 98, 99.
+		vecs[r] = stats.Quantiles{P1: row[0], P50: row[1], P80: row[2], P90: row[3], P95: row[4], P98: row[5], P99: row[6]}
 		snap.samples[r] = sk.n
 		snap.updated[r] = s.updated[p]
 		snap.total += sk.n
