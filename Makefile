@@ -20,22 +20,23 @@ test:
 
 # The race detector multiplies runtime; -count=1 defeats the test cache so
 # the instrumented binaries actually run. The race surface is the sharded
-# engine (simnet worker pool + merge), the parallel per-address matcher pass
-# (core), and the survey plumbing that streams shard merges into writers.
+# engine (simnet worker pool + merge), the survey plumbing that streams shard
+# merges into writers, and core's survey-dataset check, which runs a sharded
+# survey.
 race:
 	$(GO) test -race -count=1 ./internal/simnet ./internal/core ./internal/survey
 
 # Short fuzz pass over the merge-ordering contract (FuzzShardMerge), the
 # timing wheel's dequeue order against a heap oracle (FuzzWheelVsHeap), the
-# P² quantile invariants (FuzzP2AgainstExact), the dataset readers
-# (FuzzOpenSource strict+lenient over all three formats, FuzzCompactReader
-# on the varint decoder), and the §3.3 attribution kernel's three users
-# against the pre-kernel matcher (FuzzAttribution); seeds alone run in
-# `make test`.
+# dataset readers (FuzzOpenSource strict+lenient over all three formats,
+# FuzzCompactReader on the varint decoder), the rtt session codec
+# (FuzzSessionPacket), checkpoint round trips (FuzzCheckpointRoundTrip),
+# permutation ranks (FuzzPermutationRank), and the matcher and advisor store
+# against the pre-kernel matcher, emission-order check included
+# (FuzzAttribution); seeds alone run in `make test`.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzShardMerge -fuzztime=30s ./internal/simnet
 	$(GO) test -run=Fuzz -fuzz=FuzzWheelVsHeap -fuzztime=30s ./internal/simnet
-	$(GO) test -run=Fuzz -fuzz=FuzzP2AgainstExact -fuzztime=30s ./internal/stats
 	$(GO) test -run=Fuzz -fuzz=FuzzOpenSource -fuzztime=30s ./internal/survey
 	$(GO) test -run=Fuzz -fuzz=FuzzCompactReader -fuzztime=30s ./internal/survey
 	$(GO) test -run=Fuzz -fuzz=FuzzSessionPacket -fuzztime=30s ./internal/rtt
@@ -47,7 +48,6 @@ fuzz:
 fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzShardMerge -fuzztime=10s ./internal/simnet
 	$(GO) test -run=Fuzz -fuzz=FuzzWheelVsHeap -fuzztime=10s ./internal/simnet
-	$(GO) test -run=Fuzz -fuzz=FuzzP2AgainstExact -fuzztime=10s ./internal/stats
 	$(GO) test -run=Fuzz -fuzz=FuzzOpenSource -fuzztime=10s ./internal/survey
 	$(GO) test -run=Fuzz -fuzz=FuzzCompactReader -fuzztime=10s ./internal/survey
 	$(GO) test -run=Fuzz -fuzz=FuzzSessionPacket -fuzztime=10s ./internal/rtt

@@ -514,13 +514,12 @@ func BenchmarkAblationVantageConsistency(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamingMatch compares the two full-pipeline paths over the same
-// serialized dataset: streaming the records straight off the reader into a
-// core.StreamMatcher vs materializing them and running the in-memory
-// matcher. The B/op gap is the point — the streaming path allocates
-// O(addresses) state while the materializing path's allocations grow with
-// the record count.
-func BenchmarkStreamingMatch(b *testing.B) {
+// BenchmarkAnalyze times what cmd/analyze runs over a serialized survey
+// dataset: the reader streams records straight into a core.StreamMatcher,
+// and the report renders from its result. Nothing proportional to the
+// record count is allocated; B/op grows with addresses and recovered
+// samples.
+func BenchmarkAnalyze(b *testing.B) {
 	l := lab(b)
 	recs := benchSurvey(b, l)
 	var buf bytes.Buffer
@@ -535,48 +534,19 @@ func BenchmarkStreamingMatch(b *testing.B) {
 	}
 	data := buf.Bytes()
 	opt := core.MatchOptionsForCycles(l.Scale.SurveyCycles)
-
-	b.Run("streaming", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			src, _, err := survey.OpenSource(bytes.NewReader(data))
-			if err != nil {
-				b.Fatal(err)
-			}
-			m := core.NewStreamMatcher(opt)
-			if err := m.Consume(src); err != nil {
-				b.Fatal(err)
-			}
-			if m.Finalize().BuildTable1().NaiveAddrs == 0 {
-				b.Fatal("empty result")
-			}
-		}
-	})
-	b.Run("materialize", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			src, _, err := survey.OpenSource(bytes.NewReader(data))
-			if err != nil {
-				b.Fatal(err)
-			}
-			rs, err := survey.DrainSource(src)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if core.Match(rs, opt).BuildTable1().NaiveAddrs == 0 {
-				b.Fatal("empty result")
-			}
-		}
-	})
-}
-
-func BenchmarkStreamingAggregation(b *testing.B) {
-	l := lab(b)
-	recs := benchSurvey(b, l)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.StreamAggregate(core.NewSliceSource(recs)); err != nil {
+		src, _, err := survey.OpenSource(bytes.NewReader(data))
+		if err != nil {
 			b.Fatal(err)
+		}
+		m := core.NewStreamMatcher(opt)
+		if err := m.Consume(src); err != nil {
+			b.Fatal(err)
+		}
+		if len(core.RenderReport(m.Finalize(), false)) == 0 {
+			b.Fatal("empty report")
 		}
 	}
 }

@@ -4,19 +4,20 @@
 //
 // Usage:
 //
-//	analyze survey.tosv [-cycles N] [-naive] [-stream] [-lenient] [-max-skip F]
+//	analyze survey.tosv [-cycles N] [-naive] [-lenient] [-max-skip F]
 //	        [-metrics FILE] [-trace FILE] [-manifest FILE] [-debug-addr ADDR]
 //
-// Both pipelines run the same §3.3 attribution kernel and filters; they
-// differ in what they keep. By default every record is read into memory and
-// core.Match keeps each address's samples exactly. With -stream the pipeline
-// runs in bounded memory: records stream out of the dataset reader straight
-// into a core.StreamMatcher, which keeps only open state and a quantile
-// sketch per address, in one 256-cell block per probed /24, so memory is
-// O(addresses) rather than O(records). While every address has at most 64
-// samples (the exact-quantile buffer) the two reports are byte-identical;
-// beyond that — a full-scale survey's 130 cycles, for one — the streaming
-// quantiles are P² estimates and the reports differ.
+// Records stream out of the dataset reader straight into a
+// core.StreamMatcher; the dataset is never held in memory. The matcher keeps
+// each probed address's open state plus every latency sample it recovers,
+// in one 256-cell block per probed /24, and the report's quantiles are
+// exact.
+//
+// The matcher relies on the dataset's emission order (per address, probes
+// in send order, each unmatched response after the probes sent before it)
+// and checks it. If any address's records break it, the report is printed
+// and the run fails (exit 1) naming how many addresses are affected, since
+// their responses may be credited to the wrong probes.
 //
 // With -lenient, corrupt records are skipped and counted per cause instead
 // of aborting the run: CSV resynchronizes at the next row, the fixed binary
@@ -30,9 +31,9 @@
 // still reports what it managed to read. Without -lenient the first corrupt
 // record is fatal.
 //
-// The observability flags sample the streaming matcher (-stream): open-state
-// high-water marks, quantile-sketch spills, and the matched/recovered
-// latency histograms whose tail fractions mirror the report's.
+// The observability flags sample the matcher: open-state high-water marks
+// and the matched/recovered latency histograms whose tail fractions mirror
+// the report's.
 package main
 
 import (
@@ -49,7 +50,6 @@ func main() {
 	var (
 		cycles  = flag.Int("cycles", 0, "survey rounds (tunes the broadcast filter threshold; 0 = paper defaults)")
 		naive   = flag.Bool("naive", false, "skip filtering (the paper's 'naive matching')")
-		stream  = flag.Bool("stream", false, "bounded-memory streaming pipeline (O(addresses) memory)")
 		lenient = flag.Bool("lenient", false, "skip corrupt records (counted per cause) instead of failing fast")
 		maxSkip = flag.Float64("max-skip", 0.05, "with -lenient: fail if more than this fraction of records is skipped")
 	)
@@ -106,39 +106,25 @@ func main() {
 		}
 	}
 
-	var (
-		analysis core.Analysis
-		records  uint64
-	)
-	if *stream {
-		m := core.NewStreamMatcher(opt)
-		m.SetObserver(cli.Reg)
-		if err := m.Consume(src); err != nil {
-			fmt.Fprintln(os.Stderr, "analyze:", err)
-			printReadStats()
-			os.Exit(1)
-		}
-		records = m.Records()
-		analysis = m.Finalize()
-	} else {
-		recs, err := survey.DrainSource(src)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "analyze:", err)
-			printReadStats()
-			os.Exit(1)
-		}
-		records = uint64(len(recs))
-		analysis = core.Match(recs, opt)
+	m := core.NewStreamMatcher(opt)
+	m.SetObserver(cli.Reg)
+	if err := m.Consume(src); err != nil {
+		fmt.Fprintln(os.Stderr, "analyze:", err)
+		printReadStats()
+		os.Exit(1)
 	}
+	records := m.Records()
+	res := m.Finalize()
 
 	fmt.Printf("dataset: %d records, vantage %c, seed %d\n", records, hdr.Vantage, hdr.Seed)
-	fmt.Print(core.RenderReport(analysis, *naive))
+	fmt.Print(core.RenderReport(res, *naive))
 
 	if err := cli.Finish("analyze", hdr.Seed, 1, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "analyze:", err)
 		os.Exit(1)
 	}
 
+	failed := false
 	if stat != nil {
 		rs := stat.Stats()
 		printReadStats()
@@ -146,8 +132,15 @@ func main() {
 		if total > 0 {
 			if frac := float64(rs.Skipped()) / float64(total); frac > *maxSkip {
 				fmt.Fprintf(os.Stderr, "analyze: skipped fraction %.4f exceeds error budget %.4f\n", frac, *maxSkip)
-				os.Exit(1)
+				failed = true
 			}
 		}
+	}
+	if res.OutOfOrder > 0 {
+		fmt.Fprintf(os.Stderr, "analyze: %d address(es) with records out of emission order; their responses may be credited to the wrong probes\n", res.OutOfOrder)
+		failed = true
+	}
+	if failed {
+		os.Exit(1)
 	}
 }

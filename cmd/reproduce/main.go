@@ -5,24 +5,21 @@
 // Usage:
 //
 //	reproduce [-scale quick|default|full] [-exp id[,id...]] [-list] [-seed N]
-//	          [-parallel N] [-stream]
+//	          [-parallel N]
 //	          [-metrics FILE] [-trace FILE] [-manifest FILE] [-debug-addr ADDR]
 //
 // Without -exp, every experiment in the registry runs in paper order. With
 // -parallel N (N > 1) the shared survey and Zmap workloads run on the
 // sharded parallel engine; the deterministic merge keeps the datasets — and
 // therefore every reported number — byte-identical to the sequential run.
-// -parallel 0 selects one shard per CPU. With -stream the shared per-address
-// quantiles come from the bounded-memory streaming pipeline (the survey
-// probes straight into a core.StreamMatcher, no intermediate dataset); at
-// simulation scale the results are identical to the in-memory matcher.
-// Prober, scanner and model state is flat and rank-indexed throughout, so
-// it stays bounded at large scales.
+// -parallel 0 selects one shard per CPU. Prober, scanner and model state is
+// flat and rank-indexed throughout, so it stays bounded at large scales.
 //
 // The observability flags collect metrics and phase spans from every
-// workload the lab runs, plus a wall-clock span per experiment; -debug-addr
-// serves pprof and expvar while the run is live. For a fixed seed the
-// -metrics snapshot is byte-identical whatever -parallel is.
+// workload the lab runs — the survey, the matcher over it (the match.*
+// series) and the Zmap scans — plus a wall-clock span per experiment;
+// -debug-addr serves pprof and expvar while the run is live. For a fixed
+// seed the -metrics snapshot is byte-identical whatever -parallel is.
 package main
 
 import (
@@ -45,7 +42,6 @@ func main() {
 		seed      = flag.Uint64("seed", 0, "override the population seed")
 		dataDir   = flag.String("data", "", "also export the figures' plottable series as CSV files into this directory")
 		parallel  = flag.Int("parallel", 1, "shard count for the survey/scan workloads (1 = sequential, 0 = one per CPU)")
-		stream    = flag.Bool("stream", false, "bounded-memory streaming pipeline for the shared quantiles")
 	)
 	cli := obs.RegisterCLI()
 	flag.Parse()
@@ -96,7 +92,6 @@ func main() {
 
 	lab := experiments.NewLab(scale)
 	lab.Parallel = *parallel
-	lab.Stream = *stream
 	lab.Obs = cli.Reg
 	lab.Trace = cli.Tracer
 	start := time.Now()

@@ -133,8 +133,7 @@ func bucketValue(i int) time.Duration {
 // Quantile returns a conservative estimate of the p-th percentile
 // (0 < p <= 100): the upper boundary of the nearest-rank bucket, clamped to
 // maxAdvice when the rank lands in the overflow bucket. ok is false only
-// when the sketch is empty — "no data", distinct from a genuine zero, the
-// same contract as stats.P2Duration.ValueOk.
+// when the sketch is empty — "no data", distinct from a genuine zero.
 func (s *Sketch) Quantile(p float64) (d time.Duration, ok bool) {
 	if s.n == 0 {
 		return 0, false

@@ -23,34 +23,11 @@ type Table1 struct {
 	CombinedPackets, CombinedAddrs   uint64
 }
 
-// tallies is what Table 1 and the responder lists read from a per-address
-// result of either pipeline: its verdict and its sample counts.
-type tallies interface {
-	verdict() *Verdict
-	samples() (matched, delayed uint64)
-}
-
-func (a *AddressResult) verdict() *Verdict { return &a.Verdict }
-func (a *AddressResult) samples() (matched, delayed uint64) {
-	return uint64(len(a.Matched)), uint64(len(a.Delayed))
-}
-
-func (a *StreamAddressResult) verdict() *Verdict { return &a.Verdict }
-func (a *StreamAddressResult) samples() (matched, delayed uint64) {
-	return a.Matched, a.Delayed
-}
-
 // BuildTable1 computes the Table 1 accounting from a match result.
-func (r *Result) BuildTable1() Table1 { return buildTable1(r.Addr) }
-
-// BuildTable1 computes the Table 1 accounting from a streaming result.
-func (r *StreamResult) BuildTable1() Table1 { return buildTable1(r.Addr) }
-
-func buildTable1[T tallies](addrs map[ipaddr.Addr]T) Table1 {
+func (r *Result) BuildTable1() Table1 {
 	var t Table1
-	for _, ar := range addrs {
-		v := ar.verdict()
-		matched, delayed := ar.samples()
+	for _, ar := range r.Addr {
+		matched, delayed := uint64(len(ar.Matched)), uint64(len(ar.Delayed))
 		if matched > 0 {
 			t.SurveyPackets += matched
 			t.SurveyAddrs++
@@ -60,14 +37,14 @@ func buildTable1[T tallies](addrs map[ipaddr.Addr]T) Table1 {
 			t.NaiveAddrs++
 		}
 		switch {
-		case v.Broadcast:
-			t.BroadcastPackets += v.packets
+		case ar.Broadcast:
+			t.BroadcastPackets += ar.packets
 			t.BroadcastAddrs++
-		case v.Duplicate:
-			t.DuplicatePackets += v.packets
+		case ar.Duplicate:
+			t.DuplicatePackets += ar.packets
 			t.DuplicateAddrs++
 		}
-		if !v.Discarded() && matched+delayed > 0 {
+		if !ar.Discarded() && matched+delayed > 0 {
 			t.CombinedPackets += matched + delayed
 			t.CombinedAddrs++
 		}
@@ -76,33 +53,23 @@ func buildTable1[T tallies](addrs map[ipaddr.Addr]T) Table1 {
 }
 
 // BroadcastResponders lists addresses the EWMA filter marked.
-func (r *Result) BroadcastResponders() []ipaddr.Addr { return responders(r.Addr, isBroadcast) }
-
-// BroadcastResponders lists addresses the EWMA filter marked.
-func (r *StreamResult) BroadcastResponders() []ipaddr.Addr {
-	return responders(r.Addr, isBroadcast)
+func (r *Result) BroadcastResponders() []ipaddr.Addr {
+	return r.responders(func(v *Verdict) bool { return v.Broadcast })
 }
 
 // DuplicateResponders lists addresses exceeding the duplicate threshold
 // (and not already marked broadcast), mirroring the paper's mutually
 // exclusive discard accounting.
-func (r *Result) DuplicateResponders() []ipaddr.Addr { return responders(r.Addr, isDuplicate) }
-
-// DuplicateResponders lists addresses exceeding the duplicate threshold
-// and not already marked broadcast.
-func (r *StreamResult) DuplicateResponders() []ipaddr.Addr {
-	return responders(r.Addr, isDuplicate)
+func (r *Result) DuplicateResponders() []ipaddr.Addr {
+	return r.responders(func(v *Verdict) bool { return v.Duplicate && !v.Broadcast })
 }
-
-func isBroadcast(v *Verdict) bool { return v.Broadcast }
-func isDuplicate(v *Verdict) bool { return v.Duplicate && !v.Broadcast }
 
 // responders lists, in ascending order, the addresses whose verdict is
 // marked.
-func responders[T tallies](addrs map[ipaddr.Addr]T, marked func(*Verdict) bool) []ipaddr.Addr {
+func (r *Result) responders(marked func(*Verdict) bool) []ipaddr.Addr {
 	var out []ipaddr.Addr
-	for a, ar := range addrs {
-		if marked(ar.verdict()) {
+	for a, ar := range r.Addr {
+		if marked(&ar.Verdict) {
 			out = append(out, a)
 		}
 	}

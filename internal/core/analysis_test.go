@@ -497,54 +497,3 @@ func TestDetectFirewalls(t *testing.T) {
 		t.Error("slow block flagged as firewall")
 	}
 }
-
-func TestStreamAggregateMatchesExactSmallStreams(t *testing.T) {
-	var b recBuilder
-	for i := 0; i < 30; i++ {
-		a := ipaddr.Addr(0x01000000 + uint32(i))
-		for r := 0; r < 20; r++ {
-			b.matched(a, time.Duration(r)*660*time.Second, time.Duration(100+i*3+r)*time.Millisecond)
-		}
-	}
-	exact := PerAddressQuantiles(Match(b.recs, Options{}).SurveyDetected())
-	stream, err := StreamAggregate(NewSliceSource(b.recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stream) != len(exact) {
-		t.Fatalf("addresses: %d vs %d", len(stream), len(exact))
-	}
-	for a, e := range exact {
-		s := stream[a]
-		if s != e {
-			t.Errorf("addr %s: stream %+v != exact %+v (short streams must be exact)", a, s, e)
-		}
-	}
-}
-
-func TestStreamAggregateIgnoresNonMatched(t *testing.T) {
-	var b recBuilder
-	b.timeout(addrA, 0).unmatched(addrA, 10*time.Second, 1)
-	q, err := StreamAggregate(NewSliceSource(b.recs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(q) != 0 {
-		t.Errorf("streaming picked up non-matched records: %v", q)
-	}
-}
-
-func TestStreamedMatrixError(t *testing.T) {
-	mk := func(ms int) stats.Quantiles {
-		d := time.Duration(ms) * time.Millisecond
-		return stats.Quantiles{P1: d, P50: d, P80: d, P90: d, P95: d, P98: d, P99: d}
-	}
-	exact := stats.BuildTimeoutMatrix([]stats.Quantiles{mk(100), mk(200)})
-	off := stats.BuildTimeoutMatrix([]stats.Quantiles{mk(110), mk(220)})
-	if got := StreamedMatrixError(exact, off, time.Millisecond); got < 0.09 || got > 0.11 {
-		t.Errorf("worst error = %v, want ~0.10", got)
-	}
-	if got := StreamedMatrixError(exact, exact, time.Millisecond); got != 0 {
-		t.Errorf("self error = %v", got)
-	}
-}

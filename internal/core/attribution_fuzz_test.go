@@ -118,6 +118,40 @@ func oracleMatch(records []survey.Record, opt core.Options) map[ipaddr.Addr]*ora
 	return out
 }
 
+// checkOracle compares Match's result with the oracle's over the same
+// records, field for field, sample order included. Every address must be
+// present in both; a flagged address is exempt only when allowFlagged is
+// set, and Result must count the flagged addresses.
+func checkOracle(t *testing.T, res *core.Result, want map[ipaddr.Addr]*oracleAddr, allowFlagged bool) {
+	t.Helper()
+	if len(res.Addr) != len(want) {
+		t.Fatalf("Match has %d addresses, oracle %d", len(res.Addr), len(want))
+	}
+	flagged := 0
+	for a, w := range want {
+		g := res.Addr[a]
+		if g == nil {
+			t.Fatalf("%s missing from Match", a)
+		}
+		if g.OutOfOrder {
+			flagged++
+			if allowFlagged {
+				continue
+			}
+			t.Fatalf("%s flagged out of emission order", a)
+		}
+		if !slices.Equal(g.Matched, w.matched) || !slices.Equal(g.Delayed, w.delayed) ||
+			g.Probes != w.nProbes || g.MaxResponses != w.maxResp || g.Broadcast != w.broadcast ||
+			g.Duplicate != w.dup || g.ErrorSeen != w.errorSeen || g.ResponsePackets() != w.packets {
+			t.Fatalf("%s: Match %+v, oracle matched=%v delayed=%v probes=%d maxResp=%d bc=%v dup=%v err=%v packets=%d",
+				a, g, w.matched, w.delayed, w.nProbes, w.maxResp, w.broadcast, w.dup, w.errorSeen, w.packets)
+		}
+	}
+	if res.OutOfOrder != flagged {
+		t.Fatalf("Result counts %d addresses out of order, %d are flagged", res.OutOfOrder, flagged)
+	}
+}
+
 // fuzzRec is one record in the fuzzer's five-byte encoding: type, address
 // index, send or arrival second (big-endian uint16), and a matched RTT in
 // 10 ms units or an unmatched packet count.
@@ -159,8 +193,8 @@ func decodeFuzz(data []byte) []survey.Record {
 }
 
 // emissionOrder puts records in an order a survey can emit them, the order
-// StreamMatcher and the advisor's store assume: per address, one probe per
-// send instant, in time order. A response recorded on a probe's send
+// the matcher checks and the advisor's store assumes: per address, one probe
+// per send instant, in time order. A response recorded on a probe's send
 // instant comes after that probe, so the kernel's strict boundary, not the
 // order, has to keep the response off it.
 func emissionOrder(recs []survey.Record) []survey.Record {
@@ -189,11 +223,11 @@ func emissionOrder(recs []survey.Record) []survey.Record {
 	return out
 }
 
-// FuzzAttribution checks the three users of the attribution kernel against
-// the oracle and each other: on arbitrary record streams Match equals the
-// oracle field for field, sample order included; on the same records in
-// emission order StreamMatcher's counts, verdicts and (within its exact
-// buffer) quantiles equal Match's, and the advisor's store takes exactly
+// FuzzAttribution checks the matcher and the advisor's store, the attribution
+// kernel's two users, against the oracle. On arbitrary record streams every
+// address Match leaves unflagged equals the oracle field for field, sample
+// order included. On the same records in emission order nothing is flagged,
+// every address equals the oracle, and the advisor's store takes exactly
 // Match's matched plus delayed samples.
 func FuzzAttribution(f *testing.F) {
 	const interval = 660
@@ -226,9 +260,8 @@ func FuzzAttribution(f *testing.F) {
 			fuzzRec{typ: 2, addr: 4, when: r*interval + interval/2, arg: 1})
 	}
 	f.Add(encodeFuzz(bcast...))
-	// Probes sharing a send instant, more than insertion sort handles:
-	// Match's sample order and its choice of newest probe follow the
-	// oracle's sort permutation.
+	// Probes sharing a send instant break emission order, so Match flags
+	// the address; in emission order only one probe per instant remains.
 	var ties []fuzzRec
 	for i := byte(0); i < 13; i++ {
 		ties = append(ties, fuzzRec{typ: i / 2 % 2, addr: 5, when: 100 + uint16(i%2), arg: 20 - i})
@@ -239,55 +272,19 @@ func FuzzAttribution(f *testing.F) {
 	opt := core.MatchOptionsForCycles(8)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs := decodeFuzz(data)
-		res := core.Match(recs, opt)
-		want := oracleMatch(recs, opt)
-		if len(res.Addr) != len(want) {
-			t.Fatalf("Match has %d addresses, oracle %d", len(res.Addr), len(want))
-		}
-		for a, w := range want {
-			g := res.Addr[a]
-			if g == nil {
-				t.Fatalf("%s missing from Match", a)
-			}
-			if !slices.Equal(g.Matched, w.matched) || !slices.Equal(g.Delayed, w.delayed) ||
-				g.Probes != w.nProbes || g.MaxResponses != w.maxResp || g.Broadcast != w.broadcast ||
-				g.Duplicate != w.dup || g.ErrorSeen != w.errorSeen || g.ResponsePackets() != w.packets {
-				t.Fatalf("%s: Match %+v, oracle matched=%v delayed=%v probes=%d maxResp=%d bc=%v dup=%v err=%v packets=%d",
-					a, g, w.matched, w.delayed, w.nProbes, w.maxResp, w.broadcast, w.dup, w.errorSeen, w.packets)
-			}
-		}
+		checkOracle(t, core.Match(recs, opt), oracleMatch(recs, opt), true)
 
 		ordered := emissionOrder(recs)
-		res = core.Match(ordered, opt)
-		m := core.NewStreamMatcher(opt)
+		res := core.Match(ordered, opt)
+		checkOracle(t, res, oracleMatch(ordered, opt), false)
 		st := advisor.NewStore()
 		st.SetClock(func() int64 { return 1 })
 		for _, rec := range ordered {
-			m.Observe(rec)
 			st.Observe(rec)
 		}
-		sr := m.Finalize()
-		if len(sr.Addr) != len(res.Addr) {
-			t.Fatalf("StreamMatcher has %d addresses, Match %d", len(sr.Addr), len(res.Addr))
-		}
 		var samples uint64
-		for a, ar := range res.Addr {
-			sar := sr.Addr[a]
-			if sar == nil {
-				t.Fatalf("%s missing from StreamMatcher", a)
-			}
-			if sar.Matched != uint64(len(ar.Matched)) || sar.Delayed != uint64(len(ar.Delayed)) || sar.Verdict != ar.Verdict {
-				t.Fatalf("%s: StreamMatcher %+v, Match %+v", a, sar, ar)
-			}
-			// Within the sketch's exact buffer the latencies themselves must
-			// agree too, not just their counts.
-			n := len(ar.Matched) + len(ar.Delayed)
-			if n > 0 && n <= 64 {
-				if q := stats.ComputeQuantiles(slices.Concat(ar.Matched, ar.Delayed)); sar.Quantiles() != q {
-					t.Fatalf("%s: StreamMatcher quantiles %+v, Match %+v", a, sar.Quantiles(), q)
-				}
-			}
-			samples += uint64(n)
+		for _, ar := range res.Addr {
+			samples += uint64(len(ar.Matched) + len(ar.Delayed))
 		}
 		if st.Samples() != samples {
 			t.Fatalf("store took %d samples, Match %d", st.Samples(), samples)

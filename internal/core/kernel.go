@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"timeouts/internal/stats"
@@ -9,9 +10,8 @@ import (
 
 // OpenProbes is one address's open-probe ring: its last two probes, the
 // only ones a future unmatched response can still be credited to (DESIGN.md
-// §9 argues why two suffice). It is the attribution kernel every pipeline
-// shares — Match, StreamMatcher and the advisor's ingest store. The zero
-// value is empty.
+// §9 argues why two suffice). It is the attribution kernel the matcher and
+// the advisor's ingest store share. The zero value is empty.
 type OpenProbes struct {
 	send     [2]time.Duration // send times; [n-1] is the newest
 	resp     [2]int           // response packets credited to each probe
@@ -87,6 +87,9 @@ type Verdict struct {
 	// ErrorSeen marks addresses whose probes drew ICMP errors; the
 	// analysis ignores them entirely (§3.1).
 	ErrorSeen bool
+	// OutOfOrder marks an address whose records broke emission order (see
+	// StreamMatcher), so its responses may be credited to the wrong probes.
+	OutOfOrder bool
 
 	packets uint64 // total response packets attributed to this address
 }
@@ -98,22 +101,28 @@ func (v *Verdict) Discarded() bool { return v.Broadcast || v.Duplicate || v.Erro
 func (v *Verdict) ResponsePackets() uint64 { return v.packets }
 
 // addrState is one address's attribution and filter state: the open-probe
-// ring, the broadcast persistence filter (§3.3.1), and the tallies that
-// finish into its Verdict.
+// ring, the broadcast persistence filter (§3.3.1), the emission-order check,
+// and the tallies that finish into its Verdict.
 type addrState struct {
-	ring      OpenProbes
-	ew        stats.EWMA
-	lastRound int64
-	lastLat   time.Duration
-	v         Verdict // Probes, MaxResponses, ErrorSeen and packets accumulate here
+	ring        OpenProbes
+	ew          stats.EWMA
+	lastRound   int64
+	lastLat     time.Duration
+	lastArrival time.Duration // newest unmatched arrival seen
+	v           Verdict       // Probes, MaxResponses, ErrorSeen, OutOfOrder and packets accumulate here
 }
 
 func newAddrState(opt *Options) addrState {
-	return addrState{ew: stats.EWMA{Alpha: opt.BroadcastAlpha}, lastRound: -10}
+	return addrState{ew: stats.EWMA{Alpha: opt.BroadcastAlpha}, lastRound: -10, lastArrival: math.MinInt64}
 }
 
-// probe opens a probe sent at send.
+// probe opens a probe sent at send. In emission order an address's probes
+// come in strictly increasing send order, and none was sent before a
+// response already seen, which could have been this probe's.
 func (s *addrState) probe(send time.Duration, matched bool) {
+	if n := s.ring.Len(); n > 0 && send <= s.ring.Send(n-1) || send < s.lastArrival {
+		s.v.OutOfOrder = true
+	}
 	s.v.Probes++
 	s.seal(s.ring.Push(send, matched))
 }
@@ -129,8 +138,14 @@ func (s *addrState) seal(resp int) {
 // response attributes count unmatched response packets arriving at `at`
 // and returns the latency sample that yields, if any. A fresh sample of at
 // least BroadcastMinLat feeds the broadcast filter, which counts rounds in
-// which the address repeats a similar latency.
+// which the address repeats a similar latency. In emission order responses
+// arrive in time order, and after the older of two open probes: a response
+// arriving no later than that probe's send belongs to an evicted one.
 func (s *addrState) response(at time.Duration, count int, opt *Options) (lat time.Duration, fresh bool) {
+	if at < s.lastArrival || s.ring.Len() == 2 && at <= s.ring.Send(0) {
+		s.v.OutOfOrder = true
+	}
+	s.lastArrival = max(s.lastArrival, at)
 	lat, fresh = s.ring.Attribute(at, count)
 	if fresh && lat >= opt.BroadcastMinLat {
 		round := int64(at / opt.Interval)

@@ -15,13 +15,11 @@
 package core
 
 import (
-	"cmp"
-	"runtime"
-	"slices"
-	"sync"
+	"io"
 	"time"
 
 	"timeouts/internal/ipaddr"
+	"timeouts/internal/obs"
 	"timeouts/internal/stats"
 	"timeouts/internal/survey"
 )
@@ -114,110 +112,179 @@ type AddressResult struct {
 	Verdict
 }
 
-// Result is the outcome of the matching pipeline over one dataset.
+// Result is the outcome of matching one dataset.
 type Result struct {
 	Opt  Options
 	Addr map[ipaddr.Addr]*AddressResult
+	// OutOfOrder counts the addresses whose records broke emission order;
+	// their results are not to be trusted.
+	OutOfOrder int
 
 	// quant memoizes AddressQuantiles per filtered flag ([0] naive,
 	// [1] filtered); see that method for the staleness contract.
 	quant [2]map[ipaddr.Addr]stats.Quantiles
 }
 
-// matchCell gathers one address's records for Match, then holds its result.
+// StreamMatcher runs the paper's §3.3–§4.1 pipeline over a survey record
+// stream, one record at a time: it drives the attribution kernel
+// (OpenProbes and its filters) and keeps, per address, the kernel's open
+// state plus every matched and delayed latency sample, in per-/24 Blocks.
+// Memory is O(addresses) for the open state plus 8 B per recovered sample;
+// records are never held.
+//
+// StreamMatcher implements survey.RecordWriter, so a survey can probe
+// straight into the matcher — survey.Run / survey.RunSharded with the
+// matcher as the output sink — with no intermediate dataset at all.
+//
+// Records must arrive in dataset emission order, the order Run and
+// RunSharded write: per address, probe records in send order, and each
+// unmatched response after the records of the probes sent before it. In
+// that order the two open probes are the only ones a response can still be
+// credited to (DESIGN.md §9). The matcher checks the contract per address
+// and flags an address that breaks it (Verdict.OutOfOrder): a probe sent
+// no later than its newest open probe or before its newest unmatched
+// arrival, or an unmatched response arriving before its newest unmatched
+// arrival or no later than the older of two open probes.
+type StreamMatcher struct {
+	opt     Options
+	cells   Blocks[matchCell]
+	records uint64
+
+	// Observability (nil-safe no-ops unless SetObserver installs them). All
+	// matcher metrics are deterministic-class: the matcher consumes the
+	// merged record stream in dataset emission order, which is identical
+	// whether the survey producing it ran sequentially or sharded.
+	obsRecords    *obs.Counter
+	obsAddrsHWM   *obs.Gauge
+	obsOpenHWM    *obs.Gauge
+	obsRTTMatched *obs.Histogram
+	obsLatency    *obs.Histogram
+	openProbes    int64 // open probes across all addresses, for the HWM gauge
+}
+
+// matchCell is one address's matcher state: the kernel's open state and
+// the result it accumulates.
 type matchCell struct {
-	probes    []probeRec
-	unmatched []umRec
-	res       AddressResult
+	st  addrState
+	res AddressResult
 }
 
-type probeRec struct {
-	send    time.Duration
-	rtt     time.Duration
-	matched bool
+// NewStreamMatcher creates a matcher; zero Options select the paper's
+// settings.
+func NewStreamMatcher(opt Options) *StreamMatcher {
+	return &StreamMatcher{opt: opt.withDefaults()}
 }
 
-type umRec struct {
-	at    time.Duration
-	count int
+// SetObserver registers the matcher's metrics on reg: records consumed, the
+// open-state high-water marks (addresses with live state, probes awaiting
+// eviction), and two latency histograms — matched RTTs only
+// (match.rtt_matched, comparable bucket-for-bucket to the probe-side
+// survey.rtt_matched) and every sample kept (match.latency, matched plus
+// recovered).
+func (m *StreamMatcher) SetObserver(reg *obs.Registry) {
+	m.obsRecords = reg.Counter("match.records")
+	m.obsAddrsHWM = reg.Gauge("match.addrs_hwm")
+	m.obsOpenHWM = reg.Gauge("match.open_probes_hwm")
+	m.obsRTTMatched = reg.Histogram("match.rtt_matched")
+	m.obsLatency = reg.Histogram("match.latency")
 }
 
-// Match runs the paper's §3.3–§4.1 pipeline over a dataset's records. The
-// records may be in any order; they are grouped per address and sorted by
-// time before matching.
-func Match(records []survey.Record, opt Options) *Result {
-	opt = opt.withDefaults()
-	var cells Blocks[matchCell]
-	for _, rec := range records {
-		switch rec.Type {
-		case survey.RecMatched:
-			c, _ := cells.Get(rec.Addr)
-			c.probes = append(c.probes, probeRec{send: rec.When, rtt: rec.RTT, matched: true})
-		case survey.RecTimeout:
-			c, _ := cells.Get(rec.Addr)
-			c.probes = append(c.probes, probeRec{send: rec.When})
-		case survey.RecUnmatched:
-			c, _ := cells.Get(rec.Addr)
-			c.unmatched = append(c.unmatched, umRec{at: rec.When, count: responseCount(rec)})
-		case survey.RecError:
-			c, _ := cells.Get(rec.Addr)
-			c.res.ErrorSeen = true
-		}
+// Records returns how many records have been consumed.
+func (m *StreamMatcher) Records() uint64 { return m.records }
+
+// Addresses returns how many addresses hold state.
+func (m *StreamMatcher) Addresses() int { return m.cells.Len() }
+
+// Write implements survey.RecordWriter, folding one record into the match
+// state; it never returns an error.
+func (m *StreamMatcher) Write(rec survey.Record) error {
+	m.Observe(rec)
+	return nil
+}
+
+// cell returns (creating if needed) the address's state.
+func (m *StreamMatcher) cell(a ipaddr.Addr) *matchCell {
+	c, created := m.cells.Get(a)
+	if created {
+		c.st = newAddrState(&m.opt)
+		m.obsAddrsHWM.Observe(int64(m.cells.Len()))
 	}
+	return c
+}
 
-	res := &Result{Opt: opt, Addr: make(map[ipaddr.Addr]*AddressResult, cells.Len())}
-	jobs := make([]*matchCell, 0, cells.Len())
-	cells.Range(func(a ipaddr.Addr, c *matchCell) {
-		jobs = append(jobs, c)
+// probe opens a probe on c, maintaining the open-probe high-water mark
+// (opening may evict, so the net change can be zero).
+func (m *StreamMatcher) probe(c *matchCell, send time.Duration, matched bool) {
+	before := c.st.ring.Len()
+	c.st.probe(send, matched)
+	m.openProbes += int64(c.st.ring.Len() - before)
+	m.obsOpenHWM.Observe(m.openProbes)
+}
+
+// Observe folds one record into the match state.
+func (m *StreamMatcher) Observe(rec survey.Record) {
+	m.records++
+	m.obsRecords.Inc()
+	switch rec.Type {
+	case survey.RecMatched:
+		c := m.cell(rec.Addr)
+		m.probe(c, rec.When, true)
+		c.res.Matched = append(c.res.Matched, rec.RTT)
+		m.obsRTTMatched.Observe(rec.RTT)
+		m.obsLatency.Observe(rec.RTT)
+	case survey.RecTimeout:
+		m.probe(m.cell(rec.Addr), rec.When, false)
+	case survey.RecUnmatched:
+		c := m.cell(rec.Addr)
+		if lat, fresh := c.st.response(rec.When, responseCount(rec), &m.opt); fresh {
+			c.res.Delayed = append(c.res.Delayed, lat)
+			m.obsLatency.Observe(lat)
+		}
+	case survey.RecError:
+		m.cell(rec.Addr).st.v.ErrorSeen = true
+	}
+}
+
+// Consume drains a RecordSource into the matcher, stopping at io.EOF or the
+// first error.
+func (m *StreamMatcher) Consume(src survey.RecordSource) error {
+	for {
+		rec, err := src.Read()
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+		m.Observe(rec)
+	}
+}
+
+// Finalize seals all remaining open state and returns the result. The
+// matcher's state moves into the result; further Observe calls start a
+// fresh accumulation.
+func (m *StreamMatcher) Finalize() *Result {
+	res := &Result{Opt: m.opt, Addr: make(map[ipaddr.Addr]*AddressResult, m.cells.Len())}
+	m.cells.Range(func(a ipaddr.Addr, c *matchCell) {
+		c.res.Verdict = c.st.finish(&m.opt)
+		if c.res.OutOfOrder {
+			res.OutOfOrder++
+		}
 		res.Addr[a] = &c.res
 	})
-	// The per-address pass is embarrassingly parallel: every address's
-	// matching, filtering and accounting touches only its own cell.
-	workers := max(min(runtime.GOMAXPROCS(0), len(jobs)), 1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := w; i < len(jobs); i += workers {
-				matchAddress(jobs[i], &opt)
-			}
-		}()
-	}
-	wg.Wait()
+	m.cells = Blocks[matchCell]{}
+	m.records, m.openProbes = 0, 0
 	return res
 }
 
-// matchAddress runs the §3.3–§4.1 per-address pass: it sorts the address's
-// records and drives the attribution kernel in time order, so every probe
-// sent strictly before a response is open when the response arrives.
-func matchAddress(c *matchCell, opt *Options) {
-	slices.SortFunc(c.probes, func(a, b probeRec) int { return cmp.Compare(a.send, b.send) })
-	slices.SortFunc(c.unmatched, func(a, b umRec) int { return cmp.Compare(a.at, b.at) })
-	r := &c.res
-	st := newAddrState(opt)
-	st.v.ErrorSeen = r.ErrorSeen
-	open := func(p probeRec) {
-		st.probe(p.send, p.matched)
-		if p.matched {
-			r.Matched = append(r.Matched, p.rtt)
-		}
+// Match runs the matcher over a dataset's records, which must be in
+// emission order (see StreamMatcher).
+func Match(records []survey.Record, opt Options) *Result {
+	m := NewStreamMatcher(opt)
+	for _, rec := range records {
+		m.Observe(rec)
 	}
-	pi := 0
-	for _, um := range c.unmatched {
-		for ; pi < len(c.probes) && c.probes[pi].send < um.at; pi++ {
-			open(c.probes[pi])
-		}
-		if lat, fresh := st.response(um.at, um.count, opt); fresh {
-			r.Delayed = append(r.Delayed, lat)
-		}
-	}
-	for _, p := range c.probes[pi:] {
-		open(p)
-	}
-	r.Verdict = st.finish(opt)
-	c.probes, c.unmatched = nil, nil
+	return m.Finalize()
 }
 
 // Samples returns the per-address latency sample sets. With filtered=false

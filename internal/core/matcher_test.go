@@ -339,9 +339,9 @@ func TestSamplesViews(t *testing.T) {
 	}
 }
 
-// TestMatchParallelDeterministic verifies that the parallel per-address
-// pass yields results identical to the sequential one. Match sizes its
-// worker pool from GOMAXPROCS, so the test runs it at 1 and at 8.
+// TestMatchParallelDeterministic verifies that Match's result does not
+// depend on how many CPUs the process may use: it runs Match at GOMAXPROCS
+// 1 and 8 and compares every address.
 func TestMatchParallelDeterministic(t *testing.T) {
 	var b recBuilder
 	interval := 660 * time.Second

@@ -9,24 +9,12 @@ import (
 	"timeouts/internal/stats"
 )
 
-// Analysis is the read side common to the in-memory (Result) and streaming
-// (StreamResult) pipelines: everything cmd/analyze's report needs. Having
-// one renderer over this interface is what makes "streaming output is
-// byte-identical to in-memory output" a checkable property rather than a
-// formatting accident.
-type Analysis interface {
-	BuildTable1() Table1
-	AddressQuantiles(filtered bool) map[ipaddr.Addr]stats.Quantiles
-	BroadcastResponders() []ipaddr.Addr
-	DuplicateResponders() []ipaddr.Addr
-}
-
 // AddressQuantiles returns the per-address percentile vectors of the
-// matched result — equal to PerAddressQuantiles over Samples — making
-// Result satisfy Analysis. The result map is preallocated from the known
-// address count and memoized per filtered flag: report rendering reads it
-// several times (Table 2, headline fractions), and the intermediate
-// per-address sample map Samples built on every call was pure garbage.
+// matched result — equal to PerAddressQuantiles over Samples. The result
+// map is preallocated from the known address count and memoized per
+// filtered flag: report rendering reads it several times (Table 2, headline
+// fractions), and the intermediate per-address sample map Samples built on
+// every call was pure garbage.
 // Callers must not mutate the returned map, and must not add samples to the
 // Result after the first call (the memo would go stale).
 func (r *Result) AddressQuantiles(filtered bool) map[ipaddr.Addr]stats.Quantiles {
@@ -55,15 +43,15 @@ func (r *Result) AddressQuantiles(filtered bool) map[ipaddr.Addr]stats.Quantiles
 
 // RenderReport renders the full analysis report — Table 1, the Table 2
 // minimum-timeout matrix, the paper's headline numbers, and the filter
-// accounting — identically for both pipelines. With naive=true the matrix is
-// computed over unfiltered samples and the filter accounting is omitted.
-func RenderReport(a Analysis, naive bool) string {
+// accounting. With naive=true the matrix is computed over unfiltered samples
+// and the filter accounting is omitted.
+func RenderReport(r *Result, naive bool) string {
 	var b strings.Builder
 
-	t1 := a.BuildTable1()
+	t1 := r.BuildTable1()
 	fmt.Fprintf(&b, "\nTable 1 — matching and filtering:\n%s", t1.Format())
 
-	q := a.AddressQuantiles(!naive)
+	q := r.AddressQuantiles(!naive)
 	matrix := TimeoutMatrix(q)
 	mode := "filtered"
 	if naive {
@@ -77,8 +65,8 @@ func RenderReport(a Analysis, naive bool) string {
 		matrix.At(98, 98).Round(time.Second), matrix.At(99, 99).Round(time.Second))
 
 	if !naive {
-		bc := a.BroadcastResponders()
-		dup := a.DuplicateResponders()
+		bc := r.BroadcastResponders()
+		dup := r.DuplicateResponders()
 		fmt.Fprintf(&b, "filtered: %d broadcast responders, %d duplicate responders\n", len(bc), len(dup))
 	}
 	return b.String()

@@ -64,22 +64,13 @@ func goldenRecords() []survey.Record {
 }
 
 // TestRenderReportGolden pins the exact bytes of the analysis report for a
-// hand-built dataset — both pipelines must reproduce the golden file, which
-// also re-checks that the streaming matcher renders byte-identically to the
-// in-memory one. Regenerate with: go test ./internal/core -run Golden -update
+// hand-built dataset. Regenerate with: go test ./internal/core -run Golden -update
 func TestRenderReportGolden(t *testing.T) {
-	recs := goldenRecords()
-	opt := MatchOptionsForCycles(6)
-
-	got := RenderReport(Match(recs, opt), false)
-
-	m := NewStreamMatcher(opt)
-	for _, r := range recs {
-		m.Observe(r)
+	res := Match(goldenRecords(), MatchOptionsForCycles(6))
+	if res.OutOfOrder != 0 {
+		t.Fatalf("%d addresses of the emission-ordered golden dataset flagged out of order", res.OutOfOrder)
 	}
-	if streamed := RenderReport(m.Finalize(), false); streamed != got {
-		t.Errorf("streaming report differs from in-memory report:\nin-memory:\n%s\nstreaming:\n%s", got, streamed)
-	}
+	got := RenderReport(res, false)
 
 	golden := filepath.Join("testdata", "report.golden")
 	if *updateGolden {

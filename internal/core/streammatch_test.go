@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 	"time"
 
@@ -29,39 +31,46 @@ func TestMatchBoundaryResponseOnProbeInstant(t *testing.T) {
 			t.Fatal("zero-latency sample manufactured at the truncation boundary")
 		}
 	}
-
-	// The streaming matcher must take the same branch.
-	m := NewStreamMatcher(Options{})
-	for _, rec := range b.recs {
-		m.Observe(rec)
-	}
-	sr := m.Finalize()
-	sar := sr.Addr[addrA]
-	if sar.Delayed != 1 {
-		t.Fatalf("streaming delayed = %d, want 1", sar.Delayed)
-	}
-	if q := sar.Quantiles(); q.P50 != 660*time.Second {
-		t.Errorf("streaming sample = %v, want 11m0s", q.P50)
-	}
 }
 
-// streamEquivalent runs both pipelines over one record stream and fails the
-// test if any observable disagrees. The stream must be in emission order
-// (the order the surveyor writes), which is all StreamMatcher assumes.
+// streamEquivalent writes recs as a dataset, streams it back through a
+// StreamMatcher — the path cmd/analyze takes — and requires the result to
+// equal Match over the slice field for field, sample order included, with
+// no address flagged: the records are in emission order.
 func streamEquivalent(t *testing.T, recs []survey.Record, opt Options) {
 	t.Helper()
 	res := Match(recs, opt)
+	var buf bytes.Buffer
+	w := survey.NewWriter(&buf, survey.Header{Vantage: 'w'})
+	for _, rec := range recs {
+		if err := w.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	src, _, err := survey.OpenSource(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := NewStreamMatcher(opt)
-	if err := m.Consume(survey.NewSliceSource(recs)); err != nil {
+	if err := m.Consume(src); err != nil {
 		t.Fatalf("Consume: %v", err)
+	}
+	if m.Records() != uint64(len(recs)) {
+		t.Fatalf("consumed %d records, wrote %d", m.Records(), len(recs))
 	}
 	sr := m.Finalize()
 
+	if res.OutOfOrder != 0 || sr.OutOfOrder != 0 {
+		t.Fatalf("emission-ordered records flagged: %d in memory, %d streamed", res.OutOfOrder, sr.OutOfOrder)
+	}
 	if got, want := RenderReport(sr, false), RenderReport(res, false); got != want {
-		t.Errorf("filtered reports differ:\nstreaming:\n%s\nin-memory:\n%s", got, want)
+		t.Errorf("filtered reports differ:\nstreamed:\n%s\nin memory:\n%s", got, want)
 	}
 	if got, want := RenderReport(sr, true), RenderReport(res, true); got != want {
-		t.Errorf("naive reports differ:\nstreaming:\n%s\nin-memory:\n%s", got, want)
+		t.Errorf("naive reports differ:\nstreamed:\n%s\nin memory:\n%s", got, want)
 	}
 	if len(sr.Addr) != len(res.Addr) {
 		t.Fatalf("address counts differ: %d vs %d", len(sr.Addr), len(res.Addr))
@@ -69,24 +78,19 @@ func streamEquivalent(t *testing.T, recs []survey.Record, opt Options) {
 	for a, ar := range res.Addr {
 		sar := sr.Addr[a]
 		if sar == nil {
-			t.Fatalf("address %s missing from streaming result", a)
+			t.Fatalf("address %s missing from the streamed result", a)
 		}
-		if sar.Matched != uint64(len(ar.Matched)) || sar.Delayed != uint64(len(ar.Delayed)) ||
-			sar.Probes != ar.Probes || sar.MaxResponses != ar.MaxResponses ||
-			sar.Broadcast != ar.Broadcast || sar.Duplicate != ar.Duplicate ||
-			sar.ErrorSeen != ar.ErrorSeen || sar.ResponsePackets() != ar.packets {
-			t.Fatalf("address %s differs:\nstreaming %+v\nin-memory matched=%d delayed=%d probes=%d maxResp=%d bc=%v dup=%v err=%v packets=%d",
-				a, sar, len(ar.Matched), len(ar.Delayed), ar.Probes, ar.MaxResponses,
-				ar.Broadcast, ar.Duplicate, ar.ErrorSeen, ar.packets)
+		if !reflect.DeepEqual(*sar, *ar) {
+			t.Fatalf("address %s differs:\nstreamed  %+v\nin memory %+v", a, *sar, *ar)
 		}
 	}
 }
 
 // TestStreamMatcherEquivalentToMatch exercises every record class — matched,
 // recovered delayed, duplicates past the filter threshold, broadcast-looking
-// periodicity, errors, stray responses — and requires the streaming pipeline
-// to agree with the in-memory one observable-for-observable, including the
-// rendered reports byte-for-byte.
+// periodicity, errors, stray responses — and requires the matcher streamed
+// from a dataset to agree with Match over the records observable for
+// observable, including the rendered reports byte for byte.
 func TestStreamMatcherEquivalentToMatch(t *testing.T) {
 	interval := 660 * time.Second
 	var b recBuilder
@@ -154,5 +158,57 @@ func TestStreamMatcherBoundedState(t *testing.T) {
 	}
 	if m.Addresses() != 0 || m.Records() != 0 {
 		t.Error("Finalize did not reset the matcher")
+	}
+}
+
+// TestMatchFlagsOutOfOrder pins the emission-order check: each way an
+// address's records can break the order flags that address alone, and
+// Result counts the flagged addresses.
+func TestMatchFlagsOutOfOrder(t *testing.T) {
+	const iv = 660 * time.Second
+	cases := []struct {
+		name    string
+		build   func(b *recBuilder, a ipaddr.Addr)
+		flagged bool
+	}{
+		{"emission order", func(b *recBuilder, a ipaddr.Addr) {
+			b.timeout(a, 0).timeout(a, iv).unmatched(a, iv, 1).unmatched(a, iv+5*time.Second, 1).matched(a, 2*iv, time.Second)
+		}, false},
+		{"stray before the first probe", func(b *recBuilder, a ipaddr.Addr) {
+			b.unmatched(a, 5*time.Second, 1).timeout(a, 5*time.Second)
+		}, false},
+		{"probes swapped", func(b *recBuilder, a ipaddr.Addr) {
+			b.timeout(a, iv).timeout(a, 0)
+		}, true},
+		{"probe on its predecessor's send instant", func(b *recBuilder, a ipaddr.Addr) {
+			b.timeout(a, iv).matched(a, iv, time.Second)
+		}, true},
+		{"probe sent before a response already seen", func(b *recBuilder, a ipaddr.Addr) {
+			b.timeout(a, 0).unmatched(a, 20*time.Second, 1).timeout(a, 10*time.Second)
+		}, true},
+		{"responses swapped", func(b *recBuilder, a ipaddr.Addr) {
+			b.timeout(a, 0).unmatched(a, 20*time.Second, 1).unmatched(a, 10*time.Second, 1)
+		}, true},
+		{"response behind two newer probes", func(b *recBuilder, a ipaddr.Addr) {
+			b.timeout(a, 0).timeout(a, iv).timeout(a, 2*iv).unmatched(a, iv, 1)
+		}, true},
+	}
+	var all recBuilder
+	want := 0
+	for i, c := range cases {
+		a := ipaddr.Addr(0x05000000 + uint32(i))
+		var b recBuilder
+		c.build(&b, a)
+		res := Match(b.recs, Options{})
+		if got := res.Addr[a].OutOfOrder; got != c.flagged {
+			t.Errorf("%s: OutOfOrder = %v, want %v", c.name, got, c.flagged)
+		}
+		c.build(&all, a)
+		if c.flagged {
+			want++
+		}
+	}
+	if got := Match(all.recs, Options{}).OutOfOrder; got != want {
+		t.Errorf("Result.OutOfOrder = %d over the interleaved cases, want %d", got, want)
 	}
 }

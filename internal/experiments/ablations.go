@@ -174,52 +174,3 @@ func (l *Lab) AblVantage() (Report, error) {
 		},
 	}, nil
 }
-
-// AblStreaming — equivalence check for the bounded-memory pipeline: the
-// full report (Table 1, the Table 2 matrix, the headline numbers, the filter
-// accounting) rendered from the streaming pipeline — survey probed straight
-// into a core.StreamMatcher with no intermediate dataset — byte-compared
-// against the same report rendered from the in-memory matcher over the
-// materialized dataset. At simulation scale (per-address streams within the
-// exact-quantile buffer cap) the two must be byte-identical; beyond the cap
-// the streaming quantiles graduate to P² estimates and the check instead
-// quantifies the worst matrix cell error of the approximation.
-func (l *Lab) AblStreaming() (Report, error) {
-	recs, _, err := l.Survey()
-	if err != nil {
-		return Report{}, err
-	}
-	exact := core.Match(recs, core.MatchOptionsForCycles(l.Scale.SurveyCycles))
-	sres, err := l.StreamMatch()
-	if err != nil {
-		return Report{}, err
-	}
-
-	exactRep := core.RenderReport(exact, false)
-	streamRep := core.RenderReport(sres, false)
-	identical := exactRep == streamRep
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "in-memory: %d records materialized -> %d addresses\n", len(recs), len(exact.Addr))
-	fmt.Fprintf(&b, "streaming: %d records probed straight into the matcher -> %d addresses\n",
-		sres.Records, len(sres.Addr))
-	measured := "byte-identical"
-	if identical {
-		fmt.Fprintf(&b, "full reports byte-identical: yes (%d bytes)\n", len(exactRep))
-	} else {
-		exactM := core.TimeoutMatrix(exact.AddressQuantiles(true))
-		streamM := core.TimeoutMatrix(sres.AddressQuantiles(true))
-		worst := core.StreamedMatrixError(exactM, streamM, 50*time.Millisecond)
-		fmt.Fprintf(&b, "reports differ: per-address streams exceed the exact-quantile cap, so the\n")
-		fmt.Fprintf(&b, "streaming quantiles are P² estimates; worst relative matrix cell error: %.2f%%\n", 100*worst)
-		measured = fmt.Sprintf("P² approximation, worst cell error %s", fmtPct(worst))
-	}
-	return Report{
-		ID:    "abl-streaming",
-		Title: "Ablation: streaming pipeline equivalence vs in-memory",
-		Body:  b.String(),
-		Metrics: []Metric{
-			{"streaming vs in-memory report", "byte-identical at simulation scale", measured},
-		},
-	}, nil
-}

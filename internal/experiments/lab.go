@@ -90,19 +90,12 @@ type Lab struct {
 	// execution-speed opt-in (cmd/reproduce's -parallel flag).
 	Parallel int
 
-	// Stream routes Quantiles through the bounded-memory streaming pipeline
-	// (StreamMatch) instead of the in-memory matcher. At simulation scale
-	// the two are byte-identical (abl-streaming checks this), so Stream is,
-	// like Parallel, purely an execution-strategy opt-in (cmd/reproduce's
-	// -stream flag).
-	Stream bool
-
 	// Obs, when non-nil, collects metrics from every workload the lab runs:
-	// the survey, the Zmap scans, and the streaming matcher all register
-	// their counters and histograms here. Sharded runs merge per-shard
-	// registries into Obs with the same order-independent discipline as the
-	// dataset merge, so the deterministic snapshot is identical whatever
-	// Parallel is.
+	// the survey, the Zmap scans, and the matcher all register their
+	// counters and histograms here. Sharded runs merge per-shard registries
+	// into Obs with the same order-independent discipline as the dataset
+	// merge, so the deterministic snapshot is identical whatever Parallel
+	// is.
 	Obs *obs.Registry
 
 	// Trace, when non-nil, receives sim-time phase spans from the workloads
@@ -114,7 +107,6 @@ type Lab struct {
 	surveyRecs  []survey.Record
 	surveyStats survey.Stats
 	match       *core.Result
-	streamRes   *core.StreamResult
 	quantiles   map[ipaddr.Addr]stats.Quantiles // filtered, combined samples
 	scans       []*zmapper.Scan
 	popCfg      netmodel.Config
@@ -180,7 +172,9 @@ func (l *Lab) Survey() ([]survey.Record, survey.Stats, error) {
 	return l.surveyRecs, l.surveyStats, nil
 }
 
-// Match returns the memoized matching/filtering result over the survey.
+// Match returns the memoized matching/filtering result over the survey,
+// registering the matcher's metrics on Obs. It fails if any address's
+// records break emission order, which a survey never does.
 func (l *Lab) Match() (*core.Result, error) {
 	recs, _, err := l.Survey()
 	if err != nil {
@@ -189,64 +183,23 @@ func (l *Lab) Match() (*core.Result, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.match == nil {
-		l.match = core.Match(recs, core.MatchOptionsForCycles(l.Scale.SurveyCycles))
+		m := core.NewStreamMatcher(core.MatchOptionsForCycles(l.Scale.SurveyCycles))
+		m.SetObserver(l.Obs)
+		for _, rec := range recs {
+			m.Observe(rec)
+		}
+		res := m.Finalize()
+		if res.OutOfOrder > 0 {
+			return nil, fmt.Errorf("experiments: %d addresses' survey records are out of emission order", res.OutOfOrder)
+		}
+		l.match = res
 	}
 	return l.match, nil
 }
 
-// StreamMatch returns the memoized streaming-pipeline result. The survey
-// probes straight into a core.StreamMatcher — under -parallel the sharded
-// merge is streamed record-by-record into the analyzer — so no intermediate
-// dataset is ever materialized; the workload and seed match Survey()'s, so
-// the record stream the matcher sees is the same one Match() consumes.
-func (l *Lab) StreamMatch() (*core.StreamResult, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.streamRes == nil {
-		opt := core.MatchOptionsForCycles(l.Scale.SurveyCycles)
-		m := core.NewStreamMatcher(opt)
-		m.SetObserver(l.Obs)
-		cfg := survey.Config{
-			Vantage: survey.VantageW,
-			Cycles:  l.Scale.SurveyCycles,
-			Seed:    l.Scale.Seed,
-			Obs:     l.Obs,
-			Trace:   l.Trace,
-		}
-		var err error
-		if l.Parallel > 1 {
-			pop := netmodel.New(l.popCfg)
-			cfg.Blocks = pop.Blocks()
-			_, err = survey.RunSharded(cfg, l.Parallel, ShardFabric(pop), m)
-		} else {
-			w := NewWorld(l.popCfg)
-			cfg.Blocks = w.Pop.Blocks()
-			_, err = survey.Run(w.Net, cfg, m)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("experiments: streaming survey failed: %w", err)
-		}
-		l.streamRes = m.Finalize()
-	}
-	return l.streamRes, nil
-}
-
 // Quantiles returns the memoized per-address percentile vectors over the
-// filtered, combined (survey + delayed) samples — computed by the in-memory
-// matcher, or by the streaming pipeline when Stream is set.
+// filtered, combined (survey + delayed) samples.
 func (l *Lab) Quantiles() (map[ipaddr.Addr]stats.Quantiles, error) {
-	if l.Stream {
-		r, err := l.StreamMatch()
-		if err != nil {
-			return nil, err
-		}
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		if l.quantiles == nil {
-			l.quantiles = r.AddressQuantiles(true)
-		}
-		return l.quantiles, nil
-	}
 	m, err := l.Match()
 	if err != nil {
 		return nil, err

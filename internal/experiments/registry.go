@@ -54,7 +54,6 @@ var Registry = []Entry{
 	{"abl-timeout", "Ablation: prober timeout clipping", (*Lab).AblTimeout},
 	{"abl-scale", "Ablation: sample-count sensitivity of Table 2", (*Lab).AblScale},
 	{"abl-vantage", "Ablation: vantage-point consistency (§5.2)", (*Lab).AblVantage},
-	{"abl-streaming", "Ablation: streaming pipeline equivalence vs in-memory", (*Lab).AblStreaming},
 }
 
 // Find returns the registry entry with the given id.
@@ -67,45 +66,55 @@ func Find(id string) (Entry, bool) {
 	return Entry{}, false
 }
 
+// fig4Half is half of the 11-minute probing interval: the latency a
+// broadcast responder's replies are falsely matched at.
+const fig4Half = 330 * time.Second
+
+// fig4FalseMatch reports whether an address looks like Figure 4's false
+// match: it never answers its own probes, yet at least 70% of its three or
+// more delayed responses sit within 5 s of a multiple of fig4Half.
+func fig4FalseMatch(ar *core.AddressResult) bool {
+	if len(ar.Delayed) < 3 || len(ar.Matched) > 0 {
+		return false
+	}
+	hit := 0
+	for _, d := range ar.Delayed {
+		q := d % fig4Half
+		if q > fig4Half/2 {
+			q = fig4Half - q
+		}
+		if q <= 5*time.Second {
+			hit++
+		}
+	}
+	return float64(hit) >= 0.7*float64(len(ar.Delayed))
+}
+
 // Fig4 — the false-match scenario: a broadcast responder that never answers
 // its own probes repeatedly "responds" with a latency of half the probing
 // interval, because its broadcast replies are matched to its timed-out
-// direct probes.
+// direct probes. The example shown is the lowest such address.
 func (l *Lab) Fig4() (Report, error) {
 	m, err := l.Match()
 	if err != nil {
 		return Report{}, err
 	}
-	half := 330 * time.Second // half of the 11-minute interval
-	tol := 5 * time.Second
 	demo := ipaddr.Addr(0)
 	nearHalf, marked := 0, 0
 	for a, ar := range m.Addr {
-		if len(ar.Delayed) < 3 || len(ar.Matched) > 0 {
+		if !fig4FalseMatch(ar) {
 			continue
 		}
-		hit := 0
-		for _, d := range ar.Delayed {
-			q := d % half
-			if q > half/2 {
-				q = half - q
-			}
-			if q <= tol {
-				hit++
-			}
+		nearHalf++
+		if ar.Broadcast {
+			marked++
 		}
-		if float64(hit) >= 0.7*float64(len(ar.Delayed)) {
-			nearHalf++
-			if ar.Broadcast {
-				marked++
-			}
-			if demo == 0 {
-				demo = a
-			}
+		if demo == 0 || a < demo {
+			demo = a
 		}
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "addresses whose delayed responses repeat at multiples of %s: %d\n", half, nearHalf)
+	fmt.Fprintf(&b, "addresses whose delayed responses repeat at multiples of %s: %d\n", fig4Half, nearHalf)
 	fmt.Fprintf(&b, "of those, flagged by the broadcast filter: %d\n", marked)
 	if demo != 0 {
 		ar := m.Addr[demo]

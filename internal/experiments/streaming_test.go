@@ -9,12 +9,13 @@ import (
 	"timeouts/internal/survey"
 )
 
-// TestStreamingPipelineEquivalence is the acceptance check for the streaming
-// pipeline: for two population seeds, run a real (sharded) survey, serialize
+// TestStreamingPipelineEquivalence checks the ways a survey reaches the
+// matcher: for two population seeds, run a real (sharded) survey, serialize
 // the dataset in both binary formats, and require that streaming each
-// serialized dataset through core.StreamMatcher renders a report
-// byte-identical to the in-memory pipeline's. The scale keeps per-address
-// streams inside the exact-quantile buffer, where equivalence must be exact.
+// serialized dataset through core.StreamMatcher — what cmd/analyze does —
+// and probing the survey straight into one render reports byte-identical to
+// core.Match over the materialized records, with no address flagged out of
+// emission order.
 func TestStreamingPipelineEquivalence(t *testing.T) {
 	for _, seed := range []uint64{42, 1337} {
 		cfg := netmodel.Config{Seed: seed, Blocks: 96}
@@ -30,7 +31,15 @@ func TestStreamingPipelineEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: survey: %v", seed, err)
 		}
 		opt := core.MatchOptionsForCycles(scfg.Cycles)
-		want := core.RenderReport(core.Match(mem.Records, opt), false)
+		check := func(how string, res *core.Result) {
+			t.Helper()
+			if res.OutOfOrder != 0 {
+				t.Errorf("seed %d: %s: %d addresses out of emission order", seed, how, res.OutOfOrder)
+			}
+		}
+		res := core.Match(mem.Records, opt)
+		check("in memory", res)
+		want := core.RenderReport(res, false)
 
 		// Through each serialized dataset format.
 		hdr := survey.Header{Seed: seed, Vantage: 'w'}
@@ -54,50 +63,24 @@ func TestStreamingPipelineEquivalence(t *testing.T) {
 			if err := m.Consume(src); err != nil {
 				t.Fatalf("seed %d: consuming %s: %v", seed, name, err)
 			}
-			if got := core.RenderReport(m.Finalize(), false); got != want {
+			res := m.Finalize()
+			check(name, res)
+			if got := core.RenderReport(res, false); got != want {
 				t.Errorf("seed %d: streaming report over %s differs from in-memory:\n--- streaming ---\n%s--- in-memory ---\n%s",
 					seed, name, got, want)
 			}
 		}
 
 		// And with no dataset at all: the survey probing straight into the
-		// matcher, sharded, exactly as Lab.StreamMatch plumbs it.
+		// matcher, sharded.
 		m := core.NewStreamMatcher(opt)
 		if _, err := survey.RunSharded(scfg, 3, ShardFabric(pop), m); err != nil {
 			t.Fatalf("seed %d: direct streaming survey: %v", seed, err)
 		}
-		if got := core.RenderReport(m.Finalize(), false); got != want {
+		res = m.Finalize()
+		check("direct", res)
+		if got := core.RenderReport(res, false); got != want {
 			t.Errorf("seed %d: direct-plumbed streaming report differs from in-memory", seed)
-		}
-	}
-}
-
-// TestLabStreamQuantiles verifies the -stream lab path yields the same
-// quantiles the in-memory path memoizes.
-func TestLabStreamQuantiles(t *testing.T) {
-	scale := Quick
-	scale.Blocks = 64
-	scale.SurveyCycles = 6
-
-	inMem := NewLab(scale)
-	streamed := NewLab(scale)
-	streamed.Stream = true
-	streamed.Parallel = 2
-
-	qi, err := inMem.Quantiles()
-	if err != nil {
-		t.Fatalf("in-memory quantiles: %v", err)
-	}
-	qs, err := streamed.Quantiles()
-	if err != nil {
-		t.Fatalf("streaming quantiles: %v", err)
-	}
-	if len(qi) != len(qs) {
-		t.Fatalf("address counts differ: %d vs %d", len(qi), len(qs))
-	}
-	for a, v := range qi {
-		if qs[a] != v {
-			t.Fatalf("address %s: streaming %+v != in-memory %+v", a, qs[a], v)
 		}
 	}
 }

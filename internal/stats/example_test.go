@@ -57,14 +57,3 @@ func ExampleEWMA() {
 	// Output:
 	// 0.996
 }
-
-func ExampleStreamingQuantiles() {
-	s := stats.NewStreamingQuantiles()
-	for i := 1; i <= 1000; i++ {
-		s.Add(time.Duration(i) * time.Millisecond)
-	}
-	q := s.Quantiles()
-	fmt.Println(q.P50.Round(50 * time.Millisecond))
-	// Output:
-	// 500ms
-}
