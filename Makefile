@@ -148,7 +148,9 @@ metrics-check:
 # state at internet-demonstration scale — a 2^24-address scan and a
 # 4M-address survey — must finish with peak heap under the budget pinned in
 # scale_test.go (64 MB; per-address maps, since deleted, needed ~1.6 GB for
-# the scan). -count=1 because a cached pass never exercised the allocator.
+# the scan), and zmapscan's report of perfbench's 2^22-address scan under
+# 48 MB (keeping every response and a first-response map needed 83 MB).
+# -count=1 because a cached pass never exercised the allocator.
 scale-check:
 	SCALE_CHECK=1 $(GO) test -count=1 -run 'TestScaleCheck' -v .
 

@@ -102,11 +102,16 @@ func BenchmarkFig1SurveyDetectedCDF(b *testing.B) {
 	}
 }
 
+// BenchmarkFig2BroadcastLastOctets times Figure 2's report: the scan
+// report already holds the broadcast findings, so what remains is the
+// octet tally and its rendering.
 func BenchmarkFig2BroadcastLastOctets(b *testing.B) {
-	sc := benchLabScans(b, lab(b), 1)[0]
+	l := lab(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sc.Broadcast()
+		if _, err := l.Fig2(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -194,9 +199,9 @@ func BenchmarkTable3ZmapScans(b *testing.B) {
 // the same workload as BenchmarkTable3ZmapScans: one full stateless scan of
 // a 96-block population per iteration, at benchShards shard counts. The
 // population is built once and shared (each shard gets its own Model); the
-// merged output is byte-identical across all variants, so the
-// sub-benchmarks differ only in execution strategy. Speedup over shards=1
-// requires a multi-core runner.
+// merged report is identical across all variants, so the sub-benchmarks
+// differ only in execution strategy. Speedup over shards=1 requires a
+// multi-core runner.
 // benchShards is the fixed shard ladder of the parallel benchmarks. It does
 // not follow the host's CPU count, so every machine records the same
 // sub-benchmark names and BENCH_*.json files compare across hosts.
@@ -298,12 +303,14 @@ func BenchmarkFig11SatelliteScatter(b *testing.B) {
 	}
 }
 
-func benchScans(b *testing.B) ([]map[ipaddr.Addr]time.Duration, *ipmeta.DB) {
+// benchScans returns the lab's first three scans' per-/24 turtle tallies,
+// the rankings' input.
+func benchScans(b *testing.B) ([]core.ScanTallies, *ipmeta.DB) {
 	l := lab(b)
 	scans := benchLabScans(b, l, 3)
-	out := make([]map[ipaddr.Addr]time.Duration, len(scans))
+	out := make([]core.ScanTallies, len(scans))
 	for i, sc := range scans {
-		out[i] = sc.SelfResponses()
+		out[i] = sc.Turtles
 	}
 	return out, l.DB()
 }
@@ -312,7 +319,7 @@ func BenchmarkTable4TurtleASes(b *testing.B) {
 	scans, db := benchScans(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.RankASes(scans, db, core.TurtleThreshold, 10)
+		core.RankASes(scans, db, core.Turtles, 10)
 	}
 }
 
@@ -320,7 +327,7 @@ func BenchmarkTable5TurtleContinents(b *testing.B) {
 	scans, db := benchScans(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.RankContinents(scans, db, core.TurtleThreshold)
+		core.RankContinents(scans, db, core.Turtles)
 	}
 }
 
@@ -328,7 +335,7 @@ func BenchmarkTable6SleepyTurtleASes(b *testing.B) {
 	scans, db := benchScans(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.RankASes(scans, db, core.SleepyTurtleThreshold, 10)
+		core.RankASes(scans, db, core.SleepyTurtles, 10)
 	}
 }
 

@@ -11,15 +11,17 @@
 //	         [-metrics FILE] [-trace FILE] [-manifest FILE] [-debug-addr ADDR]
 //
 // With -parallel N (N > 1) the scan runs on the sharded parallel engine: N
-// contiguous shards of the probe permutation execute concurrently and the
-// response streams are merged deterministically, so the output is
-// byte-identical to the sequential scan. -parallel 0 selects one shard per
-// CPU.
+// contiguous shards of the probe permutation execute concurrently, each
+// reporting on the destinations it probed, and the shard reports add up to
+// the sequential scan's, so the output is byte-identical to it. -parallel 0
+// selects one shard per CPU.
 //
 // Scanner and model state is flat and rank-indexed (a self-rescheduling
-// probe pump, a first-response bitset, a bounded radio-state table), so
-// memory stays bounded at internet-size -blocks values; what grows with
-// the population is the response list the report is computed from.
+// probe pump, a first-response bitset, a bounded radio-state table), and
+// the report is built while responses arrive: each responder's first RTT
+// (8 bytes, for exact percentiles), per-/24 turtle tallies and the
+// broadcast findings. No response is kept, so memory stays bounded at
+// internet-size -blocks values.
 //
 // The -fault-* flags drive the deterministic fault-injection layer: matching
 // rates of in-flight packets are bit-flipped, truncated or duplicated inside
@@ -109,27 +111,18 @@ func main() {
 	src := ipaddr.MustParse("240.0.2.1")
 	cfg := zmapper.Config{
 		Src: src, Continent: ipmeta.NorthAmerica,
-		TargetN: pop.NumAddrs(), TargetAt: pop.AddrAt, TargetIndex: pop.IndexOf,
+		TargetN: pop.NumAddrs(), TargetAt: pop.AddrAt,
 		Duration: *duration, Seed: *scanseed,
 		Faults: plan,
 		Obs:    cli.Reg, Trace: cli.Tracer,
 	}
 
 	start := time.Now()
-	var sc *zmapper.Scan
-	var err error
-	if *parallel > 1 {
-		sc, err = zmapper.RunSharded(cfg, *parallel, func(int) simnet.Fabric {
-			model := netmodel.NewModel(pop)
-			model.AddVantage(src, ipmeta.NorthAmerica)
-			return model
-		})
-	} else {
+	sc, err := zmapper.RunSharded(cfg, *parallel, func(int) simnet.Fabric {
 		model := netmodel.NewModel(pop)
 		model.AddVantage(src, ipmeta.NorthAmerica)
-		net := simnet.NewNetwork(&simnet.Scheduler{}, model)
-		sc, err = zmapper.Run(net, cfg)
-	}
+		return model
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "zmapscan:", err)
 		os.Exit(1)
@@ -147,10 +140,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "zmapscan:", err)
 		os.Exit(1)
 	}
-	// The first-response map feeds both the percentiles and the rankings.
-	// It holds an entry per responder, so it is built once.
-	self := sc.SelfResponses()
-	rtts := zmapper.SortedRTTs(self)
+	rtts := sc.RTTPercentiles()
 	fmt.Printf("scanned %d addresses in %v (wall), %d responders\n",
 		sc.ProbesSent, time.Since(start).Round(time.Millisecond), len(rtts))
 	if plan != nil {
@@ -168,14 +158,14 @@ func main() {
 		100*stats.FracAbove(rtts, time.Second),
 		100*stats.FracAbove(rtts, 100*time.Second))
 
-	b := sc.Broadcast()
+	b := sc.Broadcast
 	fmt.Printf("broadcast responders: %d (triggered at octets 255:%d 0:%d 127:%d 128:%d)\n",
 		len(b.Responders), b.ProbedBroadcast[255], b.ProbedBroadcast[0],
 		b.ProbedBroadcast[127], b.ProbedBroadcast[128])
 
-	scans := []map[ipaddr.Addr]time.Duration{self}
+	scans := []core.ScanTallies{sc.Turtles}
 	fmt.Printf("\nASes with the most addresses >1s (turtles):\n%s",
-		core.FormatASRanks(core.RankASes(scans, pop.DB(), core.TurtleThreshold, *top)))
+		core.FormatASRanks(core.RankASes(scans, pop.DB(), core.Turtles, *top)))
 	fmt.Printf("\nContinents:\n%s",
-		core.FormatContinentRanks(core.RankContinents(scans, pop.DB(), core.TurtleThreshold)))
+		core.FormatContinentRanks(core.RankContinents(scans, pop.DB(), core.Turtles)))
 }

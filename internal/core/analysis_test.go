@@ -285,25 +285,25 @@ func TestRetryCorrelationCountsLoss(t *testing.T) {
 }
 
 // synthetic scans for ranking tests.
-func synthScans(db *ipmeta.DB, cellular, wired ipaddr.Prefix24) []map[ipaddr.Addr]time.Duration {
-	mk := func() map[ipaddr.Addr]time.Duration {
-		m := map[ipaddr.Addr]time.Duration{}
+func synthScans(db *ipmeta.DB, cellular, wired ipaddr.Prefix24) []ScanTallies {
+	mk := func() ScanTallies {
+		m := ScanTallies{}
 		for i := 0; i < 100; i++ {
 			// Cellular: 80 of 100 are turtles; wired: 2 of 100.
 			if i < 80 {
-				m[cellular.Addr(byte(i))] = 2 * time.Second
+				m.Add(cellular.Addr(byte(i)), 2*time.Second)
 			} else {
-				m[cellular.Addr(byte(i))] = 300 * time.Millisecond
+				m.Add(cellular.Addr(byte(i)), 300*time.Millisecond)
 			}
 			if i < 2 {
-				m[wired.Addr(byte(i))] = 3 * time.Second
+				m.Add(wired.Addr(byte(i)), 3*time.Second)
 			} else {
-				m[wired.Addr(byte(i))] = 100 * time.Millisecond
+				m.Add(wired.Addr(byte(i)), 100*time.Millisecond)
 			}
 		}
 		return m
 	}
-	return []map[ipaddr.Addr]time.Duration{mk(), mk(), mk()}
+	return []ScanTallies{mk(), mk(), mk()}
 }
 
 func TestRankASes(t *testing.T) {
@@ -317,7 +317,7 @@ func TestRankASes(t *testing.T) {
 		t.Fatal(err)
 	}
 	scans := synthScans(db, cellPfx, wirePfx)
-	rows := RankASes(scans, db, TurtleThreshold, 10)
+	rows := RankASes(scans, db, Turtles, 10)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -353,7 +353,7 @@ func TestRankContinents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := RankContinents(synthScans(db, cellPfx, wirePfx), db, TurtleThreshold)
+	rows := RankContinents(synthScans(db, cellPfx, wirePfx), db, Turtles)
 	if rows[0].Continent != ipmeta.SouthAmerica {
 		t.Errorf("top continent = %v", rows[0].Continent)
 	}

@@ -17,6 +17,53 @@ const (
 	SleepyTurtleThreshold = 100 * time.Second
 )
 
+// Tier selects which of the two thresholds a ranking counts addresses
+// above.
+type Tier uint8
+
+const (
+	Turtles       Tier = iota // above TurtleThreshold (Tables 4 and 5)
+	SleepyTurtles             // above SleepyTurtleThreshold (Table 6)
+	numTiers
+)
+
+// TurtleTally is one /24's showing in one scan: its responding addresses,
+// and how many of them answered above each tier's threshold.
+type TurtleTally struct {
+	Responders uint32
+	Above      [numTiers]uint32
+}
+
+// ScanTallies is what the rankings need of one scan: a TurtleTally per /24
+// with a responder, so its size follows the /24s rather than the addresses.
+type ScanTallies map[ipaddr.Prefix24]TurtleTally
+
+// Add counts one responding address with its RTT.
+func (s ScanTallies) Add(a ipaddr.Addr, rtt time.Duration) {
+	p := a.Prefix()
+	t := s[p]
+	t.Responders++
+	if rtt > TurtleThreshold {
+		t.Above[Turtles]++
+	}
+	if rtt > SleepyTurtleThreshold {
+		t.Above[SleepyTurtles]++
+	}
+	s[p] = t
+}
+
+// Merge adds o's tallies into s.
+func (s ScanTallies) Merge(o ScanTallies) {
+	for p, t := range o {
+		m := s[p]
+		m.Responders += t.Responders
+		for i, n := range t.Above {
+			m.Above[i] += n
+		}
+		s[p] = m
+	}
+}
+
 // ScanCount is one AS's (or continent's) showing in one scan.
 type ScanCount struct {
 	Count  uint64  // addresses above the threshold
@@ -33,11 +80,11 @@ type ASRank struct {
 	Total   uint64
 }
 
-// RankASes builds the Table 4/6 ranking: for each scan (a map of responding
-// address to its RTT), count per AS the addresses above the threshold, rank
-// ASes within each scan, then order by the cross-scan total and return the
-// top n (or all, if n <= 0).
-func RankASes(scans []map[ipaddr.Addr]time.Duration, db *ipmeta.DB, threshold time.Duration, n int) []ASRank {
+// RankASes builds the Table 4/6 ranking: for each scan, count per AS the
+// responders and those above the tier's threshold, rank ASes within each
+// scan, then order by the cross-scan total and return the top n (or all,
+// if n <= 0).
+func RankASes(scans []ScanTallies, db *ipmeta.DB, tier Tier, n int) []ASRank {
 	type key = uint32
 	asInfo := make(map[key]ipmeta.AS)
 	counts := make(map[key][]ScanCount)
@@ -49,16 +96,14 @@ func RankASes(scans []map[ipaddr.Addr]time.Duration, db *ipmeta.DB, threshold ti
 		return counts[as.ASN]
 	}
 	for si, scan := range scans {
-		for a, rtt := range scan {
-			as, ok := db.Lookup(a)
+		for p, t := range scan {
+			as, ok := db.LookupPrefix(p)
 			if !ok {
 				continue
 			}
 			sc := ensure(as)
-			sc[si].Probed++
-			if rtt > threshold {
-				sc[si].Count++
-			}
+			sc[si].Probed += uint64(t.Responders)
+			sc[si].Count += uint64(t.Above[tier])
 		}
 		// Rank within the scan.
 		asns := make([]key, 0, len(counts))
@@ -140,24 +185,23 @@ type ContinentRank struct {
 	Total     uint64
 }
 
-// RankContinents builds Table 5: turtles per continent per scan.
-func RankContinents(scans []map[ipaddr.Addr]time.Duration, db *ipmeta.DB, threshold time.Duration) []ContinentRank {
+// RankContinents builds Table 5: addresses above the tier's threshold per
+// continent per scan.
+func RankContinents(scans []ScanTallies, db *ipmeta.DB, tier Tier) []ContinentRank {
 	rows := make([]ContinentRank, ipmeta.NumContinents)
 	for c := range rows {
 		rows[c].Continent = ipmeta.Continent(c)
 		rows[c].PerScan = make([]ScanCount, len(scans))
 	}
 	for si, scan := range scans {
-		for a, rtt := range scan {
-			as, ok := db.Lookup(a)
+		for p, t := range scan {
+			as, ok := db.LookupPrefix(p)
 			if !ok {
 				continue
 			}
 			sc := &rows[as.Continent].PerScan[si]
-			sc.Probed++
-			if rtt > threshold {
-				sc.Count++
-			}
+			sc.Probed += uint64(t.Responders)
+			sc.Count += uint64(t.Above[tier])
 		}
 		for c := range rows {
 			sc := &rows[c].PerScan[si]

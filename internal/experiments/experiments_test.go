@@ -105,7 +105,7 @@ func TestTurtleASRankingIsCellular(t *testing.T) {
 	if err != nil {
 		t.Fatalf("turtleScans: %v", err)
 	}
-	rows := core.RankASes(turtles, testLab.DB(), core.TurtleThreshold, 10)
+	rows := core.RankASes(turtles, testLab.DB(), core.Turtles, 10)
 	if len(rows) < 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -123,7 +123,7 @@ func TestBroadcastFilterAgainstZmapTruth(t *testing.T) {
 	if len(flagged) == 0 {
 		t.Fatal("filter flagged nothing")
 	}
-	truth := mustScans(t, testLab, 1)[0].Broadcast().Responders
+	truth := mustScans(t, testLab, 1)[0].Broadcast.Responders
 	if len(truth) == 0 {
 		t.Fatal("Zmap found no broadcast responders")
 	}
@@ -215,8 +215,8 @@ func TestScanInventoryGrowth(t *testing.T) {
 	// Later scans see at least as many responders as early ones (late
 	// joiners), and the spread stays modest.
 	scans := mustScans(t, testLab, 3)
-	n0 := len(scans[0].SelfResponses())
-	n2 := len(scans[2].SelfResponses())
+	n0 := len(scans[0].RTTPercentiles())
+	n2 := len(scans[2].RTTPercentiles())
 	if n2 < n0 {
 		t.Errorf("responders shrank: %d -> %d", n0, n2)
 	}

@@ -51,7 +51,7 @@ func (l *Lab) ExportData(dir string) error {
 	if err != nil {
 		return err
 	}
-	bf := oneScan[0].Broadcast()
+	bf := oneScan[0].Broadcast
 	w.write("fig2_octets.csv", []string{"octet", "count"}, func(emit func(...string)) {
 		for o := 0; o < 256; o++ {
 			emit(strconv.Itoa(o), strconv.Itoa(bf.ProbedBroadcast[o]))

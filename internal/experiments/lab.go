@@ -84,8 +84,9 @@ type Lab struct {
 
 	// Parallel, when > 1, runs the survey and Zmap workloads on the
 	// sharded parallel engine with that many shards (zmapper.RunSharded,
-	// survey.RunSharded). The engine's ordered merge makes the datasets
-	// byte-identical to the sequential run, so every experiment in the
+	// survey.RunSharded). The survey's ordered merge makes the dataset
+	// byte-identical to the sequential run, and sharded scan reports merge
+	// into exactly the one-shard report, so every experiment in the
 	// registry works unchanged either way — parallelism is purely an
 	// execution-speed opt-in (cmd/reproduce's -parallel flag).
 	Parallel int
@@ -212,44 +213,37 @@ func (l *Lab) Quantiles() (map[ipaddr.Addr]stats.Quantiles, error) {
 	return l.quantiles, nil
 }
 
-// Scans returns at least n memoized Zmap scans, started days apart at
-// varying times of day like the paper's Table 3 schedule.
+// Scans returns at least n memoized Zmap scan reports, started days apart
+// at varying times of day like the paper's Table 3 schedule.
 func (l *Lab) Scans(n int) ([]*zmapper.Scan, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for len(l.scans) < n {
-		i := len(l.scans)
-		// Scans a week apart, alternating start hours (12:07, 02:44, ...).
-		startHour := []float64{12.1, 2.7, 12.1, 13.9, 0.95, 12.0}[i%6]
-		start := simnet.Time(float64(i*7)*24*float64(time.Hour) + startHour*float64(time.Hour))
-		var (
-			sc  *zmapper.Scan
-			err error
-		)
-		cfg := zmapper.Config{
-			Src:       zmapSrc,
-			Continent: ipmeta.NorthAmerica,
-			Duration:  90 * time.Minute,
-			Start:     start,
-			Seed:      l.Scale.Seed + uint64(i)*1000003,
-			Obs:       l.Obs,
-			Trace:     l.Trace,
-		}
-		if l.Parallel > 1 {
-			pop := netmodel.New(l.popCfg)
-			cfg.TargetN, cfg.TargetAt, cfg.TargetIndex = pop.NumAddrs(), pop.AddrAt, pop.IndexOf
-			sc, err = zmapper.RunSharded(cfg, l.Parallel, ShardFabric(pop))
-		} else {
-			w := NewWorld(l.popCfg)
-			cfg.TargetN, cfg.TargetAt, cfg.TargetIndex = w.Pop.NumAddrs(), w.Pop.AddrAt, w.Pop.IndexOf
-			sc, err = zmapper.Run(w.Net, cfg)
-		}
+		pop := netmodel.New(l.popCfg)
+		sc, err := zmapper.RunSharded(l.scanConfig(len(l.scans), pop), l.Parallel, ShardFabric(pop))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: zmap scan failed: %w", err)
 		}
 		l.scans = append(l.scans, sc)
 	}
 	return l.scans[:n], nil
+}
+
+// scanConfig is the config of the lab's i-th Zmap scan over pop: scans a
+// week apart, at alternating start hours (12:07, 02:44, ...).
+func (l *Lab) scanConfig(i int, pop *netmodel.Population) zmapper.Config {
+	startHour := []float64{12.1, 2.7, 12.1, 13.9, 0.95, 12.0}[i%6]
+	return zmapper.Config{
+		Src:       zmapSrc,
+		Continent: ipmeta.NorthAmerica,
+		TargetN:   pop.NumAddrs(),
+		TargetAt:  pop.AddrAt,
+		Duration:  90 * time.Minute,
+		Start:     simnet.Time(float64(i*7)*24*float64(time.Hour) + startHour*float64(time.Hour)),
+		Seed:      l.Scale.Seed + uint64(i)*1000003,
+		Obs:       l.Obs,
+		Trace:     l.Trace,
+	}
 }
 
 // DB builds the metadata database for the lab's population.

@@ -1,12 +1,16 @@
 package experiments
 
-import "testing"
+import (
+	"reflect"
+	"slices"
+	"testing"
+)
 
 // TestParallelLabMatchesSequential runs the lab's shared workloads — the
-// survey dataset and the Zmap scans every experiment is built on — through
-// the sharded parallel engine and checks them against the sequential lab.
-// Byte-identical datasets here mean every experiment in the registry reports
-// the same numbers regardless of -parallel.
+// survey dataset and the Zmap scan reports every experiment is built on —
+// through the sharded parallel engine and checks them against the
+// sequential lab. Identical datasets and reports here mean every experiment
+// in the registry reports the same numbers regardless of -parallel.
 func TestParallelLabMatchesSequential(t *testing.T) {
 	scale := Scale{Seed: 9, Blocks: 64, SurveyCycles: 2, ZmapScans: 1, SampleAddrs: 10, TrainPings: 10}
 	seq := NewLab(scale)
@@ -43,18 +47,14 @@ func TestParallelLabMatchesSequential(t *testing.T) {
 	}
 	for k := range seqScans {
 		s, p := seqScans[k], parScans[k]
-		if p.ProbesSent != s.ProbesSent || p.PacketsReceived != s.PacketsReceived {
-			t.Errorf("scan %d: probes/packets %d/%d, sequential %d/%d",
-				k, p.ProbesSent, p.PacketsReceived, s.ProbesSent, s.PacketsReceived)
+		if p.Counters != s.Counters {
+			t.Errorf("scan %d: counters %+v, sequential %+v", k, p.Counters, s.Counters)
 		}
-		if len(p.Responses) != len(s.Responses) {
-			t.Fatalf("scan %d: %d responses, sequential %d", k, len(p.Responses), len(s.Responses))
+		if !slices.Equal(p.RTTPercentiles(), s.RTTPercentiles()) {
+			t.Errorf("scan %d: %d RTTs differ from the sequential %d", k, len(p.RTTPercentiles()), len(s.RTTPercentiles()))
 		}
-		for i := range s.Responses {
-			if p.Responses[i] != s.Responses[i] {
-				t.Fatalf("scan %d response %d = %+v, sequential %+v",
-					k, i, p.Responses[i], s.Responses[i])
-			}
+		if !reflect.DeepEqual(p.Turtles, s.Turtles) || !reflect.DeepEqual(p.Broadcast, s.Broadcast) {
+			t.Errorf("scan %d: turtle tallies or broadcast findings differ from the sequential scan's", k)
 		}
 	}
 }

@@ -263,7 +263,7 @@ func (l *Lab) AblFilter() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	truth := scans[0].Broadcast().Responders
+	truth := scans[0].Broadcast.Responders
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "%8s %8s %12s %12s %12s\n", "alpha", "mark", "flagged", "recall", "collateral")

@@ -9,8 +9,10 @@ import (
 	"testing"
 
 	"timeouts/internal/core"
+	"timeouts/internal/netmodel"
 	"timeouts/internal/obs"
 	"timeouts/internal/survey"
+	"timeouts/internal/zmapper"
 )
 
 // goldenScales fixes the workloads whose outputs the golden hashes below
@@ -31,7 +33,8 @@ var (
 )
 
 // transportGoldens are SHA-256 hashes of each fixed-seed workload's survey
-// dataset, scan response stream, metric snapshot, deterministic manifest
+// dataset, scan response stream (the lab's first scan through
+// zmapper.RunShardedInto), metric snapshot, deterministic manifest
 // section, and streaming-matcher report (with the snapshot after it ran),
 // keyed "<scale>/seed<N>/<component>".
 //
@@ -110,18 +113,27 @@ func runDiffWorkloads(t *testing.T, sc Scale, parallel int) map[string]string {
 		t.Fatal(err)
 	}
 
-	scans, err := lab.Scans(1)
-	if err != nil {
+	if _, err := lab.Scans(1); err != nil {
 		t.Fatal(err)
 	}
-	if len(scans[0].Responses) == 0 {
-		t.Fatal("scan produced no responses; differential check is vacuous")
-	}
+	// The lab keeps the scan's report; its raw response stream is the
+	// same scan again through RunShardedInto, collecting nothing on the
+	// lab's registry or tracer.
+	pop := netmodel.New(lab.PopConfig())
+	cfg := lab.scanConfig(0, pop)
+	cfg.Obs, cfg.Trace = nil, nil
 	zh := sha256.New()
-	for _, r := range scans[0].Responses {
+	responses := 0
+	if _, err := zmapper.RunShardedInto(cfg, parallel, ShardFabric(pop), func(r zmapper.Response) {
+		responses++
 		binary.Write(zh, binary.BigEndian, uint32(r.Dst))
 		binary.Write(zh, binary.BigEndian, uint32(r.Src))
 		binary.Write(zh, binary.BigEndian, int64(r.RTT))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if responses == 0 {
+		t.Fatal("scan produced no responses; differential check is vacuous")
 	}
 
 	var snap bytes.Buffer

@@ -19,8 +19,7 @@ func (l *Lab) Fig2() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	sc := scans[0]
-	f := sc.Broadcast()
+	f := scans[0].Broadcast
 	var bcastLike, other uint64
 	var nOther int
 	for o := 0; o < 256; o++ {
@@ -61,7 +60,7 @@ func (l *Lab) Tab3() (Report, error) {
 	fmt.Fprintf(&b, "%6s %14s %12s %12s\n", "scan", "start", "probes", "responders")
 	min, max := -1, -1
 	for i, sc := range scans {
-		n := len(sc.SelfResponses())
+		n := len(sc.RTTPercentiles())
 		if min < 0 || n < min {
 			min = n
 		}
@@ -127,16 +126,16 @@ func (l *Lab) Fig7() (Report, error) {
 	}, nil
 }
 
-// turtleScans converts scans to per-address RTT maps for the ranking
-// analyses.
-func (l *Lab) turtleScans(n int) ([]map[ipaddr.Addr]time.Duration, error) {
+// turtleScans returns the first n scans' per-/24 turtle tallies, the
+// input of the ranking analyses.
+func (l *Lab) turtleScans(n int) ([]core.ScanTallies, error) {
 	scans, err := l.Scans(n)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]map[ipaddr.Addr]time.Duration, len(scans))
+	out := make([]core.ScanTallies, len(scans))
 	for i, sc := range scans {
-		out[i] = sc.SelfResponses()
+		out[i] = sc.Turtles
 	}
 	return out, nil
 }
@@ -148,7 +147,7 @@ func (l *Lab) Tab4() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	rows := core.RankASes(scans, l.DB(), core.TurtleThreshold, 10)
+	rows := core.RankASes(scans, l.DB(), core.Turtles, 10)
 	body := core.FormatASRanks(rows)
 	cellShare := core.CellularShare(rows)
 	ratio := 0.0
@@ -188,7 +187,7 @@ func (l *Lab) Tab5() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	rows := core.RankContinents(scans, l.DB(), core.TurtleThreshold)
+	rows := core.RankContinents(scans, l.DB(), core.Turtles)
 	body := core.FormatContinentRanks(rows)
 	pct := func(c ipmeta.Continent) float64 {
 		for _, r := range rows {
@@ -239,7 +238,7 @@ func (l *Lab) Tab6() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	rows := core.RankASes(scans, l.DB(), core.SleepyTurtleThreshold, 10)
+	rows := core.RankASes(scans, l.DB(), core.SleepyTurtles, 10)
 	body := core.FormatASRanks(rows)
 	cellShare := core.CellularShare(rows)
 	top := "-"

@@ -26,29 +26,31 @@ func chaosScanConfig(seed uint64, plan *faults.Plan) (Config, func(int) simnet.F
 	return cfg, scanFabric(pop, src)
 }
 
-func chaosScan(t *testing.T, seed uint64, plan *faults.Plan) *Scan {
-	t.Helper()
-	cfg, fabric := chaosScanConfig(seed, plan)
-	sc, err := Run(simnet.NewNetwork(&simnet.Scheduler{}, fabric(0)), cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	return sc
+// chaosRun is one scan's raw response stream and counters.
+type chaosRun struct {
+	Counters
+	responses []Response
 }
 
-func chaosScansEqual(t *testing.T, label string, a, b *Scan) {
+func chaosScan(t *testing.T, seed uint64, plan *faults.Plan, shards int) chaosRun {
 	t.Helper()
-	if a.ProbesSent != b.ProbesSent || a.PacketsReceived != b.PacketsReceived || a.CorruptPackets != b.CorruptPackets {
-		t.Fatalf("%s: counters differ: %d/%d/%d vs %d/%d/%d", label,
-			a.ProbesSent, a.PacketsReceived, a.CorruptPackets,
-			b.ProbesSent, b.PacketsReceived, b.CorruptPackets)
+	cfg, fabric := chaosScanConfig(seed, plan)
+	var run chaosRun
+	run.responses, run.Counters = rawStream(t, cfg, shards, fabric)
+	return run
+}
+
+func chaosScansEqual(t *testing.T, label string, a, b chaosRun) {
+	t.Helper()
+	if a.Counters != b.Counters {
+		t.Fatalf("%s: counters differ: %+v vs %+v", label, a.Counters, b.Counters)
 	}
-	if len(a.Responses) != len(b.Responses) {
-		t.Fatalf("%s: %d responses vs %d", label, len(a.Responses), len(b.Responses))
+	if len(a.responses) != len(b.responses) {
+		t.Fatalf("%s: %d responses vs %d", label, len(a.responses), len(b.responses))
 	}
-	for i := range a.Responses {
-		if a.Responses[i] != b.Responses[i] {
-			t.Fatalf("%s: response %d differs: %+v vs %+v", label, i, a.Responses[i], b.Responses[i])
+	for i := range a.responses {
+		if a.responses[i] != b.responses[i] {
+			t.Fatalf("%s: response %d differs: %+v vs %+v", label, i, a.responses[i], b.responses[i])
 		}
 	}
 }
@@ -62,8 +64,8 @@ func chaosScanPlan(seed uint64) *faults.Plan {
 
 // TestChaosScanFaultOffIdentical: a zero-rate plan must not perturb the scan.
 func TestChaosScanFaultOffIdentical(t *testing.T) {
-	base := chaosScan(t, 5, nil)
-	zero := chaosScan(t, 5, &faults.Plan{Seed: 42})
+	base := chaosScan(t, 5, nil, 1)
+	zero := chaosScan(t, 5, &faults.Plan{Seed: 42}, 1)
 	chaosScansEqual(t, "zero-rate plan", base, zero)
 	if base.CorruptPackets != 0 {
 		t.Fatalf("fault-off scan counted %d corrupt packets", base.CorruptPackets)
@@ -73,23 +75,18 @@ func TestChaosScanFaultOffIdentical(t *testing.T) {
 // TestChaosScanWireFaultsDeterministic: same fault seed, same faulted scan —
 // sequential and sharded alike.
 func TestChaosScanWireFaultsDeterministic(t *testing.T) {
-	a := chaosScan(t, 5, chaosScanPlan(1))
-	b := chaosScan(t, 5, chaosScanPlan(1))
+	a := chaosScan(t, 5, chaosScanPlan(1), 1)
+	b := chaosScan(t, 5, chaosScanPlan(1), 1)
 	chaosScansEqual(t, "repeat run", a, b)
 	if a.CorruptPackets == 0 {
 		t.Fatal("fault plan injected no corrupt packets; test is vacuous")
 	}
-	base := chaosScan(t, 5, nil)
-	if len(a.Responses) == len(base.Responses) && a.CorruptPackets == 0 {
+	base := chaosScan(t, 5, nil, 1)
+	if len(a.responses) == len(base.responses) && a.CorruptPackets == 0 {
 		t.Fatal("fault-on scan indistinguishable from fault-off scan")
 	}
 	for _, shards := range []int{2, 4} {
-		cfg, fabric := chaosScanConfig(5, chaosScanPlan(1))
-		par, err := RunSharded(cfg, shards, fabric)
-		if err != nil {
-			t.Fatalf("RunSharded(%d): %v", shards, err)
-		}
-		chaosScansEqual(t, "sharded run", a, par)
+		chaosScansEqual(t, "sharded run", a, chaosScan(t, 5, chaosScanPlan(1), shards))
 	}
 }
 

@@ -26,25 +26,32 @@ func snapJSON(t *testing.T, reg *obs.Registry) []byte {
 	return buf.Bytes()
 }
 
-// scanDigest hashes everything a scan's determinism contract covers: the
-// response stream in order, the probe/packet/corrupt counters, and the
-// deterministic metric snapshot.
-func scanDigest(t *testing.T, sc *Scan, reg *obs.Registry) string {
+// scanDigest runs cfg through RunShardedInto and hashes everything a
+// scan's determinism contract covers: the raw response stream in order, the
+// probe/packet/corrupt counters, and the deterministic metric snapshot. It
+// also returns the number of responses.
+func scanDigest(t *testing.T, cfg Config, shards int, fabric func(int) simnet.Fabric) (string, int) {
 	t.Helper()
 	h := sha256.New()
-	for _, r := range sc.Responses {
+	n := 0
+	counts, err := RunShardedInto(cfg, shards, fabric, func(r Response) {
+		n++
 		binary.Write(h, binary.BigEndian, [3]int64{int64(r.Dst), int64(r.Src), int64(r.RTT)})
+	})
+	if err != nil {
+		t.Fatalf("RunShardedInto(%d): %v", shards, err)
 	}
-	binary.Write(h, binary.BigEndian, [3]uint64{sc.ProbesSent, sc.PacketsReceived, sc.CorruptPackets})
-	h.Write(snapJSON(t, reg))
-	return hex.EncodeToString(h.Sum(nil))
+	binary.Write(h, binary.BigEndian, [3]uint64{counts.ProbesSent, counts.PacketsReceived, counts.CorruptPackets})
+	h.Write(snapJSON(t, cfg.Obs))
+	return hex.EncodeToString(h.Sum(nil)), n
 }
 
 // scanGoldens are scanDigest values pinned from the map-backed scanner
 // this package used to carry next to the dense one: one preallocated
 // event per probe, a first-self-response map, and the model's per-address
 // radio map. The dense scanner (pump event, seeked permutation, bitset
-// self-tracking, bounded radio table) must reproduce them byte for byte.
+// self-tracking, bounded radio table) must reproduce them byte for byte on
+// its raw response stream.
 var scanGoldens = map[string]string{
 	"pow2/seed5":     "0fba7062a654fbddb2bad4e560aebf04418fc167d9ab792ded9950435725f710",
 	"pow2/seed99":    "0cfef7bb91b955d637d32b0b68707dc3c18471ea1ea8ab21423140e35c974567",
@@ -52,10 +59,10 @@ var scanGoldens = map[string]string{
 	"nonpow2/seed99": "1a9dd690da6f8621503fae5e6468b8a07545bd00164fc39a71a48ab7920f48ac",
 }
 
-// TestScanDenseMatchesMap pins the scanner's output to the map path's
-// goldens, sequentially and across shard counts, for both power-of-two and
-// non-power-of-two populations (the latter exercising the permutation's
-// walked Seek).
+// TestScanDenseMatchesMap pins the scanner's raw response stream to the
+// map path's goldens, in one shard and across shard counts, for both
+// power-of-two and non-power-of-two populations (the latter exercising the
+// permutation's walked Seek).
 func TestScanDenseMatchesMap(t *testing.T) {
 	src := ipaddr.MustParse("240.0.2.1")
 	cases := []struct {
@@ -74,37 +81,22 @@ func TestScanDenseMatchesMap(t *testing.T) {
 			name := fmt.Sprintf("%s/seed%d", cat.name, seed)
 			t.Run(name, func(t *testing.T) {
 				pop := netmodel.New(netmodel.Config{Seed: seed, Blocks: cat.blocks, Catalog: cat.catalog})
-				base := Config{
+				cfg := Config{
 					Src: src, Continent: ipmeta.NorthAmerica,
-					TargetN: pop.NumAddrs(), TargetAt: pop.AddrAt, TargetIndex: pop.IndexOf,
+					TargetN: pop.NumAddrs(), TargetAt: pop.AddrAt,
 					Duration: 10 * time.Minute, Seed: seed,
 				}
-				check := func(mode string, sc *Scan, reg *obs.Registry) {
-					t.Helper()
-					if len(sc.Responses) == 0 {
-						t.Fatalf("%s: no responses; the golden check is vacuous", mode)
-					}
-					if got := scanDigest(t, sc, reg); got != scanGoldens[name] {
-						t.Errorf("%s: digest %s, map-path golden %q", mode, got, scanGoldens[name])
-					}
-				}
-
-				cfg := base
-				cfg.Obs = obs.NewRegistry()
-				seq, err := Run(simnet.NewNetwork(&simnet.Scheduler{}, scanFabric(pop, src)(0)), cfg)
-				if err != nil {
-					t.Fatalf("Run: %v", err)
-				}
-				check("sequential", seq, cfg.Obs)
-
+				// One shard streams in the sequential scan's event order;
+				// more shards merge back into it.
 				for _, shards := range []int{1, 4, 8} {
-					scfg := base
-					scfg.Obs = obs.NewRegistry()
-					par, err := RunSharded(scfg, shards, scanFabric(pop, src))
-					if err != nil {
-						t.Fatalf("RunSharded(%d): %v", shards, err)
+					cfg.Obs = obs.NewRegistry()
+					got, n := scanDigest(t, cfg, shards, scanFabric(pop, src))
+					if n == 0 {
+						t.Fatalf("shards=%d: no responses; the golden check is vacuous", shards)
 					}
-					check(fmt.Sprintf("shards=%d", shards), par, scfg.Obs)
+					if got != scanGoldens[name] {
+						t.Errorf("shards=%d: digest %s, map-path golden %q", shards, got, scanGoldens[name])
+					}
 				}
 			})
 		}

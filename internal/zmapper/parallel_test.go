@@ -2,6 +2,8 @@ package zmapper
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -76,37 +78,46 @@ func TestRunShardedMatchesSequential(t *testing.T) {
 				}
 				fabric := scanFabric(pop, src)
 
-				seq, err := Run(simnet.NewNetwork(&simnet.Scheduler{}, fabric(0)), cfg)
+				seq, seqCounts := rawStream(t, cfg, 1, fabric)
+				if len(seq) == 0 {
+					t.Fatal("sequential scan saw no responses; equivalence check is vacuous")
+				}
+				report, err := Run(simnet.NewNetwork(&simnet.Scheduler{}, fabric(0)), cfg)
 				if err != nil {
 					t.Fatalf("Run: %v", err)
 				}
-				if len(seq.Responses) == 0 {
-					t.Fatal("sequential scan saw no responses; equivalence check is vacuous")
-				}
 
 				for _, shards := range parallelShards {
-					par, err := RunSharded(cfg, shards, fabric)
+					par, parCounts := rawStream(t, cfg, shards, fabric)
+					if parCounts != seqCounts {
+						t.Errorf("shards=%d: counters %+v, sequential %+v", shards, parCounts, seqCounts)
+					}
+					if len(par) != len(seq) {
+						t.Fatalf("shards=%d: %d responses, sequential %d", shards, len(par), len(seq))
+					}
+					for i := range seq {
+						if par[i] != seq[i] {
+							t.Fatalf("shards=%d: response %d = %+v, sequential %+v", shards, i, par[i], seq[i])
+						}
+					}
+					sharded, err := RunSharded(cfg, shards, fabric)
 					if err != nil {
 						t.Fatalf("RunSharded(%d): %v", shards, err)
 					}
-					if par.ProbesSent != seq.ProbesSent || par.PacketsReceived != seq.PacketsReceived {
-						t.Errorf("shards=%d: probes/packets %d/%d, sequential %d/%d",
-							shards, par.ProbesSent, par.PacketsReceived, seq.ProbesSent, seq.PacketsReceived)
-					}
-					if len(par.Responses) != len(seq.Responses) {
-						t.Fatalf("shards=%d: %d responses, sequential %d",
-							shards, len(par.Responses), len(seq.Responses))
-					}
-					for i := range seq.Responses {
-						if par.Responses[i] != seq.Responses[i] {
-							t.Fatalf("shards=%d: response %d = %+v, sequential %+v",
-								shards, i, par.Responses[i], seq.Responses[i])
-						}
+					if !reportsEqual(sharded, report) {
+						t.Errorf("shards=%d: report differs from the sequential Run's", shards)
 					}
 				}
 			})
 		}
 	}
+}
+
+// reportsEqual reports whether two scan reports hold the same counters,
+// RTTs, tallies and broadcast findings.
+func reportsEqual(a, b *Scan) bool {
+	return a.Counters == b.Counters && slices.Equal(a.RTTPercentiles(), b.RTTPercentiles()) &&
+		reflect.DeepEqual(a.Turtles, b.Turtles) && reflect.DeepEqual(a.Broadcast, b.Broadcast)
 }
 
 func TestRunShardedClampsShardCount(t *testing.T) {

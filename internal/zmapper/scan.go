@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"timeouts/internal/core"
 	"timeouts/internal/faults"
 	"timeouts/internal/ipaddr"
 	"timeouts/internal/ipmeta"
@@ -48,7 +49,7 @@ type Config struct {
 	// Obs optionally collects the scan's metrics (nil: none): probe and
 	// response counters, per-probe RTT histograms (zmap.rtt over every
 	// response, zmap.rtt_first_self over the first self-response per
-	// address — the sample set the analysis side consumes), and the
+	// address — the sample set the scan report keeps), and the
 	// network/scheduler substrate metrics. Deterministic metrics are
 	// partition-invariant: a sharded run merges per-shard registries into
 	// Obs and the deterministic snapshot is byte-identical to a sequential
@@ -57,14 +58,10 @@ type Config struct {
 	// Trace optionally records the scan's sim-time phases (probing, drain)
 	// — deterministic per seed — plus wall-clock diagnostics.
 	Trace *obs.Tracer
-	// TargetIndex inverts TargetAt: the dense index of an address, or a
-	// negative value for addresses outside the population. Required when
-	// Obs is set: the zmap.rtt_first_self histogram tracks which targets
-	// have answered in a bitset indexed by it.
-	TargetIndex func(ipaddr.Addr) int
 }
 
-// Response is one echo response as the stateless scanner sees it.
+// Response is one echo response as the stateless scanner sees it: an
+// element of RunShardedInto's raw stream.
 type Response struct {
 	// Dst is the probed destination recovered from the payload.
 	Dst ipaddr.Addr
@@ -75,10 +72,8 @@ type Response struct {
 	RTT time.Duration
 }
 
-// Scan is the result of one run.
-type Scan struct {
-	Cfg       Config
-	Responses []Response
+// Counters are a scan's packet counts.
+type Counters struct {
 	// ProbesSent counts probes; PacketsReceived counts every response
 	// packet including duplicate bursts.
 	ProbesSent      uint64
@@ -88,6 +83,106 @@ type Scan struct {
 	// skips past (nonzero only under a fault plan or foreign traffic).
 	CorruptPackets uint64
 }
+
+func (c *Counters) add(o Counters) {
+	c.ProbesSent += o.ProbesSent
+	c.PacketsReceived += o.PacketsReceived
+	c.CorruptPackets += o.CorruptPackets
+}
+
+// Scan is one scan's report: what the paper's Zmap analyses (Figures 2
+// and 7, Tables 3-6) read of it. Run and RunSharded build it while the
+// responses arrive and keep none of them.
+type Scan struct {
+	Cfg Config
+	Counters
+	// Turtles tallies, per /24, the addresses whose own first response
+	// arrived and those among them above the paper's 1 s and 100 s
+	// thresholds: the input of core.RankASes and core.RankContinents.
+	Turtles core.ScanTallies
+	// Broadcast holds the broadcast-responder findings (§3.3.1).
+	Broadcast BroadcastFindings
+
+	// Each responder's first self-response RTT. While the scan runs they
+	// collect in fixed-size chunks, which never copy as they grow; finish
+	// joins and sorts them.
+	chunks   [][]time.Duration
+	rtts     []time.Duration
+	bcastDst map[ipaddr.Addr]bool // destinations already counted in Broadcast.ProbedBroadcast
+}
+
+// rttChunk is the RTT count of one chunk. A slice grown by append leaves
+// each outgrown array behind, several times the final size in all, and
+// none of it fits the next, larger array; chunks leave nothing behind.
+const rttChunk = 4096
+
+// BroadcastFindings summarizes broadcast-responder discovery (§3.3.1).
+type BroadcastFindings struct {
+	// Responders are the source addresses that answered a probe sent to a
+	// different address in their /24 — the "broadcast responders" whose
+	// survey responses must be filtered.
+	Responders map[ipaddr.Addr]int
+	// ProbedBroadcast counts, per last octet, the probed destinations that
+	// triggered such responses (Figure 2's histogram).
+	ProbedBroadcast [256]int
+}
+
+func newScan() *Scan {
+	return &Scan{
+		Turtles:   core.ScanTallies{},
+		Broadcast: BroadcastFindings{Responders: map[ipaddr.Addr]int{}},
+		bcastDst:  map[ipaddr.Addr]bool{},
+	}
+}
+
+// observe adds one response to the report; first marks the first
+// self-response from its destination.
+func (s *Scan) observe(_ simnet.ShardKey, r Response, first bool) {
+	switch {
+	case first:
+		if n := len(s.chunks); n == 0 || len(s.chunks[n-1]) == rttChunk {
+			s.chunks = append(s.chunks, make([]time.Duration, 0, rttChunk))
+		}
+		last := &s.chunks[len(s.chunks)-1]
+		*last = append(*last, r.RTT)
+		s.Turtles.Add(r.Dst, r.RTT)
+	case r.Src != r.Dst && r.Src.Prefix() == r.Dst.Prefix():
+		s.Broadcast.Responders[r.Src]++
+		if !s.bcastDst[r.Dst] {
+			s.bcastDst[r.Dst] = true
+			s.Broadcast.ProbedBroadcast[r.Dst.LastOctet()]++
+		}
+	}
+}
+
+// merge folds another shard's report into s. Shards probe disjoint
+// destinations, so each per-destination decision (first self-response,
+// first broadcast trigger) was already exact within its shard, and the
+// reports combine by addition.
+func (s *Scan) merge(o *Scan) {
+	s.chunks = append(s.chunks, o.chunks...)
+	s.Turtles.Merge(o.Turtles)
+	for a, n := range o.Broadcast.Responders {
+		s.Broadcast.Responders[a] += n
+	}
+	for i, n := range o.Broadcast.ProbedBroadcast {
+		s.Broadcast.ProbedBroadcast[i] += n
+	}
+}
+
+// finish completes the report once every response is in.
+func (s *Scan) finish(cfg Config, counts Counters) {
+	s.Cfg, s.Counters = cfg, counts
+	s.rtts = slices.Concat(s.chunks...)
+	slices.Sort(s.rtts)
+	s.chunks, s.bcastDst = nil, nil
+}
+
+// RTTPercentiles returns each responder's first self-response RTT — the
+// per-address sample the paper's Figure 7 CDFs are built from — sorted
+// ascending, ready for percentile extraction. Its length is the scan's
+// responder count. The slice belongs to the report; do not modify it.
+func (s *Scan) RTTPercentiles() []time.Duration { return s.rtts }
 
 // DefaultProbeGap is the probe spacing selected when Config.Duration is
 // zero: one probe every 100 µs.
@@ -103,9 +198,6 @@ func (cfg Config) withDefaults() (Config, error) {
 	if cfg.TargetN <= 0 || cfg.TargetAt == nil {
 		return cfg, fmt.Errorf("zmapper: no targets")
 	}
-	if cfg.Obs != nil && cfg.TargetIndex == nil {
-		return cfg, fmt.Errorf("zmapper: metrics need Config.TargetIndex to track first self-responses")
-	}
 	if cfg.Duration == 0 {
 		cfg.Duration = time.Duration(cfg.TargetN) * DefaultProbeGap
 	}
@@ -115,14 +207,11 @@ func (cfg Config) withDefaults() (Config, error) {
 	return cfg, nil
 }
 
-// rangeResult is the output of one shard's probe range.
-type rangeResult struct {
-	responses []Response
-	keys      []simnet.ShardKey // parallel to responses; nil unless tagged
-	probes    uint64
-	packets   uint64
-	corrupt   uint64
-}
+// deliverFunc receives each decoded response of a probe range, in
+// event-loop order: its merge key — (arrival time, probe rank, delivery
+// index) — the response, and whether it is the first self-response from
+// its destination.
+type deliverFunc func(key simnet.ShardKey, r Response, first bool)
 
 // rangeRun is the per-range send/receive state: scratch buffers and decoder
 // shared by every probe in the range, so the steady-state probe path
@@ -131,10 +220,9 @@ type rangeResult struct {
 type rangeRun struct {
 	tr         transport.Transport
 	seq        transport.Sequencer
-	res        *rangeResult
+	counts     Counters
 	src        ipaddr.Addr
 	seed       uint64
-	tag        bool
 	collecting bool
 
 	dec     wire.Decoder
@@ -147,17 +235,16 @@ type rangeRun struct {
 	obsCorrupt   *obs.Counter
 	obsRTT       *obs.Histogram
 	obsRTTSelf   *obs.Histogram
-	// First self-response tracking for the rtt_first_self histogram (nil
-	// without metrics): every address is probed once per scan, so all its
-	// deliveries stay within the shard that sent its probe and "first" is
-	// shard-local. One bit per target, indexed by TargetIndex.
-	seenBits    []uint64
-	targetIndex func(ipaddr.Addr) int
+	// seen decides "first" for the report and the rtt_first_self
+	// histogram: one bit per probe of the range, indexed by send rank
+	// minus lo. Every address is probed once, and each delivery carries
+	// the rank of the probe that caused it, so an address's
+	// self-responses all land on its probe's bit, in the shard that sent
+	// it.
+	seen []uint64
+	lo   uint64
 
-	// sink, when set, receives each response as it arrives instead of
-	// buffering into res.responses (single-shard streaming; mutually
-	// exclusive with tag).
-	sink func(Response)
+	deliver deliverFunc
 }
 
 // sendProbe emits the probe for dst at permutation position pos.
@@ -169,7 +256,7 @@ func (r *rangeRun) sendProbe(now simnet.Time, dst ipaddr.Addr, pos int) {
 		Seq:     0,
 		Payload: r.payload,
 	}
-	r.res.probes++
+	r.counts.ProbesSent++
 	r.obsProbes.Inc()
 	r.seq.SetSendRank(uint64(pos))
 	pkt := wire.AppendEcho((*r.buf)[:0], r.src, dst, &r.echo)
@@ -219,12 +306,11 @@ func (r *rangeRun) receive(at transport.Time, from transport.Addr, data []byte, 
 	if !r.collecting {
 		return
 	}
-	res := r.res
-	res.packets += uint64(count)
+	r.counts.PacketsReceived += uint64(count)
 	p, err := r.dec.Decode(data)
 	if err != nil {
 		// Undecodable wire noise: count it and keep scanning.
-		res.corrupt += uint64(count)
+		r.counts.CorruptPackets += uint64(count)
 		r.obsCorrupt.Add(uint64(count))
 		return
 	}
@@ -233,55 +319,47 @@ func (r *rangeRun) receive(at transport.Time, from transport.Addr, data []byte, 
 	}
 	zp, err := wire.DecodeZmapPayload(p.Echo.Payload)
 	if err != nil {
-		res.corrupt += uint64(count)
+		r.counts.CorruptPackets += uint64(count)
 		r.obsCorrupt.Add(uint64(count))
 		return
 	}
-	// Record one response per delivery; duplicate bursts add no RTT
-	// information to a stateless scanner.
+	// One response per delivery; duplicate bursts add no RTT information
+	// to a stateless scanner.
 	rtt := time.Duration(at) - time.Duration(zp.SendTime)
-	resp := Response{Dst: zp.Dst, Src: p.IP.Src, RTT: rtt}
-	if r.sink != nil {
-		r.sink(resp)
-	} else {
-		res.responses = append(res.responses, resp)
-	}
 	r.obsResponses.Inc()
 	r.obsRTT.Observe(rtt)
-	if p.IP.Src == zp.Dst && r.seenBits != nil {
-		if i := r.targetIndex(zp.Dst); i >= 0 && i < len(r.seenBits)<<6 &&
-			r.seenBits[i>>6]&(1<<(uint(i)&63)) == 0 {
-			r.seenBits[i>>6] |= 1 << (uint(i) & 63)
-			r.obsRTTSelf.Observe(rtt)
-		}
+	rank, idx := r.seq.LastDeliveryTag()
+	first := p.IP.Src == zp.Dst && r.markFirst(rank)
+	if first {
+		r.obsRTTSelf.Observe(rtt)
 	}
-	if r.tag {
-		rank, idx := r.seq.LastDeliveryTag()
-		res.keys = append(res.keys, simnet.ShardKey{At: at, A: rank, B: uint64(idx)})
+	r.deliver(simnet.ShardKey{At: at, A: rank, B: uint64(idx)},
+		Response{Dst: zp.Dst, Src: p.IP.Src, RTT: rtt}, first)
+}
+
+// markFirst sets the bit of the probe with the given send rank and reports
+// whether it was clear.
+func (r *rangeRun) markFirst(rank uint64) bool {
+	i := rank - r.lo
+	w, bit := i>>6, uint64(1)<<(i&63)
+	if r.seen[w]&bit != 0 {
+		return false
 	}
+	r.seen[w] |= bit
+	return true
 }
 
 // runRange drives the probes at permutation positions [lo, hi) on the given
 // network, scheduling them at the same absolute times the full sequential
-// scan would use, and collects the range's responses. With tag set, each
-// response also records the ShardKey — (arrival time, global probe rank,
-// delivery index) — under which it merges back into the sequential order.
-// The config must already have defaults applied.
-func runRange(net *simnet.Network, cfg Config, lo, hi int, tag bool) *rangeResult {
-	return runRangeSink(net, cfg, lo, hi, tag, nil)
-}
-
-// runRangeSink is runRange with an optional streaming sink: when sink is
-// non-nil (single-shard runs only — it is mutually exclusive with tag),
-// responses are yielded to it in event-loop order instead of buffered.
-func runRangeSink(net *simnet.Network, cfg Config, lo, hi int, tag bool, sink func(Response)) *rangeResult {
-	res := &rangeResult{}
+// scan would use, and hands every response to deliver as it arrives. The
+// config must already have defaults applied.
+func runRange(net *simnet.Network, cfg Config, lo, hi int, deliver deliverFunc) Counters {
 	sched := net.Scheduler()
 	net.SetFaults(cfg.Faults)
 	net.SetObserver(cfg.Obs)
 	tr := transport.NewSim(net, cfg.Src)
 	rr := &rangeRun{
-		tr: tr, seq: tr, res: res, src: cfg.Src, seed: cfg.Seed, tag: tag,
+		tr: tr, seq: tr, src: cfg.Src, seed: cfg.Seed,
 		collecting:   true,
 		buf:          wire.GetBuf(),
 		obsProbes:    cfg.Obs.Counter("zmap.probes_sent"),
@@ -289,13 +367,11 @@ func runRangeSink(net *simnet.Network, cfg Config, lo, hi int, tag bool, sink fu
 		obsCorrupt:   cfg.Obs.Counter("zmap.corrupt_packets"),
 		obsRTT:       cfg.Obs.Histogram("zmap.rtt"),
 		obsRTTSelf:   cfg.Obs.Histogram("zmap.rtt_first_self"),
-		sink:         sink,
+		seen:         make([]uint64, (hi-lo+63)/64),
+		lo:           uint64(lo),
+		deliver:      deliver,
 	}
 	defer func() { wire.PutBuf(rr.buf); rr.buf = nil }()
-	if cfg.Obs != nil {
-		rr.targetIndex = cfg.TargetIndex
-		rr.seenBits = make([]uint64, (cfg.TargetN+63)/64)
-	}
 
 	tr.SetHandler(rr.receive)
 	defer tr.Close()
@@ -317,69 +393,106 @@ func runRangeSink(net *simnet.Network, cfg Config, lo, hi int, tag bool, sink fu
 	stop := cfg.Start + cfg.Duration + cfg.Drain
 	sched.At(stop, func() { rr.collecting = false })
 	sched.Run()
-	return res
+	return rr.counts
 }
 
-// Run executes a scan: probes every target once in permuted order, spreads
-// probes evenly over the duration, collects responses until Drain after the
-// last probe, and drains the scheduler.
+// Run executes a scan on the given network and returns its report: probes
+// every target once in permuted order, spreads probes evenly over the
+// duration, collects responses until Drain after the last probe, and
+// drains the scheduler.
 func Run(net *simnet.Network, cfg Config) (*Scan, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
 	cfg.traceSimPhases()
-	r := runRange(net, cfg, 0, cfg.TargetN, false)
-	return &Scan{Cfg: cfg, Responses: r.responses, ProbesSent: r.probes,
-		PacketsReceived: r.packets, CorruptPackets: r.corrupt}, nil
+	sc := newScan()
+	sc.finish(cfg, runRange(net, cfg, 0, cfg.TargetN, sc.observe))
+	return sc, nil
 }
 
 // RunSharded executes the same scan as Run partitioned into `shards`
 // contiguous slices of the probe permutation, each slice driven by its own
 // scheduler and network (built over fabric(shard)) on a bounded worker pool.
-// Per-shard response streams are merged by (arrival time, probe rank,
-// delivery index), which reconstructs the sequential event-loop order, so
-// the result is byte-identical to Run for any shard count — provided
-// fabric() returns fabrics that answer a probe identically regardless of
-// which shard sends it (true of netmodel.Model instances sharing one
-// Population, whose per-address behavior is a pure function of seed,
-// address and time).
+// Each shard builds a report of its slice's responses; shards probe
+// disjoint destinations, so the reports merge by addition into exactly
+// Run's report, for any shard count — provided fabric() returns fabrics
+// that answer a probe identically regardless of which shard sends it (true
+// of netmodel.Model instances sharing one Population, whose per-address
+// behavior is a pure function of seed, address and time).
 //
 // fabric is called once per shard, possibly concurrently; each call must
 // return a fabric not shared with any other shard.
 func RunSharded(cfg Config, shards int, fabric func(shard int) simnet.Fabric) (*Scan, error) {
-	sc := &Scan{}
-	probes, packets, corrupt, err := runShardedInto(cfg, shards, fabric, func(r Response) {
-		sc.Responses = append(sc.Responses, r)
-	})
+	cfg, shards, err := cfg.sharded(shards)
 	if err != nil {
 		return nil, err
 	}
-	cfg, _ = cfg.withDefaults()
-	sc.Cfg, sc.ProbesSent, sc.PacketsReceived, sc.CorruptPackets = cfg, probes, packets, corrupt
+	parts := make([]*Scan, shards)
+	sinks := make([]deliverFunc, shards)
+	for k := range parts {
+		parts[k] = newScan()
+		sinks[k] = parts[k].observe
+	}
+	counts, err := runShards(cfg, fabric, sinks)
+	if err != nil {
+		return nil, err
+	}
+	sc := parts[0]
+	for _, p := range parts[1:] {
+		sc.merge(p)
+	}
+	sc.finish(cfg, counts)
 	return sc, nil
 }
 
-// RunShardedInto is RunSharded with a streaming sink: merged responses are
-// yielded to fn in the sequential scan order instead of being materialized
-// into a Scan, so an incremental analyzer consumes them straight out of the
-// per-shard buffers. It returns the probe and received-packet counters.
-func RunShardedInto(cfg Config, shards int, fabric func(shard int) simnet.Fabric, fn func(Response)) (probes, packets uint64, err error) {
-	probes, packets, _, err = runShardedInto(cfg, shards, fabric, fn)
-	return probes, packets, err
+// RunShardedInto runs the same scan as RunSharded but yields its raw
+// response stream to fn instead of building a report: every response, in
+// the sequential scan's order, whatever the shard count. Per-shard streams
+// are merged by (arrival time, probe rank, delivery index), which
+// reconstructs the sequential event-loop order; a single shard streams
+// straight into fn, in O(1) response memory. It returns the scan's
+// counters.
+func RunShardedInto(cfg Config, shards int, fabric func(shard int) simnet.Fabric, fn func(Response)) (Counters, error) {
+	cfg, shards, err := cfg.sharded(shards)
+	if err != nil {
+		return Counters{}, err
+	}
+	if shards == 1 {
+		return runShards(cfg, fabric, []deliverFunc{func(_ simnet.ShardKey, r Response, _ bool) { fn(r) }})
+	}
+	streams := make([][]simnet.Tagged[Response], shards)
+	sinks := make([]deliverFunc, shards)
+	for k := range sinks {
+		sinks[k] = func(key simnet.ShardKey, r Response, _ bool) {
+			streams[k] = append(streams[k], simnet.Tagged[Response]{Key: key, Rec: r})
+		}
+	}
+	counts, err := runShards(cfg, fabric, sinks)
+	if err != nil {
+		return Counters{}, err
+	}
+	mergeStart := time.Now()
+	simnet.MergeTaggedFunc(streams, fn)
+	cfg.Obs.DiagGauge("zmap.merge_wall_ns").Observe(int64(time.Since(mergeStart)))
+	return counts, nil
 }
 
-func runShardedInto(cfg Config, shards int, fabric func(shard int) simnet.Fabric, fn func(Response)) (probes, packets, corrupt uint64, err error) {
-	cfg, err = cfg.withDefaults()
+// sharded applies the config's defaults and clamps the shard count to
+// [1, TargetN].
+func (cfg Config) sharded(shards int) (Config, int, error) {
+	cfg, err := cfg.withDefaults()
 	if err != nil {
-		return 0, 0, 0, err
+		return cfg, 0, err
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > cfg.TargetN {
-		shards = cfg.TargetN
-	}
+	return cfg, max(1, min(shards, cfg.TargetN)), nil
+}
+
+// runShards runs shard k's slice of the permutation on its own scheduler
+// and network, handing its responses to sinks[k], and returns the summed
+// counters. The config must already have defaults applied.
+func runShards(cfg Config, fabric func(shard int) simnet.Fabric, sinks []deliverFunc) (Counters, error) {
+	shards := len(sinks)
 	cfg.traceSimPhases()
 	// Each shard collects into its own registry; the commutative merge
 	// below reproduces the sequential run's deterministic metrics exactly.
@@ -390,52 +503,28 @@ func runShardedInto(cfg Config, shards int, fabric func(shard int) simnet.Fabric
 			shardRegs[k] = obs.NewRegistry()
 		}
 	}
-	// A single shard needs no tagging or merging: its event-loop emission
-	// order IS the sequential order, so responses stream straight into fn —
-	// O(1) response memory, which is what lets a 2^24-address scan run in
-	// a bounded heap.
-	tag := shards > 1
-	results := make([]*rangeResult, shards)
+	counts := make([]Counters, shards)
 	if err := simnet.RunShards(shards, 0, func(k int) error {
 		cfg.Faults.MaybePanicShard(k)
-		sched := &simnet.Scheduler{}
-		net := simnet.NewNetwork(sched, fabric(k))
+		net := simnet.NewNetwork(&simnet.Scheduler{}, fabric(k))
 		lo, hi := simnet.ShardBounds(cfg.TargetN, shards, k)
 		scfg := cfg
 		if shardRegs != nil {
 			scfg.Obs = shardRegs[k]
 		}
-		var sink func(Response)
-		if !tag {
-			sink = fn
-		}
-		results[k] = runRangeSink(net, scfg, lo, hi, tag, sink)
+		counts[k] = runRange(net, scfg, lo, hi, sinks[k])
 		return nil
 	}); err != nil {
-		return 0, 0, 0, err
+		return Counters{}, err
 	}
 	for _, sr := range shardRegs {
 		cfg.Obs.Merge(sr)
 	}
-	if !tag {
-		r := results[0]
-		return r.probes, r.packets, r.corrupt, nil
+	var total Counters
+	for _, c := range counts {
+		total.add(c)
 	}
-	streams := make([][]simnet.Tagged[Response], shards)
-	for k, r := range results {
-		probes += r.probes
-		packets += r.packets
-		corrupt += r.corrupt
-		tagged := make([]simnet.Tagged[Response], len(r.responses))
-		for i, resp := range r.responses {
-			tagged[i] = simnet.Tagged[Response]{Key: r.keys[i], Rec: resp}
-		}
-		streams[k] = tagged
-	}
-	mergeStart := time.Now()
-	simnet.MergeTaggedFunc(streams, fn)
-	cfg.Obs.DiagGauge("zmap.merge_wall_ns").Observe(int64(time.Since(mergeStart)))
-	return probes, packets, corrupt, nil
+	return total, nil
 }
 
 // traceSimPhases emits the scan's deterministic sim-time phases: probing
@@ -447,63 +536,4 @@ func (cfg Config) traceSimPhases() {
 	}
 	cfg.Trace.SimSpan("zmap.probe", cfg.Start, cfg.Start+cfg.Duration)
 	cfg.Trace.SimSpan("zmap.drain", cfg.Start+cfg.Duration, cfg.Start+cfg.Duration+cfg.Drain)
-}
-
-// SelfResponses returns, per probed address that answered from its own
-// address, the first-response RTT — the per-address RTT sample the paper's
-// Figure 7 CDFs are built from.
-func (s *Scan) SelfResponses() map[ipaddr.Addr]time.Duration {
-	out := make(map[ipaddr.Addr]time.Duration)
-	for _, r := range s.Responses {
-		if r.Src != r.Dst {
-			continue
-		}
-		if _, seen := out[r.Src]; !seen {
-			out[r.Src] = r.RTT
-		}
-	}
-	return out
-}
-
-// BroadcastFindings summarizes broadcast-responder discovery (§3.3.1).
-type BroadcastFindings struct {
-	// Responders are the source addresses that answered a probe sent to a
-	// different address in their /24 — the "broadcast responders" whose
-	// survey responses must be filtered.
-	Responders map[ipaddr.Addr]int
-	// ProbedBroadcast counts, per last octet, the probed destinations that
-	// triggered such responses (Figure 2's histogram).
-	ProbedBroadcast [256]int
-}
-
-// Broadcast extracts broadcast-responder findings from the scan.
-func (s *Scan) Broadcast() BroadcastFindings {
-	f := BroadcastFindings{Responders: make(map[ipaddr.Addr]int)}
-	seenDst := make(map[ipaddr.Addr]bool)
-	for _, r := range s.Responses {
-		if r.Src == r.Dst || r.Src.Prefix() != r.Dst.Prefix() {
-			continue
-		}
-		f.Responders[r.Src]++
-		if !seenDst[r.Dst] {
-			seenDst[r.Dst] = true
-			f.ProbedBroadcast[r.Dst.LastOctet()]++
-		}
-	}
-	return f
-}
-
-// RTTPercentiles returns the scan's per-address RTTs sorted ascending,
-// ready for percentile extraction.
-func (s *Scan) RTTPercentiles() []time.Duration { return SortedRTTs(s.SelfResponses()) }
-
-// SortedRTTs returns the RTTs of a SelfResponses map sorted ascending, for
-// callers that also need the map itself and should build it only once.
-func SortedRTTs(self map[ipaddr.Addr]time.Duration) []time.Duration {
-	out := make([]time.Duration, 0, len(self))
-	for _, rtt := range self {
-		out = append(out, rtt)
-	}
-	slices.Sort(out)
-	return out
 }

@@ -85,22 +85,25 @@ func TestPermutationDiffersBySeed(t *testing.T) {
 	}
 }
 
-func scanWorld(t *testing.T, blocks int, seed uint64) (*netmodel.Population, *Scan) {
-	t.Helper()
+// scanWorldConfig is a 10-minute scan of a default-catalog population.
+func scanWorldConfig(blocks int, seed uint64) (*netmodel.Population, Config, func(int) simnet.Fabric) {
 	pop := netmodel.New(netmodel.Config{Seed: seed, Blocks: blocks})
-	model := netmodel.NewModel(pop)
 	src := ipaddr.MustParse("240.0.2.1")
-	model.AddVantage(src, ipmeta.NorthAmerica)
-	sched := &simnet.Scheduler{}
-	net := simnet.NewNetwork(sched, model)
-	sc, err := Run(net, Config{
+	cfg := Config{
 		Src:       src,
 		Continent: ipmeta.NorthAmerica,
 		TargetN:   pop.NumAddrs(),
 		TargetAt:  pop.AddrAt,
 		Duration:  10 * time.Minute,
 		Seed:      seed,
-	})
+	}
+	return pop, cfg, scanFabric(pop, src)
+}
+
+func scanWorld(t *testing.T, blocks int, seed uint64) (*netmodel.Population, *Scan) {
+	t.Helper()
+	pop, cfg, fabric := scanWorldConfig(blocks, seed)
+	sc, err := Run(simnet.NewNetwork(&simnet.Scheduler{}, fabric(0)), cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -114,9 +117,10 @@ func TestScanProbesEveryTarget(t *testing.T) {
 	}
 }
 
-func TestScanSelfResponsesMatchResponsiveness(t *testing.T) {
-	pop, sc := scanWorld(t, 64, 21)
-	self := sc.SelfResponses()
+func TestScanFirstResponsesMatchResponsiveness(t *testing.T) {
+	pop, cfg, fabric := scanWorldConfig(64, 21)
+	stream, _ := rawStream(t, cfg, 1, fabric)
+	self := oracleOf(stream).self
 	if len(self) == 0 {
 		t.Fatal("no responders")
 	}
@@ -160,7 +164,7 @@ func TestScanRTTsPositiveAndPlausible(t *testing.T) {
 
 func TestScanBroadcastFindings(t *testing.T) {
 	_, sc := scanWorld(t, 1024, 21)
-	f := sc.Broadcast()
+	f := sc.Broadcast
 	if len(f.Responders) == 0 {
 		t.Skip("no broadcast responders at this seed/scale")
 	}
@@ -174,15 +178,24 @@ func TestScanBroadcastFindings(t *testing.T) {
 }
 
 func TestScanDeterministic(t *testing.T) {
-	_, s1 := scanWorld(t, 32, 5)
-	_, s2 := scanWorld(t, 32, 5)
-	if len(s1.Responses) != len(s2.Responses) {
-		t.Fatalf("response counts differ: %d vs %d", len(s1.Responses), len(s2.Responses))
+	_, cfg, fabric := scanWorldConfig(32, 5)
+	s1, c1 := rawStream(t, cfg, 1, fabric)
+	s2, c2 := rawStream(t, cfg, 1, fabric)
+	if c1 != c2 {
+		t.Fatalf("counters differ: %+v vs %+v", c1, c2)
 	}
-	for i := range s1.Responses {
-		if s1.Responses[i] != s2.Responses[i] {
+	if len(s1) != len(s2) {
+		t.Fatalf("response counts differ: %d vs %d", len(s1), len(s2))
+	}
+	for i := range s1 {
+		if s1[i] != s2[i] {
 			t.Fatalf("response %d differs", i)
 		}
+	}
+	_, r1 := scanWorld(t, 32, 5)
+	_, r2 := scanWorld(t, 32, 5)
+	if !reportsEqual(r1, r2) {
+		t.Fatal("reports differ")
 	}
 }
 
@@ -190,21 +203,14 @@ func TestScanStability(t *testing.T) {
 	// Two scans of the same population at different times see nearly the
 	// same turtle set — the paper's Figure 7 stability result.
 	pop := netmodel.New(netmodel.Config{Seed: 77, Blocks: 256})
+	src := ipaddr.MustParse("240.0.2.1")
 	runAt := func(start simnet.Time, scanSeed uint64) map[ipaddr.Addr]time.Duration {
-		model := netmodel.NewModel(pop)
-		src := ipaddr.MustParse("240.0.2.1")
-		model.AddVantage(src, ipmeta.NorthAmerica)
-		sched := &simnet.Scheduler{}
-		net := simnet.NewNetwork(sched, model)
-		sc, err := Run(net, Config{
+		stream, _ := rawStream(t, Config{
 			Src: src, Continent: ipmeta.NorthAmerica,
 			TargetN: pop.NumAddrs(), TargetAt: pop.AddrAt,
 			Duration: 30 * time.Minute, Start: start, Seed: scanSeed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sc.SelfResponses()
+		}, 1, scanFabric(pop, src))
+		return oracleOf(stream).self
 	}
 	s1 := runAt(0, 1)
 	s2 := runAt(simnet.Time(72*time.Hour), 2)

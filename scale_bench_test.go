@@ -71,15 +71,15 @@ func BenchmarkScaleScan(b *testing.B) {
 	b.ResetTimer()
 	var responses uint64
 	for i := 0; i < b.N; i++ {
-		probes, _, err := zmapper.RunShardedInto(cfg, 1, fabric, func(zmapper.Response) {
+		counts, err := zmapper.RunShardedInto(cfg, 1, fabric, func(zmapper.Response) {
 			responses++
 			sampler.Sample()
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if probes != uint64(pop.NumAddrs()) {
-			b.Fatalf("sent %d probes, want %d", probes, pop.NumAddrs())
+		if counts.ProbesSent != uint64(pop.NumAddrs()) {
+			b.Fatalf("sent %d probes, want %d", counts.ProbesSent, pop.NumAddrs())
 		}
 	}
 	if responses == 0 {
