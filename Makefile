@@ -21,19 +21,21 @@ test:
 # The race detector multiplies runtime; -count=1 defeats the test cache so
 # the instrumented binaries actually run. The race surface is the sharded
 # engine (simnet worker pool + merge), the survey plumbing that streams shard
-# merges into writers, and core's survey-dataset check, which runs a sharded
-# survey.
+# merges into writers, core's survey-dataset check, which runs a sharded
+# survey, and netmodel, whose Population (the per-/24 table included) every
+# shard's model reads without locks.
 race:
-	$(GO) test -race -count=1 ./internal/simnet ./internal/core ./internal/survey
+	$(GO) test -race -count=1 ./internal/simnet ./internal/core ./internal/survey ./internal/netmodel
 
 # Short fuzz pass over the merge-ordering contract (FuzzShardMerge), the
 # timing wheel's dequeue order against a heap oracle (FuzzWheelVsHeap), the
 # dataset readers (FuzzOpenSource strict+lenient over all three formats,
 # FuzzCompactReader on the varint decoder), the rtt session codec
 # (FuzzSessionPacket), checkpoint round trips (FuzzCheckpointRoundTrip),
-# permutation ranks (FuzzPermutationRank), and the matcher and advisor store
+# permutation ranks (FuzzPermutationRank), the matcher and advisor store
 # against the pre-kernel matcher, emission-order check included
-# (FuzzAttribution); seeds alone run in `make test`.
+# (FuzzAttribution), and the 8-byte Internet checksum kernel against the
+# 16-bit loop (FuzzChecksum); seeds alone run in `make test`.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzShardMerge -fuzztime=30s ./internal/simnet
 	$(GO) test -run=Fuzz -fuzz=FuzzWheelVsHeap -fuzztime=30s ./internal/simnet
@@ -43,6 +45,7 @@ fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzCheckpointRoundTrip -fuzztime=30s ./internal/advisor
 	$(GO) test -run=Fuzz -fuzz=FuzzPermutationRank -fuzztime=30s ./internal/zmapper
 	$(GO) test -run=Fuzz -fuzz=FuzzAttribution -fuzztime=30s ./internal/core
+	$(GO) test -run=Fuzz -fuzz=FuzzChecksum -fuzztime=30s ./internal/wire
 
 # Faster fuzz smoke for CI: same targets, 10 s each.
 fuzz-smoke:
@@ -54,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzCheckpointRoundTrip -fuzztime=10s ./internal/advisor
 	$(GO) test -run=Fuzz -fuzz=FuzzPermutationRank -fuzztime=10s ./internal/zmapper
 	$(GO) test -run=Fuzz -fuzz=FuzzAttribution -fuzztime=10s ./internal/core
+	$(GO) test -run=Fuzz -fuzz=FuzzChecksum -fuzztime=10s ./internal/wire
 
 # The chaos suite: every fault-injection test (TestChaos*) under the race
 # detector — fault-off byte-identity, fixed-seed fault determinism,

@@ -26,13 +26,17 @@ const sleepyWindow = 7200
 // episode describes one active episode interval.
 type episode struct {
 	start, end float64
-	rng        *xrand.Rand // parameter stream, deterministic per episode
+	rng        xrand.Rand // parameter stream, deterministic per episode
 }
 
+// episodeStream is the key that turns a window's draw into its episode's
+// parameter stream.
+const episodeStream = 0xE9150DE
+
 // findEpisode reports whether an episode of the given kind covers time t
-// for the host key. prob is the per-window probability of an episode;
-// durMin/durMax bound its duration.
-func findEpisode(seed, key, salt uint64, t, window, prob, durMin, durMax float64) (episode, bool) {
+// for the host whose address hash is h. prob is the per-window probability
+// of an episode; durMin/durMax bound its duration.
+func findEpisode(h, salt uint64, t, window, prob, durMin, durMax float64) (episode, bool) {
 	if prob <= 0 {
 		return episode{}, false
 	}
@@ -42,10 +46,11 @@ func findEpisode(seed, key, salt uint64, t, window, prob, durMin, durMax float64
 		if idx < 0 {
 			continue
 		}
-		if xrand.HashFloat(seed, key, salt, uint64(idx)) >= prob {
+		hw := xrand.Extend(h, salt, uint64(idx))
+		if xrand.Float01(hw) >= prob {
 			continue
 		}
-		rng := xrand.New(seed, key, salt, uint64(idx), 0xE9150DE)
+		rng := xrand.FromHash(xrand.Extend(hw, episodeStream))
 		dur := durMin + (durMax-durMin)*rng.Float64()
 		start := float64(idx)*window + rng.Float64()*(window-durMin)
 		if t >= start && t < start+dur {
@@ -97,8 +102,6 @@ func (p *Population) congParamsFor(pr *Profile, level float64) congParams {
 // from busy-period congestion: a small always-on diurnal component plus
 // episode bursts.
 func (p *Population) congestionDelay(pr *Profile, level float64, t float64) float64 {
-	seed, key := p.cfg.Seed, uint64(pr.Addr)
-
 	// Always-on queueing, modulated diurnally (peak at local evening; the
 	// phase is approximated from the host continent's longitude offset).
 	var qmean float64
@@ -117,11 +120,11 @@ func (p *Population) congestionDelay(pr *Profile, level float64, t float64) floa
 		qmean = 0.06
 	}
 	diurnal := 0.55 + 0.9*humpOfDay(t, continentPhase[pr.AS.Continent])
-	rng := xrand.Seeded(seed, key, saltSvc, uint64(int64(t*1e6)))
+	rng := xrand.FromHash(xrand.Extend(pr.h, saltSvc, usOf(t)))
 	delay := rng.Exp(qmean * diurnal * (0.5 + pr.Severity))
 
 	cp := p.congParamsFor(pr, level)
-	if ep, ok := findEpisode(seed, key, saltCong, t, congWindow, cp.prob, 60, 1800); ok {
+	if ep, ok := findEpisode(pr.h, saltCong, t, congWindow, cp.prob, 60, 1800); ok {
 		intensity := cp.medianS * math.Exp(cp.sigma*ep.rng.Norm())
 		d := intensity * (0.25 + 0.75*ep.envelope(t)) * (0.6 + 0.8*rng.Float64())
 		if d > cp.capS {
@@ -172,10 +175,9 @@ const (
 
 // sleepyEvent describes the fate of one probe inside a sleepy episode.
 type sleepyEvent struct {
-	mode    SleepyMode
-	lost    bool
-	delay   float64 // extra delay before the response leaves the host side
-	episode episode
+	mode  SleepyMode
+	lost  bool
+	delay float64 // extra delay before the response leaves the host side
 }
 
 // sleepyProb returns the per-window probability of a buffered-outage
@@ -201,15 +203,16 @@ func (p *Population) sleepyProb(pr *Profile) float64 {
 // the mode first so each mode can have its own duration range: buffered
 // flushes last 40-520 s, sustained congestion runs for minutes (the paper's
 // sustained events hold most of the >100 s pings), blackouts are shorter.
-func findSleepyEpisode(seed, key uint64, t, prob float64) (episode, SleepyMode, bool) {
+func findSleepyEpisode(h uint64, t, prob float64) (episode, SleepyMode, bool) {
 	for _, idx := range [2]int64{int64(t / sleepyWindow), int64(t/sleepyWindow) - 1} {
 		if idx < 0 {
 			continue
 		}
-		if xrand.HashFloat(seed, key, saltSleepy, uint64(idx)) >= prob {
+		hw := xrand.Extend(h, saltSleepy, uint64(idx))
+		if xrand.Float01(hw) >= prob {
 			continue
 		}
-		rng := xrand.New(seed, key, saltSleepy, uint64(idx), 0xE9150DE)
+		rng := xrand.FromHash(xrand.Extend(hw, episodeStream))
 		m := rng.Float64()
 		var mode SleepyMode
 		var durMin, durMax float64
@@ -241,13 +244,12 @@ func (p *Population) sleepyAt(pr *Profile, t float64) (sleepyEvent, bool) {
 	if prob <= 0 {
 		return sleepyEvent{}, false
 	}
-	seed, key := p.cfg.Seed, uint64(pr.Addr)
-	ep, mode, ok := findSleepyEpisode(seed, key, t, prob)
+	ep, mode, ok := findSleepyEpisode(pr.h, t, prob)
 	if !ok {
 		return sleepyEvent{}, false
 	}
-	ev := sleepyEvent{episode: ep, mode: mode}
-	perProbe := xrand.Seeded(seed, key, saltSleepy, uint64(int64(t*1e6)), 0x50B)
+	ev := sleepyEvent{mode: mode}
+	perProbe := xrand.FromHash(xrand.Extend(pr.h, saltSleepy, usOf(t), 0x50B))
 	switch mode {
 	case SleepyBuffered:
 		// Some episodes lose a leading fraction of probes before the
@@ -291,10 +293,11 @@ func (p *Population) sleepyAt(pr *Profile, t float64) (sleepyEvent, bool) {
 // 8.5 s (Figure 13), clamped to [0.3 s, 55 s]. Part of the spread is a
 // *per-host* characteristic (device model, radio technology), which is what
 // keeps the same addresses slow in scan after scan (Figure 7's stability);
-// the rest is per-wake jitter.
-func drawWake(seed, key uint64, t float64) float64 {
-	hostMu := 0.20 + 0.9*(xrand.HashFloat(seed, key, saltWake)-0.5)
-	rng := xrand.Seeded(seed, key, saltWake, uint64(int64(t*1e6)))
+// the rest is per-wake jitter. h is the host's address hash.
+func drawWake(h uint64, t float64) float64 {
+	hw := xrand.Extend(h, saltWake)
+	hostMu := 0.20 + 0.9*(xrand.Float01(hw)-0.5)
+	rng := xrand.FromHash(xrand.Extend(hw, usOf(t)))
 	w := math.Exp(hostMu + 0.75*rng.Norm())
 	if w < 0.3 {
 		w = 0.3

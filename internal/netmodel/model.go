@@ -53,6 +53,12 @@ type Model struct {
 	pop      *Population
 	vantages map[ipaddr.Addr]ipmeta.Continent
 
+	// The last vantage looked up: a prober sends every probe from one
+	// address, so Respond rarely needs the map.
+	lastFrom ipaddr.Addr
+	lastVC   ipmeta.Continent
+	lastOK   bool
+
 	// radio holds the cellular radio state of recently active hosts in a
 	// bounded open-addressing table; see densestate.go for why evicting
 	// long-idle entries cannot change any output.
@@ -67,6 +73,7 @@ type Model struct {
 	deliv     []simnet.Delivery
 	quote     []byte
 	replyEcho wire.ICMPEcho
+	prof      Profile // the probed host
 
 	// Stats counts model decisions, useful for validating population
 	// composition in tests.
@@ -99,6 +106,20 @@ func (m *Model) Population() *Population { return m.pop }
 // originate from registered vantages so the model can compute propagation.
 func (m *Model) AddVantage(addr ipaddr.Addr, c ipmeta.Continent) {
 	m.vantages[addr] = c
+	m.lastOK = false
+}
+
+// vantage returns the continent of a registered prober address.
+func (m *Model) vantage(from ipaddr.Addr) ipmeta.Continent {
+	if m.lastOK && from == m.lastFrom {
+		return m.lastVC
+	}
+	vc, ok := m.vantages[from]
+	if !ok {
+		panic(fmt.Sprintf("netmodel: probe from unregistered vantage %s", from))
+	}
+	m.lastFrom, m.lastVC, m.lastOK = from, vc, true
+	return vc
 }
 
 // ResetRadioState clears cellular radio state, as if all devices had been
@@ -111,10 +132,7 @@ func (m *Model) ResetRadioState() { m.radio = radioTable{} }
 
 // Respond implements simnet.Fabric.
 func (m *Model) Respond(from ipaddr.Addr, at simnet.Time, pkt []byte) []simnet.Delivery {
-	vc, ok := m.vantages[from]
-	if !ok {
-		panic(fmt.Sprintf("netmodel: probe from unregistered vantage %s", from))
-	}
+	vc := m.vantage(from)
 	p, err := m.dec.Decode(pkt)
 	if err != nil {
 		return nil // a malformed probe dies in the network
@@ -122,9 +140,14 @@ func (m *Model) Respond(from ipaddr.Addr, at simnet.Time, pkt []byte) []simnet.D
 	t := at.Seconds()
 	// TTL expiry: a probe whose TTL is smaller than the path's hop count
 	// dies at that router, which answers with ICMP time exceeded — the
-	// mechanism traceroute exploits.
-	if p.IP.TTL > 0 && int(p.IP.TTL) < m.pop.hostHops(vc, p.IP.Dst) {
-		return m.timeExceeded(vc, from, p, t)
+	// mechanism traceroute exploits. No path is longer than maxHostHops,
+	// so a probe whose TTL is at least that (the probers send 64) skips
+	// the hop draw.
+	if p.IP.TTL > 0 && p.IP.TTL < maxHostHops {
+		h := xrand.Hash(m.pop.cfg.Seed, uint64(p.IP.Dst))
+		if hops := m.pop.hostHops(vc, p.IP.Dst, h); int(p.IP.TTL) < hops {
+			return m.timeExceeded(vc, from, p, h, hops, t)
+		}
 	}
 	switch {
 	case p.Echo != nil && p.Echo.Type == wire.ICMPTypeEchoRequest:
@@ -143,24 +166,26 @@ func (m *Model) Respond(from ipaddr.Addr, at simnet.Time, pkt []byte) []simnet.D
 // respondEcho handles an ICMP echo request.
 func (m *Model) respondEcho(vc ipmeta.Continent, from ipaddr.Addr, p *wire.Packet, t float64) []simnet.Delivery {
 	dst := p.IP.Dst
-	bp := m.pop.BlockProfile(dst.Prefix())
 
 	// Probes to subnet network/broadcast addresses can fan out (§3.3.1).
-	if bp.IsSpecial(dst.LastOctet()) && m.pop.Contains(dst) {
-		return m.respondBroadcast(vc, from, p, bp, t)
+	if b, ok := m.pop.block(dst.Prefix()); ok {
+		if bp := b.profile(dst.Prefix()); bp.IsSpecial(dst.LastOctet()) {
+			return m.respondBroadcast(vc, from, p, bp, t)
+		}
 	}
 
-	pr := m.pop.Profile(dst)
-	if !m.responsiveAt(&pr, t) {
-		return m.gatewayError(vc, from, p, &pr, t)
+	pr := &m.prof
+	m.pop.profileInto(pr, dst)
+	if !m.responsiveAt(pr, t) {
+		return m.gatewayError(vc, from, p, pr, t)
 	}
-	delay, ok := m.pathDelay(&pr, vc, t)
+	delay, ok := m.pathDelay(pr, vc, t)
 	if !ok {
 		return nil
 	}
 	p.Echo.ReplyInto(&m.replyEcho)
-	reply := wire.EncodeEchoTTL(dst, from, &m.replyEcho, m.pop.ReplyTTL(vc, dst))
-	return m.withDuplicates(&pr, t, delay, reply)
+	reply := wire.EncodeEchoTTL(dst, from, &m.replyEcho, m.pop.replyTTL(vc, dst, pr.h))
+	return m.withDuplicates(pr, t, delay, reply)
 }
 
 // respondUDP handles a UDP probe: hosts answer with ICMP port unreachable
@@ -168,11 +193,12 @@ func (m *Model) respondEcho(vc ipmeta.Continent, from ipaddr.Addr, p *wire.Packe
 // full path and host wake-up, so "all protocols are treated the same" (§5.3).
 func (m *Model) respondUDP(vc ipmeta.Continent, from ipaddr.Addr, p *wire.Packet, t float64) []simnet.Delivery {
 	dst := p.IP.Dst
-	pr := m.pop.Profile(dst)
-	if !m.responsiveAt(&pr, t) {
-		return m.gatewayError(vc, from, p, &pr, t)
+	pr := &m.prof
+	m.pop.profileInto(pr, dst)
+	if !m.responsiveAt(pr, t) {
+		return m.gatewayError(vc, from, p, pr, t)
 	}
-	delay, ok := m.pathDelay(&pr, vc, t)
+	delay, ok := m.pathDelay(pr, vc, t)
 	if !ok {
 		return nil
 	}
@@ -180,7 +206,7 @@ func (m *Model) respondUDP(vc ipmeta.Continent, from ipaddr.Addr, p *wire.Packet
 	quote := m.quoteFor(p)
 	reply := wire.EncodeICMPErrorTTL(dst, from, &wire.ICMPError{
 		Type: wire.ICMPTypeDstUnreachable, Code: wire.ICMPCodePortUnreachable, Original: quote,
-	}, m.pop.ReplyTTL(vc, dst))
+	}, m.pop.replyTTL(vc, dst, pr.h))
 	return m.deliver(simnet.Delivery{Delay: durOf(delay), Data: reply})
 }
 
@@ -189,25 +215,24 @@ func (m *Model) respondUDP(vc ipmeta.Continent, from ipaddr.Addr, p *wire.Packet
 // after the full path delay.
 func (m *Model) respondTCP(vc ipmeta.Continent, from ipaddr.Addr, p *wire.Packet, t float64) []simnet.Delivery {
 	dst := p.IP.Dst
-	bp := m.pop.BlockProfile(dst.Prefix())
-	if bp.FirewallTCPRST {
-		pr := m.pop.Profile(dst) // for continent lookup; works even if unresponsive
-		cont := pr.AS.Continent
-		rng := xrand.Seeded(m.pop.cfg.Seed, uint64(dst), saltFwJitter, uint64(int64(t*1e6)))
+	if b, ok := m.pop.block(dst.Prefix()); ok && b.firewall {
+		cont := m.pop.catalog[b.as].AS.Continent
+		rng := xrand.Seeded(m.pop.cfg.Seed, uint64(dst), saltFwJitter, usOf(t))
 		delay := propRTT[vc][cont]*(0.85+0.1*rng.Float64()) + 0.045 + rng.Exp(0.03)
 		rst := p.TCP.RST()
 		reply := wire.EncodeTCPTTL(dst, from, rst, m.pop.FirewallTTL(vc, dst.Prefix()))
 		return m.deliver(simnet.Delivery{Delay: durOf(delay), Data: reply})
 	}
-	pr := m.pop.Profile(dst)
-	if !m.responsiveAt(&pr, t) {
+	pr := &m.prof
+	m.pop.profileInto(pr, dst)
+	if !m.responsiveAt(pr, t) {
 		return nil
 	}
-	delay, ok := m.pathDelay(&pr, vc, t)
+	delay, ok := m.pathDelay(pr, vc, t)
 	if !ok {
 		return nil
 	}
-	reply := wire.EncodeTCPTTL(dst, from, p.TCP.RST(), m.pop.ReplyTTL(vc, dst))
+	reply := wire.EncodeTCPTTL(dst, from, p.TCP.RST(), m.pop.replyTTL(vc, dst, pr.h))
 	return m.deliver(simnet.Delivery{Delay: durOf(delay), Data: reply})
 }
 
@@ -225,28 +250,29 @@ func (m *Model) respondBroadcast(vc ipmeta.Continent, from ipaddr.Addr, p *wire.
 	}
 	out := m.deliv[:0]
 	base := bp.SubnetOf(last)
-	seed := m.pop.cfg.Seed
+	pr := &m.prof
 	for i := 0; i < bp.SubnetSize(); i++ {
 		a := p.IP.Dst.Prefix().Addr(base + byte(i))
 		if a == p.IP.Dst {
 			continue
 		}
-		pr := m.pop.Profile(a)
+		m.pop.profileInto(pr, a)
 		if !pr.RespondsToBroadcast {
 			continue
 		}
 		// Answering the network address is the rarer, old-stack behavior.
-		if !isBcast && xrand.HashFloat(seed, uint64(a), saltBcastResp) > 0.6 {
+		hb := xrand.Extend(pr.h, saltBcastResp)
+		if !isBcast && xrand.Float01(hb) > 0.6 {
 			continue
 		}
 		// Most broadcast responders answer nearly every round; a rare few
 		// answer only ~once in 50 rounds — the population behind the
 		// paper's 0.13% filter false-negative rate (§3.3.1).
 		brLoss := 0.02
-		if xrand.HashFloat(seed, uint64(a), saltBcastResp, 7) < 0.01 {
+		if draw(hb, 7) < 0.01 {
 			brLoss = 0.98
 		}
-		if xrand.HashFloat(seed, uint64(a), saltBcastResp, uint64(int64(t*1e6))) < brLoss {
+		if draw(hb, usOf(t)) < brLoss {
 			continue
 		}
 		// Broadcast responders are LAN devices; their latency is the plain
@@ -254,12 +280,12 @@ func (m *Model) respondBroadcast(vc ipmeta.Continent, from ipaddr.Addr, p *wire.
 		// property the paper's EWMA filter keys on. Their access component
 		// is drawn here because many of them are not directly responsive
 		// and so carry no access profile.
-		jitter := 0.8 + 0.7*xrand.HashFloat(seed, uint64(a), saltDistance)
-		access := 0.01 + 0.05*xrand.HashFloat(seed, uint64(a), saltAccess)
-		rng := xrand.Seeded(seed, uint64(a), saltSvcJitter, uint64(int64(t*1e6)))
+		jitter := 0.8 + 0.7*draw(pr.h, saltDistance)
+		access := 0.01 + 0.05*draw(pr.h, saltAccess)
+		rng := xrand.FromHash(xrand.Extend(pr.h, saltSvcJitter, usOf(t)))
 		delay := propRTT[vc][pr.AS.Continent]*jitter + access + rng.Exp(0.006)
 		p.Echo.ReplyInto(&m.replyEcho)
-		reply := wire.EncodeEchoTTL(a, from, &m.replyEcho, m.pop.ReplyTTL(vc, a))
+		reply := wire.EncodeEchoTTL(a, from, &m.replyEcho, m.pop.replyTTL(vc, a, pr.h))
 		out = append(out, simnet.Delivery{Delay: durOf(delay), Data: reply})
 	}
 	m.deliv = out
@@ -269,12 +295,12 @@ func (m *Model) respondBroadcast(vc ipmeta.Continent, from ipaddr.Addr, p *wire.
 	return out
 }
 
-// timeExceeded answers a TTL-expired probe from the router at that hop.
+// timeExceeded answers a TTL-expired probe from the router at that hop of
+// the destination's hops-long path; h is the destination's address hash.
 // The delay scales with how far along the path the probe died.
-func (m *Model) timeExceeded(vc ipmeta.Continent, from ipaddr.Addr, p *wire.Packet, t float64) []simnet.Delivery {
+func (m *Model) timeExceeded(vc ipmeta.Continent, from ipaddr.Addr, p *wire.Packet, h uint64, hops int, t float64) []simnet.Delivery {
 	dst := p.IP.Dst
 	hop := int(p.IP.TTL)
-	hops := m.pop.hostHops(vc, dst)
 	router := m.pop.RouterAddr(vc, dst, hop)
 	spec, ok := m.pop.spec(dst.Prefix())
 	cont := vc
@@ -282,7 +308,7 @@ func (m *Model) timeExceeded(vc ipmeta.Continent, from ipaddr.Addr, p *wire.Pack
 		cont = spec.AS.Continent
 	}
 	frac := float64(hop) / float64(hops)
-	rng := xrand.Seeded(m.pop.cfg.Seed, uint64(dst), saltGwJitter, uint64(int64(t*1e6)), uint64(hop))
+	rng := xrand.FromHash(xrand.Extend(h, saltGwJitter, usOf(t), uint64(hop)))
 	// Routers rate-limit ICMP generation (RFC 1812); drop some requests.
 	if rng.Float64() < 0.08 {
 		return nil
@@ -303,7 +329,7 @@ func (m *Model) gatewayError(vc ipmeta.Continent, from ipaddr.Addr, p *wire.Pack
 		return nil
 	}
 	gw := p.IP.Dst.Prefix().Addr(1)
-	rng := xrand.Seeded(m.pop.cfg.Seed, uint64(p.IP.Dst), saltGwJitter, uint64(int64(t*1e6)))
+	rng := xrand.FromHash(xrand.Extend(pr.h, saltGwJitter, usOf(t)))
 	delay := propRTT[vc][pr.AS.Continent]*(0.9+0.2*rng.Float64()) + 0.01 + rng.Exp(0.01)
 	reply := wire.EncodeICMPErrorTTL(gw, from, &wire.ICMPError{
 		Type: wire.ICMPTypeDstUnreachable, Code: wire.ICMPCodeHostUnreachable, Original: m.quoteFor(p),
@@ -316,16 +342,16 @@ func (m *Model) gatewayError(vc ipmeta.Continent, from ipaddr.Addr, p *wire.Pack
 // sources: loss, buffered-outage episodes, cellular wake-up, queueing, and
 // the base path.
 func (m *Model) pathDelay(pr *Profile, vc ipmeta.Continent, t float64) (float64, bool) {
-	seed, key := m.pop.cfg.Seed, uint64(pr.Addr)
+	us := usOf(t)
 
 	// Plain packet loss.
-	if xrand.HashFloat(seed, key, saltProbeLoss, uint64(int64(t*1e6))) < pr.LossRate {
+	if draw(pr.h, saltProbeLoss, us) < pr.LossRate {
 		m.Stats.Lost++
 		return 0, false
 	}
 
 	svc := propRTT[vc][pr.AS.Continent]*pr.DistanceJitter + pr.AccessRTT + pr.SatBase
-	rng := xrand.Seeded(seed, key, saltSvcJitter, uint64(int64(t*1e6)))
+	rng := xrand.FromHash(xrand.Extend(pr.h, saltSvcJitter, us))
 	svc += rng.Exp(0.008)
 
 	// Buffered-outage episodes override everything else: the device is
@@ -381,10 +407,10 @@ func (m *Model) wakeHold(pr *Profile, t float64) float64 {
 		// those probes the first ping pays no penalty. This is the minority of
 		// high-latency addresses the paper finds with RTT1 at or below the
 		// median of the rest (§6.3).
-		if xrand.HashFloat(m.pop.cfg.Seed, uint64(pr.Addr), saltAwake, uint64(int64(t*1e6))) < 0.25 {
+		if draw(pr.h, saltAwake, usOf(t)) < 0.25 {
 			break
 		}
-		w := drawWake(m.pop.cfg.Seed, uint64(pr.Addr), t)
+		w := drawWake(pr.h, t)
 		st.wakeUntil = t + w
 		hold = w
 	}
@@ -407,7 +433,7 @@ func (m *Model) withDuplicates(pr *Profile, t, delay float64, reply []byte) []si
 	}
 	// Flood: first copy at the natural delay, the rest in chunks over the
 	// following minutes (the paper saw ~11M responses inside 11 minutes).
-	rng := xrand.Seeded(m.pop.cfg.Seed, uint64(pr.Addr), saltDupChunk, uint64(int64(t*1e6)))
+	rng := xrand.FromHash(xrand.Extend(pr.h, saltDupChunk, usOf(t)))
 	const chunks = 8
 	out := append(m.deliv[:0], simnet.Delivery{Delay: durOf(delay), Data: reply})
 	remaining := pr.DupCount - 1

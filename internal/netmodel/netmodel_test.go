@@ -507,7 +507,7 @@ func TestWakeHoldStateMachine(t *testing.T) {
 		t.Skip("no cellular host")
 	}
 	// Use a synthetic profile so IdleTimeout is known exactly.
-	pr := Profile{Addr: p.AddrAt(0), Class: ClassCellular, IdleTimeout: 30}
+	pr := *p.hashed(&Profile{Addr: p.AddrAt(0), Class: ClassCellular, IdleTimeout: 30})
 
 	// Find a first-probe time whose radio is asleep (not in the
 	// already-awake band) and whose wake takes comfortably longer than the
@@ -941,50 +941,59 @@ func TestSleepyModeShares(t *testing.T) {
 }
 
 // TestPerProbeDrawsDoNotAllocate pins the per-probe random draws to the
-// stack: congestionDelay, drawWake and Profile build their short-lived
-// generators with xrand.Seeded, so none of them allocates. The congestion
-// probe is placed where no congestion episode covers it, because an
-// episode's own parameter stream still lives on the heap.
+// stack: every generator is an xrand.Rand value, an episode's parameter
+// stream included, so congestionDelay, sleepyAt, drawWake and Profile
+// allocate nothing, inside an episode or out of one. Model.Respond on a
+// responsive echo probe allocates exactly its reply buffer.
 func TestPerProbeDrawsDoNotAllocate(t *testing.T) {
 	p := testPop(64)
-	seed := p.cfg.Seed
-	var cell, dup ipaddr.Addr
-	for i := 0; i < p.NumAddrs() && (cell == 0 || dup == 0); i++ {
+	var cell, dup, plain ipaddr.Addr
+	for i := 0; i < p.NumAddrs() && (cell == 0 || dup == 0 || plain == 0); i++ {
 		a := p.AddrAt(i)
 		pr := p.Profile(a)
-		if cell == 0 && pr.Responsive && pr.Class == ClassCellular {
+		if cell == 0 && pr.Responsive && pr.Class == ClassCellular && pr.Severity > 0.5 {
 			cell = a
 		}
 		if dup == 0 && pr.DupCount >= 2 {
 			dup = a
 		}
+		if plain == 0 && pr.Responsive && pr.JoinTime == 0 && pr.Class == ClassDSL && pr.DupCount == 0 {
+			plain = a
+		}
 	}
-	if cell == 0 || dup == 0 {
-		t.Fatalf("population lacks a cellular host (%v) or a duplicating one (%v)", cell, dup)
+	if cell == 0 || dup == 0 || plain == 0 {
+		t.Fatalf("population lacks a cellular host (%v), a duplicating one (%v) or a plain one (%v)", cell, dup, plain)
 	}
 	pr := p.Profile(cell)
 	const level = 0.5
 	cp := p.congParamsFor(&pr, level)
-	tq := 1000.5
-	for {
-		if _, in := findEpisode(seed, uint64(pr.Addr), saltCong, tq, congWindow, cp.prob, 60, 1800); !in {
-			break
+	// Probe times outside and inside a congestion episode, and inside a
+	// sleepy episode, searched over a simulated month.
+	tOut, tCong, tSleepy := -1.0, -1.0, -1.0
+	for tq := 1000.5; tq < 30*86400 && (tOut < 0 || tCong < 0 || tSleepy < 0); tq += 20 {
+		if _, in := findEpisode(pr.h, saltCong, tq, congWindow, cp.prob, 60, 1800); in {
+			if tCong < 0 {
+				tCong = tq
+			}
+		} else if tOut < 0 {
+			tOut = tq
 		}
-		tq += 3 * congWindow
+		if _, in := p.sleepyAt(&pr, tq); in && tSleepy < 0 {
+			tSleepy = tq
+		}
+	}
+	if tOut < 0 || tCong < 0 || tSleepy < 0 {
+		t.Fatalf("no probe time outside (%v) or inside a congestion (%v) or sleepy (%v) episode", tOut, tCong, tSleepy)
 	}
 
 	var sink float64
 	for name, f := range map[string]func(){
-		"congestionDelay": func() { sink += p.congestionDelay(&pr, level, tq) },
-		"drawWake":        func() { sink += drawWake(seed, uint64(cell), tq) },
-		"Profile(cellular)": func() {
-			q := p.Profile(cell)
-			sink += q.AccessRTT
-		},
-		"Profile(duplicating)": func() {
-			q := p.Profile(dup)
-			sink += float64(q.DupCount)
-		},
+		"congestionDelay":             func() { sink += p.congestionDelay(&pr, level, tOut) },
+		"congestionDelay(in episode)": func() { sink += p.congestionDelay(&pr, level, tCong) },
+		"sleepyAt(in episode)":        func() { ev, _ := p.sleepyAt(&pr, tSleepy); sink += ev.delay + 1 },
+		"drawWake":                    func() { sink += drawWake(pr.h, tOut) },
+		"Profile(cellular)":           func() { q := p.Profile(cell); sink += q.AccessRTT },
+		"Profile(duplicating)":        func() { q := p.Profile(dup); sink += float64(q.DupCount) },
 	} {
 		if allocs := testing.AllocsPerRun(200, f); allocs != 0 {
 			t.Errorf("%s allocated %.1f times per call, want 0", name, allocs)
@@ -992,5 +1001,21 @@ func TestPerProbeDrawsDoNotAllocate(t *testing.T) {
 	}
 	if sink == 0 {
 		t.Fatal("draws returned nothing")
+	}
+
+	// The reply buffer must stay valid until the delivery is handled, so
+	// it is the one allocation an answered probe makes.
+	m := NewModel(p)
+	src := ipaddr.MustParse("240.0.0.1")
+	m.AddVantage(src, ipmeta.NorthAmerica)
+	pkt := wire.EncodeEcho(src, plain, &wire.ICMPEcho{Type: wire.ICMPTypeEchoRequest, ID: 1, Seq: 2})
+	at := simnet.Time(0)
+	for len(m.Respond(src, at, pkt)) != 1 {
+		if at += simnet.Time(time.Second); at > simnet.Time(time.Hour) {
+			t.Fatalf("%s never answered", plain)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, func() { m.Respond(src, at, pkt) }); allocs != 1 {
+		t.Errorf("Respond(responsive echo) allocated %.1f times per call, want 1 (the reply)", allocs)
 	}
 }

@@ -3,6 +3,7 @@ package netmodel
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"timeouts/internal/ipaddr"
@@ -65,17 +66,24 @@ func (c Config) Validate() error {
 // baseBlock is the /24 of 1.0.0.0; allocation proceeds upward from here.
 const baseBlock = ipaddr.Prefix24(0x010000)
 
-// assignment gives one AS its contiguous run of blocks.
-type assignment struct {
-	start  ipaddr.Prefix24
-	blocks int
-	spec   ASSpec
+// block is the per-/24 state New derives once: the owning AS and every draw
+// the model makes per block. The table holding it is indexed by
+// prefix−baseBlock, so a probe's AS lookup, BlockProfile and routing depth
+// cost a bounds check and an index.
+type block struct {
+	as         int32 // index into Population.catalog
+	hostBits   uint8 // BlockProfile.HostBits
+	hops       uint8 // per-block routing depth, 0..3 (see hostHops)
+	bcast      bool  // BlockProfile.BroadcastEnabled
+	netReplies bool  // BlockProfile.NetworkReplies
+	firewall   bool  // BlockProfile.FirewallTCPRST
 }
 
-// Population is an immutable synthetic address population.
+// Population is an immutable synthetic address population. Shards share
+// one Population without locks: nothing changes it after New.
 type Population struct {
 	cfg      Config
-	assigns  []assignment
+	blocks   []block // allocated /24s in address order, from baseBlock
 	db       *ipmeta.DB
 	catalog  []ASSpec
 	cellMul  float64
@@ -88,6 +96,9 @@ func New(cfg Config) *Population {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
 	}
+	// The population keeps its own catalog: a caller's later edits to the
+	// slice it passed must not change the hosts.
+	cfg.Catalog = slices.Clone(cfg.Catalog)
 	p := &Population{cfg: cfg, catalog: cfg.Catalog, cellMul: cfg.CellularScale, sleepMul: cfg.SleepyScale}
 	if p.cellMul == 0 {
 		p.cellMul = 1
@@ -100,7 +111,8 @@ func New(cfg Config) *Population {
 }
 
 // allocate partitions cfg.Blocks across the catalog by weight using the
-// largest-remainder method, guaranteeing at least one block per AS.
+// largest-remainder method, guaranteeing at least one block per AS, and
+// derives each block's table entry.
 func (p *Population) allocate() {
 	specs := p.catalog
 	total := 0.0
@@ -131,12 +143,16 @@ func (p *Population) allocate() {
 
 	var b ipmeta.Builder
 	next := baseBlock
-	p.assigns = make([]assignment, len(specs))
+	p.blocks = make([]block, 0, p.cfg.Blocks)
 	for i, s := range specs {
 		n := shares[i].whole + 1
-		p.assigns[i] = assignment{start: next, blocks: n, spec: s}
 		b.Add(ipmeta.Range{Start: next, Blocks: n, AS: s.AS})
-		next += ipaddr.Prefix24(n)
+		for j := 0; j < n; j++ {
+			blk := drawBlock(p.cfg.Seed, next, s.AS.Type == ipmeta.Broadband)
+			blk.as = int32(i)
+			p.blocks = append(p.blocks, blk)
+			next++
+		}
 	}
 	db, err := b.Build()
 	if err != nil {
@@ -160,44 +176,43 @@ func (p *Population) NumAddrs() int { return p.cfg.Blocks * 256 }
 
 // Blocks returns all allocated /24 prefixes in address order.
 func (p *Population) Blocks() []ipaddr.Prefix24 {
-	out := make([]ipaddr.Prefix24, 0, p.cfg.Blocks)
-	for _, a := range p.assigns {
-		for i := 0; i < a.blocks; i++ {
-			out = append(out, a.start+ipaddr.Prefix24(i))
-		}
+	out := make([]ipaddr.Prefix24, len(p.blocks))
+	for i := range out {
+		out[i] = baseBlock + ipaddr.Prefix24(i)
 	}
 	return out
 }
 
-// FirstAddr returns the lowest allocated address.
-func (p *Population) FirstAddr() ipaddr.Addr { return baseBlock.First() }
-
 // Contains reports whether the address is inside the allocated space.
 func (p *Population) Contains(a ipaddr.Addr) bool {
-	_, ok := p.spec(a.Prefix())
+	_, ok := p.block(a.Prefix())
 	return ok
+}
+
+// block returns the table entry of an allocated prefix. A prefix below
+// baseBlock wraps around to a huge index, so one comparison rejects both
+// ends of the allocated range.
+func (p *Population) block(pre ipaddr.Prefix24) (*block, bool) {
+	i := uint32(pre - baseBlock)
+	if i >= uint32(len(p.blocks)) {
+		return nil, false
+	}
+	return &p.blocks[i], true
 }
 
 // spec finds the ASSpec owning a prefix.
 func (p *Population) spec(pre ipaddr.Prefix24) (*ASSpec, bool) {
-	i := sort.Search(len(p.assigns), func(i int) bool {
-		return p.assigns[i].start+ipaddr.Prefix24(p.assigns[i].blocks) > pre
-	})
-	if i == len(p.assigns) || pre < p.assigns[i].start {
+	b, ok := p.block(pre)
+	if !ok {
 		return nil, false
 	}
-	return &p.assigns[i].spec, true
+	return &p.catalog[b.as], true
 }
 
 // AddrAt returns the i-th allocated address (0 <= i < NumAddrs), counting in
 // address order. Used by scanners to enumerate the population.
 func (p *Population) AddrAt(i int) ipaddr.Addr {
 	return ipaddr.Addr(uint32(baseBlock)<<8 + uint32(i))
-}
-
-// IndexOf inverts AddrAt.
-func (p *Population) IndexOf(a ipaddr.Addr) int {
-	return int(uint32(a) - uint32(baseBlock)<<8)
 }
 
 // hash salts for the independent per-address draws.
@@ -304,24 +319,45 @@ type Profile struct {
 	SatBase float64
 	// SatQueueCap caps satellite queueing (seconds).
 	SatQueueCap float64
+
+	// h is xrand.Hash(seed, Addr). Every per-address draw of the model is
+	// an extension of it (xrand.Extend), so a probe hashes the address once.
+	h uint64
 }
 
 // Profile derives the behavior profile for an address. Addresses outside
 // the allocated space return a zero profile with Responsive=false.
 func (p *Population) Profile(a ipaddr.Addr) Profile {
-	spec, ok := p.spec(a.Prefix())
+	var pr Profile
+	p.profileInto(&pr, a)
+	return pr
+}
+
+// draw returns the uniform [0,1) value of xrand.Extend(h, keys...): for
+// h = xrand.Hash(seed, k), the value xrand.HashFloat(seed, k, keys...) gives.
+func draw(h uint64, keys ...uint64) float64 {
+	return xrand.Float01(xrand.Extend(h, keys...))
+}
+
+// usOf is a probe time in whole microseconds, the key per-probe draws mix in.
+func usOf(t float64) uint64 { return uint64(int64(t * 1e6)) }
+
+// profileInto builds the profile of a into *pr, so the model can keep it in
+// scratch instead of copying it out per probe.
+func (p *Population) profileInto(pr *Profile, a ipaddr.Addr) {
+	h := xrand.Hash(p.cfg.Seed, uint64(a))
+	*pr = Profile{Addr: a, h: h}
+	b, ok := p.block(a.Prefix())
 	if !ok {
-		return Profile{Addr: a}
+		return
 	}
-	seed := p.cfg.Seed
-	key := uint64(a)
-	pr := Profile{Addr: a, AS: spec.AS}
+	spec := &p.catalog[b.as]
+	pr.AS = spec.AS
 
 	// Subnet network/broadcast addresses never host devices.
-	bp := p.BlockProfile(a.Prefix())
-	if bp.IsSpecial(a.LastOctet()) {
+	if b.profile(a.Prefix()).IsSpecial(a.LastOctet()) {
 		// A gateway may still emit errors for them, handled by the model.
-		return pr
+		return
 	}
 
 	// Whether a device at this address answers subnet-broadcast pings
@@ -331,29 +367,29 @@ func (p *Population) Profile(a ipaddr.Addr) Profile {
 	// responders are devices (printers, routers with ACLs) that answer the
 	// broadcast but not their own address, and those are exactly the ones
 	// whose replies get falsely matched to timed-out direct probes.
-	pr.RespondsToBroadcast = xrand.HashFloat(seed, key, saltBroadcastDev) < 0.08
+	pr.RespondsToBroadcast = draw(h, saltBroadcastDev) < 0.08
 
 	// Responsiveness. A band of addresses just above the base threshold
 	// are "late joiners": devices deployed during the measurement period,
 	// responsive only after JoinTime. They reproduce the gradual growth of
 	// Zmap responder counts across the paper's scan series (Table 3:
 	// 339M in April to ~370M in July).
-	u0 := xrand.HashFloat(seed, key, saltResponsive)
+	u0 := draw(h, saltResponsive)
 	switch {
 	case u0 < spec.Responsiveness:
 		pr.Responsive = true
 	case u0 < spec.Responsiveness*1.15:
 		pr.Responsive = true
-		pr.JoinTime = 60 * 86400 * xrand.HashFloat(seed, key, saltJoin)
+		pr.JoinTime = 60 * 86400 * draw(h, saltJoin)
 	default:
 		// A small share of unoccupied addresses draw ICMP errors from the
 		// gateway; the survey records and then ignores them (§3.1).
-		pr.ICMPErrorResponder = xrand.HashFloat(seed, key, saltErrResp) < 0.02
-		return pr
+		pr.ICMPErrorResponder = draw(h, saltErrResp) < 0.02
+		return
 	}
 
 	// Class assignment within the AS.
-	u := xrand.HashFloat(seed, key, saltClass)
+	u := draw(h, saltClass)
 	cellFrac := spec.CellularFrac * p.cellMul
 	if cellFrac > 1 {
 		cellFrac = 1
@@ -381,44 +417,45 @@ func (p *Population) Profile(a ipaddr.Addr) Profile {
 		}
 	}
 
-	pr.Severity = xrand.HashFloat(seed, key, saltSeverity)
-	pr.DistanceJitter = 0.8 + 0.7*xrand.HashFloat(seed, key, saltDistance)
+	pr.Severity = draw(h, saltSeverity)
 	if pr.Class == ClassServer {
 		// Datacenters sit near exchange points: short, direct paths. This
 		// is the population behind Table 2's top row (0.01-0.18 s).
-		pr.DistanceJitter = 0.25 + 0.35*xrand.HashFloat(seed, key, saltDistance)
+		pr.DistanceJitter = 0.25 + 0.35*draw(h, saltDistance)
+	} else {
+		pr.DistanceJitter = 0.8 + 0.7*draw(h, saltDistance)
 	}
 
-	rng := xrand.Seeded(seed, key, saltAccess)
+	rng := xrand.FromHash(xrand.Extend(h, saltAccess))
 	switch pr.Class {
 	case ClassServer:
 		pr.AccessRTT = 0.001 + 0.004*rng.Float64()
 		pr.LossRate = 0.001
 	case ClassQuiet:
 		pr.AccessRTT = 0.008 + 0.030*rng.Float64()
-		pr.LossRate = 0.003 + 0.01*xrand.HashFloat(seed, key, saltLoss)
+		pr.LossRate = 0.003 + 0.01*draw(h, saltLoss)
 	case ClassDSL:
 		pr.AccessRTT = 0.015 + 0.050*rng.Float64()
-		pr.LossRate = 0.005 + 0.02*xrand.HashFloat(seed, key, saltLoss)
+		pr.LossRate = 0.005 + 0.02*draw(h, saltLoss)
 	case ClassCongested:
 		pr.AccessRTT = 0.030 + 0.080*rng.Float64()
-		pr.LossRate = 0.02 + 0.06*xrand.HashFloat(seed, key, saltLoss)
+		pr.LossRate = 0.02 + 0.06*draw(h, saltLoss)
 	case ClassCellular:
 		pr.AccessRTT = 0.040 + 0.110*rng.Float64()
-		pr.LossRate = 0.01 + 0.05*xrand.HashFloat(seed, key, saltLoss)
-		pr.IdleTimeout = 10 + 60*xrand.HashFloat(seed, key, saltIdle)
+		pr.LossRate = 0.01 + 0.05*draw(h, saltLoss)
+		pr.IdleTimeout = 10 + 60*draw(h, saltIdle)
 	case ClassSatellite:
 		pr.SatBase = (spec.SatBaseMS + spec.SatSpreadMS*rng.Float64()) / 1000
 		pr.SatQueueCap = spec.SatQueueCapMS / 1000
 		pr.AccessRTT = 0.010 + 0.020*rng.Float64()
-		pr.LossRate = 0.01 + 0.02*xrand.HashFloat(seed, key, saltLoss)
+		pr.LossRate = 0.01 + 0.02*draw(h, saltLoss)
 	}
 
 	// Duplicate responders (§3.3.2): ~1% of hosts duplicate (2-4 copies);
 	// a tiny fraction of those are misconfigured or retaliating and send
 	// hundreds to millions of responses.
-	if xrand.HashFloat(seed, key, saltDup) < 0.022 {
-		r2 := xrand.Seeded(seed, key, saltDupCount)
+	if draw(h, saltDup) < 0.022 {
+		r2 := xrand.FromHash(xrand.Extend(h, saltDupCount))
 		if r2.Float64() < 0.010 {
 			// Heavy tail: hundreds up to millions of responses per request
 			// (misconfiguration or retaliatory DoS, §3.3.2).
@@ -433,8 +470,6 @@ func (p *Population) Profile(a ipaddr.Addr) Profile {
 			pr.DupCount = 2 + r2.Intn(3)
 		}
 	}
-
-	return pr
 }
 
 // BlockProfile captures per-/24 behavior: how the block is subnetted (which
@@ -457,39 +492,61 @@ type BlockProfile struct {
 	FirewallTCPRST bool
 }
 
-// BlockProfile derives the block-level profile for a /24.
+// BlockProfile derives the block-level profile for a /24. Allocated blocks
+// read it from the table New filled; any other prefix draws it the same
+// way, without a firewall (it has no broadband AS).
 func (p *Population) BlockProfile(pre ipaddr.Prefix24) BlockProfile {
-	seed := p.cfg.Seed
-	key := uint64(pre)
-	bp := BlockProfile{Prefix: pre}
+	if b, ok := p.block(pre); ok {
+		return b.profile(pre)
+	}
+	b := drawBlock(p.cfg.Seed, pre, false)
+	return b.profile(pre)
+}
+
+// drawBlock makes a block's hash draws, all of them extensions of
+// xrand.Hash(seed, prefix). Only blocks of broadband ASes draw a firewall.
+func drawBlock(seed uint64, pre ipaddr.Prefix24, broadband bool) block {
+	h := xrand.Hash(seed, uint64(pre))
+	var b block
 	// Subnetting distribution: most /24s are one subnet; the rest are
 	// split on power-of-two boundaries (Figure 2's spikes at 255/0,
 	// 127/128, 63/64/191/192, ...).
-	u := xrand.HashFloat(seed, key, saltBlockSplit)
+	u := draw(h, saltBlockSplit)
 	switch {
 	case u < 0.55:
-		bp.HostBits = 8
+		b.hostBits = 8
 	case u < 0.77:
-		bp.HostBits = 7
+		b.hostBits = 7
 	case u < 0.89:
-		bp.HostBits = 6
+		b.hostBits = 6
 	case u < 0.955:
-		bp.HostBits = 5
+		b.hostBits = 5
 	case u < 0.985:
-		bp.HostBits = 4
+		b.hostBits = 4
 	case u < 0.996:
-		bp.HostBits = 3
+		b.hostBits = 3
 	default:
-		bp.HostBits = 2
+		b.hostBits = 2
 	}
-	v := xrand.HashFloat(seed, key, saltBlockBcast)
-	bp.BroadcastEnabled = v < 0.018
-	bp.NetworkReplies = v < 0.007
-	spec, ok := p.spec(pre)
-	if ok && spec.AS.Type == ipmeta.Broadband {
-		bp.FirewallTCPRST = xrand.HashFloat(seed, key, saltBlockFirewall) < 0.10
+	v := draw(h, saltBlockBcast)
+	b.bcast = v < 0.018
+	b.netReplies = v < 0.007
+	if broadband {
+		b.firewall = draw(h, saltBlockFirewall) < 0.10
 	}
-	return bp
+	b.hops = uint8(xrand.Extend(h, saltBlockHops) % 4)
+	return b
+}
+
+// profile returns the block's BlockProfile.
+func (b *block) profile(pre ipaddr.Prefix24) BlockProfile {
+	return BlockProfile{
+		Prefix:           pre,
+		HostBits:         int(b.hostBits),
+		BroadcastEnabled: b.bcast,
+		NetworkReplies:   b.netReplies,
+		FirewallTCPRST:   b.firewall,
+	}
 }
 
 // subnetMask returns the host-part mask for the block's subnets.

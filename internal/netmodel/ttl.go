@@ -33,10 +33,16 @@ var baseHops = [ipmeta.NumContinents][ipmeta.NumContinents]int{
 	{20, 14, 20, 21, 15, 9},
 }
 
+// maxHostHops bounds hostHops: the largest baseHops entry (21) plus the
+// per-block (≤3) and per-host (≤2) draws. A probe whose TTL is at least this
+// cannot expire on any modelled path.
+const maxHostHops = 26
+
 // initialTTL returns the host's OS-stack initial TTL: most hosts 64 (unix
 // derivatives), many 128 (Windows), a few 255 (network gear, some unices).
-func initialTTL(seed uint64, a ipaddr.Addr) int {
-	u := xrand.HashFloat(seed, uint64(a), saltStackTTL)
+// h is the address hash xrand.Hash(seed, addr).
+func initialTTL(h uint64) int {
+	u := draw(h, saltStackTTL)
 	switch {
 	case u < 0.58:
 		return 64
@@ -49,36 +55,31 @@ func initialTTL(seed uint64, a ipaddr.Addr) int {
 
 // hostHops returns the hop count between a vantage continent and the host:
 // the continental base, plus per-block routing depth, plus a small per-host
-// component (subscriber aggregation).
-func (p *Population) hostHops(vc ipmeta.Continent, a ipaddr.Addr) int {
-	spec, ok := p.spec(a.Prefix())
+// component (subscriber aggregation). h is the address hash
+// xrand.Hash(seed, a).
+func (p *Population) hostHops(vc ipmeta.Continent, a ipaddr.Addr, h uint64) int {
+	b, ok := p.block(a.Prefix())
 	if !ok {
 		return baseHops[vc][vc]
 	}
-	seed := p.cfg.Seed
-	h := baseHops[vc][spec.AS.Continent]
-	h += xrand.HashIntn(4, seed, uint64(a.Prefix()), saltBlockHops)
-	h += xrand.HashIntn(3, seed, uint64(a), saltHops)
-	return h
+	return baseHops[vc][p.catalog[b.as].AS.Continent] + int(b.hops) + int(xrand.Extend(h, saltHops)%3)
 }
 
 // edgeHops returns the hop count from a vantage to the block's edge router
 // (where perimeter firewalls sit): the block's path minus the subscriber
 // tail.
 func (p *Population) edgeHops(vc ipmeta.Continent, pre ipaddr.Prefix24) int {
-	spec, ok := p.spec(pre)
+	b, ok := p.block(pre)
 	if !ok {
 		return baseHops[vc][vc]
 	}
-	h := baseHops[vc][spec.AS.Continent]
-	h += xrand.HashIntn(4, p.cfg.Seed, uint64(pre), saltBlockHops)
-	return h - 2
+	return baseHops[vc][p.catalog[b.as].AS.Continent] + int(b.hops) - 2
 }
 
-// ReplyTTL returns the TTL a prober at the vantage continent observes on a
-// reply from the host.
-func (p *Population) ReplyTTL(vc ipmeta.Continent, a ipaddr.Addr) byte {
-	ttl := initialTTL(p.cfg.Seed, a) - p.hostHops(vc, a)
+// replyTTL returns the TTL a prober at the vantage continent observes on a
+// reply from the host at a, whose address hash is h.
+func (p *Population) replyTTL(vc ipmeta.Continent, a ipaddr.Addr, h uint64) byte {
+	ttl := initialTTL(h) - p.hostHops(vc, a, h)
 	if ttl < 1 {
 		ttl = 1
 	}
@@ -106,7 +107,7 @@ func (p *Population) RouterAddr(vc ipmeta.Continent, dst ipaddr.Addr, hop int) i
 
 // HostHops exposes the modeled hop count for tests and tools.
 func (p *Population) HostHops(vc ipmeta.Continent, a ipaddr.Addr) int {
-	return p.hostHops(vc, a)
+	return p.hostHops(vc, a, xrand.Hash(p.cfg.Seed, uint64(a)))
 }
 
 // GatewayTTL returns the TTL on ICMP errors from the block gateway.

@@ -12,6 +12,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -58,7 +59,7 @@ func PercentileFloat(sorted []float64, p float64) float64 {
 
 // SortDurations sorts samples ascending in place and returns the slice.
 func SortDurations(samples []time.Duration) []time.Duration {
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
+	slices.Sort(samples)
 	return samples
 }
 

@@ -41,10 +41,9 @@ func (m *ICMPEcho) AppendTo(b []byte) []byte {
 	b = append(b, make([]byte, ICMPEchoHeaderLen)...)
 	b = append(b, m.Payload...)
 	p := b[off:]
-	p[0] = m.Type
-	p[1] = m.Code
-	binary.BigEndian.PutUint16(p[4:], m.ID)
-	binary.BigEndian.PutUint16(p[6:], m.Seq)
+	// One store for the header, which Checksum reads back as one word (see
+	// IPv4.AppendTo).
+	binary.BigEndian.PutUint64(p, uint64(m.Type)<<56|uint64(m.Code)<<48|uint64(m.ID)<<16|uint64(m.Seq))
 	binary.BigEndian.PutUint16(p[2:], Checksum(p))
 	return b
 }
@@ -98,8 +97,7 @@ func (m *ICMPError) AppendTo(b []byte) []byte {
 	b = append(b, make([]byte, 8)...)
 	b = append(b, m.Original...)
 	p := b[off:]
-	p[0] = m.Type
-	p[1] = m.Code
+	binary.BigEndian.PutUint64(p, uint64(m.Type)<<56|uint64(m.Code)<<48)
 	binary.BigEndian.PutUint16(p[2:], Checksum(p))
 	return b
 }

@@ -24,11 +24,9 @@ func (u *UDP) AppendTo(b []byte, src, dst ipaddr.Addr) []byte {
 	b = append(b, make([]byte, UDPHeaderLen)...)
 	b = append(b, u.Payload...)
 	p := b[off:]
-	binary.BigEndian.PutUint16(p[0:], u.SrcPort)
-	binary.BigEndian.PutUint16(p[2:], u.DstPort)
-	binary.BigEndian.PutUint16(p[4:], uint16(l4len))
-	sum := checksumWords(pseudoHeaderSum(src, dst, ProtoUDP, l4len), p)
-	ck := foldChecksum(sum)
+	// One store per word the checksum reads back (see IPv4.AppendTo).
+	binary.BigEndian.PutUint64(p, uint64(u.SrcPort)<<48|uint64(u.DstPort)<<32|uint64(uint16(l4len))<<16)
+	ck := ^onesSum(pseudoHeaderSum(src, dst, ProtoUDP, l4len), p)
 	if ck == 0 {
 		ck = 0xffff // RFC 768: transmitted all-ones when computed zero
 	}
@@ -46,8 +44,7 @@ func (u *UDP) Unmarshal(data []byte, src, dst ipaddr.Addr) error {
 		return ErrBadHeader
 	}
 	if binary.BigEndian.Uint16(data[6:]) != 0 { // checksum present
-		sum := checksumWords(pseudoHeaderSum(src, dst, ProtoUDP, l), data[:l])
-		if foldChecksum(sum) != 0 {
+		if ^onesSum(pseudoHeaderSum(src, dst, ProtoUDP, l), data[:l]) != 0 {
 			return ErrBadChecksum
 		}
 	}
@@ -86,15 +83,12 @@ func (t *TCP) AppendTo(b []byte, src, dst ipaddr.Addr) []byte {
 	off := len(b)
 	b = append(b, make([]byte, TCPHeaderLen)...)
 	p := b[off:]
-	binary.BigEndian.PutUint16(p[0:], t.SrcPort)
-	binary.BigEndian.PutUint16(p[2:], t.DstPort)
-	binary.BigEndian.PutUint32(p[4:], t.Seq)
-	binary.BigEndian.PutUint32(p[8:], t.Ack)
-	p[12] = 5 << 4 // data offset: 5 words
-	p[13] = t.Flags
-	binary.BigEndian.PutUint16(p[14:], t.Window)
-	sum := checksumWords(pseudoHeaderSum(src, dst, ProtoTCP, TCPHeaderLen), p)
-	binary.BigEndian.PutUint16(p[16:], foldChecksum(sum))
+	// One store per word the checksum reads back (see IPv4.AppendTo).
+	binary.BigEndian.PutUint64(p[0:], uint64(t.SrcPort)<<48|uint64(t.DstPort)<<32|uint64(t.Seq))
+	binary.BigEndian.PutUint64(p[8:], uint64(t.Ack)<<32|
+		5<<28| // data offset: 5 words
+		uint64(t.Flags)<<16|uint64(t.Window))
+	binary.BigEndian.PutUint16(p[16:], ^onesSum(pseudoHeaderSum(src, dst, ProtoTCP, TCPHeaderLen), p))
 	return b
 }
 
@@ -107,8 +101,7 @@ func (t *TCP) Unmarshal(data []byte, src, dst ipaddr.Addr) error {
 	if doff < TCPHeaderLen || doff > len(data) {
 		return ErrBadHeader
 	}
-	sum := checksumWords(pseudoHeaderSum(src, dst, ProtoTCP, len(data)), data)
-	if foldChecksum(sum) != 0 {
+	if ^onesSum(pseudoHeaderSum(src, dst, ProtoTCP, len(data)), data) != 0 {
 		return ErrBadChecksum
 	}
 	t.SrcPort = binary.BigEndian.Uint16(data[0:])

@@ -28,7 +28,14 @@ func splitmix64(x uint64) uint64 {
 
 // Hash mixes a seed and any number of keys into a uniform uint64.
 func Hash(seed uint64, keys ...uint64) uint64 {
-	h := splitmix64(seed)
+	return Extend(splitmix64(seed), keys...)
+}
+
+// Extend mixes further keys into a hash value. Hash is a left fold over its
+// keys, so Extend(Hash(seed, a), k...) == Hash(seed, a, k...): a caller that
+// draws many values keyed by the same prefix hashes the prefix once and pays
+// one SplitMix64 round per extra key.
+func Extend(h uint64, keys ...uint64) uint64 {
 	for _, k := range keys {
 		h = splitmix64(h ^ k)
 	}
@@ -54,23 +61,21 @@ func HashIntn(n int, seed uint64, keys ...uint64) int {
 }
 
 // Rand is a small deterministic generator (xorshift128+ style state advanced
-// with SplitMix64 outputs). The zero value is not usable; construct with New.
+// with SplitMix64 outputs). The zero value is not usable; construct with
+// Seeded or FromHash. It is a value, so a short-lived generator per packet
+// stays on the stack.
 type Rand struct {
 	s0, s1 uint64
 }
 
-// New creates a generator seeded from (seed, keys...).
-func New(seed uint64, keys ...uint64) *Rand {
-	h := Hash(seed, keys...)
-	return &Rand{s0: splitmix64(h), s1: splitmix64(h + 1)}
+// Seeded returns a generator seeded from (seed, keys...).
+func Seeded(seed uint64, keys ...uint64) Rand {
+	return FromHash(Hash(seed, keys...))
 }
 
-// Seeded returns a generator seeded from (seed, keys...) by value, producing
-// the same draw sequence as New with the same arguments. Hot paths that
-// create a short-lived generator per packet use it to keep the state on the
-// stack instead of allocating.
-func Seeded(seed uint64, keys ...uint64) Rand {
-	h := Hash(seed, keys...)
+// FromHash returns the generator seeded by an already-mixed hash value:
+// Seeded(seed, keys...) == FromHash(Hash(seed, keys...)).
+func FromHash(h uint64) Rand {
 	return Rand{s0: splitmix64(h), s1: splitmix64(h + 1)}
 }
 
@@ -111,12 +116,6 @@ func (r *Rand) Norm() float64 {
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
-// LogNormal returns exp(mu + sigma*N(0,1)). Latency inflation factors in the
-// model are lognormal: most samples near the mode, a long right tail.
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*r.Norm())
-}
-
 // Exp returns an exponential variate with the given mean.
 func (r *Rand) Exp(mean float64) float64 {
 	u := r.Float64()
@@ -135,17 +134,4 @@ func (r *Rand) Pareto(xm, alpha float64) float64 {
 		u = math.Nextafter(1, 0)
 	}
 	return xm / math.Pow(1-u, 1/alpha)
-}
-
-// Perm fills a permutation of [0, n) using Fisher–Yates.
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

@@ -54,16 +54,16 @@ func TestHashIntnRange(t *testing.T) {
 }
 
 func TestRandDeterministicStreams(t *testing.T) {
-	r1 := New(42, 7)
-	r2 := New(42, 7)
+	r1 := Seeded(42, 7)
+	r2 := Seeded(42, 7)
 	for i := 0; i < 100; i++ {
 		if r1.Uint64() != r2.Uint64() {
 			t.Fatal("streams with equal seeds diverge")
 		}
 	}
-	r3 := New(42, 8)
+	r3 := Seeded(42, 8)
 	same := 0
-	r1 = New(42, 7)
+	r1 = Seeded(42, 7)
 	for i := 0; i < 100; i++ {
 		if r1.Uint64() == r3.Uint64() {
 			same++
@@ -75,7 +75,7 @@ func TestRandDeterministicStreams(t *testing.T) {
 }
 
 func TestNormMoments(t *testing.T) {
-	r := New(1)
+	r := Seeded(1)
 	const n = 50000
 	var sum, sq float64
 	for i := 0; i < n; i++ {
@@ -93,7 +93,7 @@ func TestNormMoments(t *testing.T) {
 }
 
 func TestExpMean(t *testing.T) {
-	r := New(2)
+	r := Seeded(2)
 	const n = 50000
 	sum := 0.0
 	for i := 0; i < n; i++ {
@@ -108,29 +108,8 @@ func TestExpMean(t *testing.T) {
 	}
 }
 
-func TestLogNormalMedian(t *testing.T) {
-	r := New(3)
-	const n = 50001
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = r.LogNormal(0.5, 1.0)
-	}
-	// Median of lognormal(mu, sigma) is exp(mu).
-	count := 0
-	want := math.Exp(0.5)
-	for _, v := range vals {
-		if v < want {
-			count++
-		}
-	}
-	frac := float64(count) / n
-	if math.Abs(frac-0.5) > 0.02 {
-		t.Errorf("fraction below exp(mu) = %.3f, want ~0.5", frac)
-	}
-}
-
 func TestParetoBounds(t *testing.T) {
-	r := New(4)
+	r := Seeded(4)
 	for i := 0; i < 10000; i++ {
 		if v := r.Pareto(2.0, 1.5); v < 2.0 {
 			t.Fatalf("Pareto below scale: %v", v)
@@ -140,7 +119,7 @@ func TestParetoBounds(t *testing.T) {
 
 func TestParetoTailIndex(t *testing.T) {
 	// P(X > 2*xm) should be 2^-alpha.
-	r := New(5)
+	r := Seeded(5)
 	const n = 200000
 	over := 0
 	for i := 0; i < n; i++ {
@@ -154,29 +133,8 @@ func TestParetoTailIndex(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBoolProbability(t *testing.T) {
-	r := New(6)
+	r := Seeded(6)
 	const n = 50000
 	hits := 0
 	for i := 0; i < n; i++ {
@@ -196,5 +154,34 @@ func TestIntnPanicsOnNonPositive(t *testing.T) {
 			t.Error("Intn(0) should panic")
 		}
 	}()
-	New(1).Intn(0)
+	r := Seeded(1)
+	r.Intn(0)
+}
+
+// Extend continues Hash's fold, so hashing a key prefix once and extending
+// it gives every output bit Hash gives for the whole key list.
+func TestExtendContinuesHash(t *testing.T) {
+	f := func(seed, a uint64, keys []uint64) bool {
+		return Extend(Hash(seed, a), keys...) == Hash(seed, append([]uint64{a}, keys...)...) &&
+			Extend(Hash(seed), append([]uint64{a}, keys...)...) == Hash(seed, append([]uint64{a}, keys...)...)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// FromHash seeds the generator Seeded builds from the same arguments.
+func TestFromHashMatchesSeeded(t *testing.T) {
+	f := func(seed, a, b uint64) bool {
+		r1, r2 := Seeded(seed, a, b), FromHash(Extend(Hash(seed, a), b))
+		for i := 0; i < 4; i++ {
+			if r1.Uint64() != r2.Uint64() {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
 }
