@@ -92,14 +92,60 @@ bench:
 # against the full-benchtime baseline, while 100ms gives fast paths
 # thousands of iterations and still runs the multi-second table/figure
 # benchmarks just once. Override the baseline with BENCH_BASELINE=path,
-# and the regression threshold with BENCH_THRESHOLD=pct (shared or
-# throttled machines drift well past the default 10%).
+# the regression threshold with BENCH_THRESHOLD=pct (shared or throttled
+# machines drift well past the default 10%), the benchmarks run with
+# BENCH=regexp (default: all) and the -benchtime with BENCH_TIME.
+#
+# A baseline file was measured on another day, and host drift alone can
+# move unchanged code past the gate. BENCH_BASE_REF=<ref> measures the
+# base alongside the working tree instead: <ref>'s committed files are
+# exported (git archive, so nothing is left in .git if the run is killed)
+# into a temporary directory, both sides' test binaries are built once for
+# every package that has benchmarks, and the binaries then run BENCH_ROUNDS
+# (default 5) alternating rounds, the base first in odd rounds, with the
+# same BENCH and BENCH_TIME, each from its own package directory. Every
+# benchmark line is echoed with its side and round; benchjson -compare
+# gates the medians of the rounds. For example:
+#
+#   make bench-compare BENCH_BASE_REF=HEAD~1 BENCH='^BenchmarkAnalyze$$' BENCH_TIME=1s
 BENCH_BASELINE ?= $(lastword $(sort $(wildcard BENCH_*.json)))
 BENCH_THRESHOLD ?= 10
+BENCH ?= .
+BENCH_TIME ?= 100ms
+BENCH_ROUNDS ?= 5
 bench-compare:
+ifdef BENCH_BASE_REF
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir -p "$$tmp/base/src" "$$tmp/base/bin" "$$tmp/new/bin"; \
+	git archive "$(BENCH_BASE_REF)" | tar -x -C "$$tmp/base/src"; \
+	pkgs=$$($(GO) list -f '{{.Dir}}' ./... | sed 's|^$(CURDIR)|.|' | \
+		while read -r d; do if grep -qs '^func Benchmark' "$$d"/*_test.go; then echo "$$d"; fi; done); \
+	for d in $$pkgs; do \
+		bin=$$(echo "$$d" | tr ./ __).test; \
+		$(GO) test -c -o "$$tmp/new/bin/$$bin" "$$d"; \
+		if [ -d "$$tmp/base/src/$$d" ]; then (cd "$$tmp/base/src" && $(GO) test -c -o "$$tmp/base/bin/$$bin" "$$d"); fi; \
+	done; \
+	for r in $$(seq $(BENCH_ROUNDS)); do \
+		order="base new"; if [ $$((r % 2)) -eq 0 ]; then order="new base"; fi; \
+		for side in $$order; do \
+			src=$(CURDIR); if [ $$side = base ]; then src="$$tmp/base/src"; fi; \
+			for d in $$pkgs; do \
+				bin="$$tmp/$$side/bin/$$(echo "$$d" | tr ./ __).test"; \
+				if [ ! -x "$$bin" ]; then continue; fi; \
+				(cd "$$src/$$d" && "$$bin" -test.run '^$$' -test.bench '$(BENCH)' -test.benchtime $(BENCH_TIME) -test.benchmem -test.timeout 60m) > "$$tmp/run.txt"; \
+				cat "$$tmp/run.txt" >> "$$tmp/$$side.txt"; \
+				sed -n "s/^Benchmark/$$side round $$r: &/p" "$$tmp/run.txt"; \
+			done; \
+		done; \
+	done; \
+	$(GO) run ./cmd/benchjson < "$$tmp/base.txt" > "$$tmp/base.json"; \
+	$(GO) run ./cmd/benchjson < "$$tmp/new.txt" > "$$tmp/new.json"; \
+	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) "$$tmp/base.json" "$$tmp/new.json"
+else
 	@test -n "$(BENCH_BASELINE)" || { echo "bench-compare: no BENCH_*.json baseline found"; exit 2; }
-	$(GO) test -bench=. -benchmem -benchtime=100ms ./... | $(GO) run ./cmd/benchjson > /tmp/bench_current.json
+	$(GO) test -bench='$(BENCH)' -benchmem -benchtime=$(BENCH_TIME) ./... | $(GO) run ./cmd/benchjson > /tmp/bench_current.json
 	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) $(BENCH_BASELINE) /tmp/bench_current.json
+endif
 
 # The transport boundary suite, raced (the UDP pump runs on its own
 # goroutine): the zero-alloc and deadline-semantics pins on both Transport

@@ -10,8 +10,8 @@
 // Records stream out of the dataset reader straight into a
 // core.StreamMatcher; the dataset is never held in memory. The matcher keeps
 // each probed address's open state plus every latency sample it recovers,
-// in one 256-cell block per probed /24, and the report's quantiles are
-// exact.
+// one cell per address in the order the dataset first names it, and the
+// report's quantiles are exact.
 //
 // The matcher relies on the dataset's emission order (per address, probes
 // in send order, each unmatched response after the probes sent before it)

@@ -16,9 +16,11 @@
 // With -summary, a one-line-per-benchmark human summary (name, ns/op,
 // ops/sec) is also printed to stderr.
 //
-// In compare mode, benchmarks are matched by name and GOMAXPROCS suffix and
-// the exit status is 1 when any matched benchmark's ns/op — or, for
-// benchmarks reporting the peak-heap-B metric (obs.ReportPeakHeap,
+// In compare mode, benchmarks are matched by name and GOMAXPROCS suffix,
+// repeated entries on either side (a -count N run, or the alternating
+// rounds of `make bench-compare BENCH_BASE_REF=<ref>`) are reduced to their
+// median, and the exit status is 1 when any matched benchmark's ns/op — or,
+// for benchmarks reporting the peak-heap-B metric (obs.ReportPeakHeap,
 // obs.HeapSampler) — grew by more than the threshold percentage (default
 // 10): the CI regression gate covers time and memory footprint alike.
 package main

@@ -13,11 +13,11 @@ import (
 // Store is the advisor's ingest side: per-/24 latency sketches plus core's
 // attribution kernel, which recovers delayed responses — the paper's
 // central trick, without which advice would miss exactly the
-// surprisingly-high-delay tail it exists to serve. Memory is O(prefixes):
-// each probed /24 holds one core.OpenProbes ring per address (the last two
-// probes, the only ones a future unmatched response can still be
-// attributed to) in a core.Blocks block, and each sampled /24 one
-// fixed-size Sketch.
+// surprisingly-high-delay tail it exists to serve. Memory is
+// O(addresses + prefixes): each probed address holds one core.OpenProbes
+// ring (the last two probes, the only ones a future unmatched response can
+// still be attributed to) in a core.Blocks cell, each probed /24 a
+// Blocks index entry, and each sampled /24 one fixed-size Sketch.
 //
 // A Store is single-writer: the sharded engine gives each shard its own
 // Store and merges afterwards (Merge), exactly as it does per-shard

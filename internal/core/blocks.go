@@ -7,58 +7,77 @@ import (
 	"timeouts/internal/ipaddr"
 )
 
-// Blocks keeps one T per IPv4 address, laid out densely per /24: each
-// prefix that holds any state owns a block of 256 cells and a 256-bit mask
-// of the cells in use. Surveys probe whole /24s, so a block is usually full
-// and the layout needs no population index and no spill map: any address,
-// in the population or stray, finds its cell in one prefix lookup. The
-// price is the sparse case — a /24 with a single live address still costs
-// a whole block.
+// Blocks keeps one T per IPv4 address. Cells live in fixed-size chunks,
+// appended in the order addresses are first brought to life; each /24 that
+// holds any state owns an index entry — a 256-bit mask of its live cells and
+// the cell number of each — so any address, in the population or stray,
+// finds its cell in one prefix lookup and one index load.
+//
+// Storage follows the visiting order, not the address order, because the
+// users revisit addresses in a fixed order: a survey (§3.1) probes one last
+// octet in every /24 per slot, so records arrive octet-major, and from the
+// second round on the matcher and the advisor's ingest walk their cells
+// sequentially instead of striding across /24s. A sparse /24 costs its
+// index entry (~1 KB) plus its live cells.
 //
 // The zero value is empty and ready to use. Cell pointers stay valid for
 // the life of the Blocks.
 type Blocks[T any] struct {
-	blocks map[ipaddr.Prefix24]*block[T]
+	index  map[ipaddr.Prefix24]*blockIndex
+	chunks []*[chunkCells]T
 	n      int
 }
 
-type block[T any] struct {
-	live  [4]uint64
-	cells [256]T
+// chunkCells is how many cells one chunk holds: as many as a /24 has, so a
+// chunk is never larger than a dense per-/24 block would be.
+const chunkCells = 256
+
+// blockIndex is one /24's entry: which last octets are live, and the cell
+// number of each live one.
+type blockIndex struct {
+	live [4]uint64
+	cell [256]uint32
 }
+
+// at returns cell number i.
+func (b *Blocks[T]) at(i uint32) *T { return &b.chunks[i/chunkCells][i%chunkCells] }
 
 // Get returns a's cell, bringing it to life (as T's zero value) if needed;
 // created reports whether it did.
 func (b *Blocks[T]) Get(a ipaddr.Addr) (cell *T, created bool) {
-	blk := b.blocks[a.Prefix()]
-	if blk == nil {
-		if b.blocks == nil {
-			b.blocks = make(map[ipaddr.Prefix24]*block[T])
+	idx := b.index[a.Prefix()]
+	if idx == nil {
+		if b.index == nil {
+			b.index = make(map[ipaddr.Prefix24]*blockIndex)
 		}
-		blk = new(block[T])
-		b.blocks[a.Prefix()] = blk
+		idx = new(blockIndex)
+		b.index[a.Prefix()] = idx
 	}
 	o := a.LastOctet()
-	word, bit := &blk.live[o>>6], uint64(1)<<(o&63)
+	word, bit := &idx.live[o>>6], uint64(1)<<(o&63)
 	if *word&bit == 0 {
 		*word |= bit
+		if b.n == len(b.chunks)*chunkCells {
+			b.chunks = append(b.chunks, new([chunkCells]T))
+		}
+		idx.cell[o] = uint32(b.n)
 		b.n++
 		created = true
 	}
-	return &blk.cells[o], created
+	return b.at(idx.cell[o]), created
 }
 
 // Lookup returns a's cell, or nil if it was never brought to life.
 func (b *Blocks[T]) Lookup(a ipaddr.Addr) *T {
-	blk := b.blocks[a.Prefix()]
-	if blk == nil {
+	idx := b.index[a.Prefix()]
+	if idx == nil {
 		return nil
 	}
 	o := a.LastOctet()
-	if blk.live[o>>6]&(1<<(o&63)) == 0 {
+	if idx.live[o>>6]&(1<<(o&63)) == 0 {
 		return nil
 	}
-	return &blk.cells[o]
+	return b.at(idx.cell[o])
 }
 
 // Len returns how many cells are live.
@@ -66,17 +85,17 @@ func (b *Blocks[T]) Len() int { return b.n }
 
 // Range calls fn on every live cell in ascending address order.
 func (b *Blocks[T]) Range(fn func(a ipaddr.Addr, cell *T)) {
-	prefixes := make([]ipaddr.Prefix24, 0, len(b.blocks))
-	for p := range b.blocks {
+	prefixes := make([]ipaddr.Prefix24, 0, len(b.index))
+	for p := range b.index {
 		prefixes = append(prefixes, p)
 	}
 	slices.Sort(prefixes)
 	for _, p := range prefixes {
-		blk := b.blocks[p]
-		for w, word := range blk.live {
+		idx := b.index[p]
+		for w, word := range idx.live {
 			for ; word != 0; word &= word - 1 {
 				o := w<<6 | bits.TrailingZeros64(word)
-				fn(p.Addr(byte(o)), &blk.cells[o])
+				fn(p.Addr(byte(o)), b.at(idx.cell[o]))
 			}
 		}
 	}

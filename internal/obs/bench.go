@@ -7,6 +7,7 @@ import (
 	"io"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -220,20 +221,19 @@ type BenchDelta struct {
 // CompareBench matches benchmarks by (Name, Procs) across two result sets
 // and reports the ns/op — and, where both sides carry one, peak-heap —
 // delta of each pair, flagging those that regressed by more than
-// thresholdPct percent. Benchmarks present on only one side are skipped: a
-// renamed or new benchmark is not a regression.
+// thresholdPct percent. Repeated entries for one (Name, Procs), as a
+// `-count N` run or several rounds of one binary produce, are first reduced
+// on each side to their median ns/op and median peak heap, so each
+// benchmark yields one delta. Benchmarks present on only one side are
+// skipped: a renamed or new benchmark is not a regression.
 func CompareBench(old, new []BenchResult, thresholdPct float64) []BenchDelta {
-	type key struct {
-		name  string
-		procs int
-	}
-	idx := make(map[key]BenchResult, len(old))
-	for _, r := range old {
-		idx[key{r.Name, r.Procs}] = r
+	idx := make(map[benchKey]BenchResult, len(old))
+	for _, r := range medianBench(old) {
+		idx[benchKey{r.Name, r.Procs}] = r
 	}
 	var out []BenchDelta
-	for _, r := range new {
-		o, ok := idx[key{r.Name, r.Procs}]
+	for _, r := range medianBench(new) {
+		o, ok := idx[benchKey{r.Name, r.Procs}]
 		if !ok || o.NsPerOp <= 0 {
 			continue
 		}
@@ -252,6 +252,49 @@ func CompareBench(old, new []BenchResult, thresholdPct float64) []BenchDelta {
 		out = append(out, d)
 	}
 	return out
+}
+
+type benchKey struct {
+	name  string
+	procs int
+}
+
+// medianBench reduces the entries of each (Name, Procs), in order of first
+// appearance, to one carrying the median ns/op and the median of the
+// entries' peak-heap readings (0 when none has one).
+func medianBench(rs []BenchResult) []BenchResult {
+	var keys []benchKey
+	ns := make(map[benchKey][]float64)
+	peak := make(map[benchKey][]float64)
+	for _, r := range rs {
+		k := benchKey{r.Name, r.Procs}
+		if _, seen := ns[k]; !seen {
+			keys = append(keys, k)
+		}
+		ns[k] = append(ns[k], r.NsPerOp)
+		if r.PeakHeapBytes > 0 {
+			peak[k] = append(peak[k], r.PeakHeapBytes)
+		}
+	}
+	out := make([]BenchResult, len(keys))
+	for i, k := range keys {
+		out[i] = BenchResult{Name: k.name, Procs: k.procs, NsPerOp: median(ns[k]), PeakHeapBytes: median(peak[k])}
+	}
+	return out
+}
+
+// median returns the middle of v (the mean of the two middle values for an
+// even count), sorting v in place; 0 for an empty v.
+func median(v []float64) float64 {
+	if len(v) == 0 {
+		return 0
+	}
+	slices.Sort(v)
+	m := len(v) / 2
+	if len(v)%2 == 1 {
+		return v[m]
+	}
+	return (v[m-1] + v[m]) / 2
 }
 
 // WriteBenchSummary writes one human line per benchmark: name, ns/op and the

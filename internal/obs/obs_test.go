@@ -304,6 +304,40 @@ func TestCompareBench(t *testing.T) {
 	}
 }
 
+// TestCompareBenchMedians pins the reduction of repeated entries: each side
+// of a -count N run, or of alternating rounds, becomes one median per
+// (Name, Procs), so a benchmark yields one delta however often it ran.
+func TestCompareBenchMedians(t *testing.T) {
+	old := []BenchResult{
+		{Name: "Analyze", Procs: 2, NsPerOp: 300, PeakHeapBytes: 40 << 20},
+		{Name: "Analyze", Procs: 2, NsPerOp: 100, PeakHeapBytes: 10 << 20},
+		{Name: "Analyze", Procs: 2, NsPerOp: 200, PeakHeapBytes: 20 << 20},
+		{Name: "Analyze", Procs: 1, NsPerOp: 1000},
+	}
+	now := []BenchResult{
+		{Name: "Analyze", Procs: 2, NsPerOp: 150, PeakHeapBytes: 20 << 20},
+		{Name: "Analyze", Procs: 2, NsPerOp: 900, PeakHeapBytes: 30 << 20}, // an outlier the median ignores
+		{Name: "Analyze", Procs: 2, NsPerOp: 90, PeakHeapBytes: 28 << 20},
+		{Name: "Analyze", Procs: 2, NsPerOp: 110, PeakHeapBytes: 24 << 20},
+		{Name: "Analyze", Procs: 1, NsPerOp: 1300},
+		{Name: "Analyze", Procs: 1, NsPerOp: 1100},
+	}
+	deltas := CompareBench(old, now, 10)
+	if len(deltas) != 2 {
+		t.Fatalf("got %d deltas, want one per (name, procs): %+v", len(deltas), deltas)
+	}
+	// Procs 2: old median 200 ns, 20 MB; new median (110+150)/2 = 130 ns,
+	// (24+28)/2 = 26 MB.
+	if d := deltas[0]; d.Procs != 2 || d.OldNsPerOp != 200 || d.NewNsPerOp != 130 || d.Regressed ||
+		d.OldPeakHeap != 20<<20 || d.NewPeakHeap != 26<<20 || !d.PeakRegress {
+		t.Errorf("procs 2 delta = %+v, want 200 → 130 ns/op and a 20 → 26 MB peak regression", d)
+	}
+	// Procs 1: one old entry, new median 1200: +20%, and no peak on either side.
+	if d := deltas[1]; d.Procs != 1 || d.OldNsPerOp != 1000 || d.NewNsPerOp != 1200 || !d.Regressed || d.OldPeakHeap != 0 {
+		t.Errorf("procs 1 delta = %+v, want 1000 → 1200 ns/op regressed, no peak", d)
+	}
+}
+
 func TestCompareBenchPeakHeap(t *testing.T) {
 	old := []BenchResult{
 		{Name: "ScaleScan", Procs: 8, NsPerOp: 1000, PeakHeapBytes: 100 << 20},

@@ -157,9 +157,6 @@ func (s *Scheduler) scheduleBand(t Time, fn func(), ev Event, band uint64) {
 	}
 }
 
-// Pending returns the number of scheduled events.
-func (s *Scheduler) Pending() int { return s.n }
-
 // Step runs the next event, advancing the clock. It reports false when no
 // events remain.
 func (s *Scheduler) Step() bool {

@@ -8,6 +8,9 @@ import (
 	"timeouts/internal/ipaddr"
 )
 
+// Pending returns the number of scheduled events.
+func (s *Scheduler) Pending() int { return s.n }
+
 func TestSchedulerOrdering(t *testing.T) {
 	var s Scheduler
 	var got []int

@@ -207,84 +207,3 @@ func (e *EWMA) Max() float64 { return e.max }
 
 // Count returns how many observations have been folded in.
 func (e *EWMA) Count() int { return e.n }
-
-// Histogram counts samples in fixed-width buckets over [0, Width*len(counts)).
-// Samples beyond the last bucket are counted in Overflow.
-type Histogram struct {
-	Width    time.Duration
-	Counts   []uint64
-	Overflow uint64
-	Total    uint64
-}
-
-// NewHistogram creates a histogram of n buckets each width wide.
-func NewHistogram(width time.Duration, n int) *Histogram {
-	return &Histogram{Width: width, Counts: make([]uint64, n)}
-}
-
-// Add counts one sample.
-func (h *Histogram) Add(d time.Duration) {
-	h.Total++
-	if d < 0 {
-		d = 0
-	}
-	i := int(d / h.Width)
-	if i >= len(h.Counts) {
-		h.Overflow++
-		return
-	}
-	h.Counts[i]++
-}
-
-// Quantile returns an upper bound for the q-th quantile (0..1) from bucket
-// boundaries. Overflowed samples are treated as +inf; if the quantile lands
-// there the last boundary is returned and ok is false.
-func (h *Histogram) Quantile(q float64) (d time.Duration, ok bool) {
-	if h.Total == 0 {
-		return 0, false
-	}
-	target := uint64(math.Ceil(q * float64(h.Total)))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= target {
-			return time.Duration(i+1) * h.Width, true
-		}
-	}
-	return time.Duration(len(h.Counts)) * h.Width, false
-}
-
-// Mean and M2 accumulation via Welford's algorithm, for summary statistics.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add folds in one observation.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the observation count.
-func (w *Welford) N() int { return w.n }
-
-// Mean returns the running mean (0 if no observations).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the sample variance (0 if fewer than two observations).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }

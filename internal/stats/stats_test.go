@@ -211,49 +211,6 @@ func TestEWMAConvergesToConstant(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(time.Second, 10)
-	for i := 0; i < 100; i++ {
-		h.Add(time.Duration(i) * 100 * time.Millisecond) // 0..9.9s
-	}
-	h.Add(time.Hour) // overflow
-	if h.Overflow != 1 {
-		t.Errorf("Overflow = %d", h.Overflow)
-	}
-	if h.Total != 101 {
-		t.Errorf("Total = %d", h.Total)
-	}
-	q, ok := h.Quantile(0.5)
-	if !ok || q < 4*time.Second || q > 6*time.Second {
-		t.Errorf("median bound = %v ok=%v", q, ok)
-	}
-}
-
-func TestWelfordMatchesNaive(t *testing.T) {
-	f := func(raw []int16) bool {
-		if len(raw) < 2 {
-			return true
-		}
-		var w Welford
-		var sum float64
-		for _, v := range raw {
-			w.Add(float64(v))
-			sum += float64(v)
-		}
-		mean := sum / float64(len(raw))
-		var m2 float64
-		for _, v := range raw {
-			m2 += (float64(v) - mean) * (float64(v) - mean)
-		}
-		wantVar := m2 / float64(len(raw)-1)
-		return math.Abs(w.Mean()-mean) < 1e-6*(1+math.Abs(mean)) &&
-			math.Abs(w.Variance()-wantVar) < 1e-6*(1+wantVar)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestBuildTimeoutMatrix(t *testing.T) {
 	// Three addresses with distinct constant latencies: the matrix columns
 	// are flat per address and the rows select across addresses.
