@@ -80,9 +80,18 @@ advisor-chaos:
 # snapshot as BENCH_<date>.json next to the human-readable output, so perf
 # trajectories can be diffed across commits (format: README "Benchmark
 # trajectory"). benchjson -summary prints the one-line-per-benchmark digest
-# (name, ns/op, ops/sec) to the console.
+# (name, ns/op, ops/sec) to the console. A snapshot is never overwritten: a
+# later run on the same day writes BENCH_<date>.run<NN>.json, the first
+# such name that is free and sorts after every BENCH_<date>*.json already
+# there, so BENCH_BASELINE below picks it up.
 bench:
-	$(GO) test -bench=. -benchmem ./... | tee /dev/stderr | $(GO) run ./cmd/benchjson -summary > BENCH_$$(date +%Y-%m-%d).json
+	@set -e; day=BENCH_$$(date +%Y-%m-%d); out=$$day.json; n=1; \
+	while [ -e "$$out" ] || [ "$$(printf '%s\n' $$day*.json "$$out" | LC_ALL=C sort | tail -n 1)" != "$$out" ]; do \
+		n=$$((n + 1)); if [ $$n -gt 99 ]; then echo "bench: no free snapshot name for $$day" >&2; exit 2; fi; \
+		out=$$day.run$$(printf '%02d' $$n).json; \
+	done; \
+	echo "bench: writing $$out" >&2; \
+	$(GO) test -bench=. -benchmem ./... | tee /dev/stderr | $(GO) run ./cmd/benchjson -summary > "$$out"
 
 # The benchmark-regression gate: a short bench run compared against the
 # newest checked-in BENCH_*.json, failing (exit 1) when any benchmark's

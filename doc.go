@@ -8,8 +8,9 @@
 //
 // The package tree lives under internal/; entry points are the commands
 // under cmd/ (notably cmd/reproduce, which regenerates every table and
-// figure of the paper), the runnable examples under examples/, and the
-// benchmark suite in bench_test.go, which regenerates each experiment's
-// data as a testing.B benchmark. See README.md, DESIGN.md and
-// EXPERIMENTS.md.
+// figure of the paper), the Example functions of internal/core,
+// internal/outage, internal/scamper and internal/zmapper, whose printed
+// output the tests check, and the benchmark suite in bench_test.go, which
+// regenerates each experiment's data as a testing.B benchmark. See
+// README.md, DESIGN.md and EXPERIMENTS.md.
 package timeouts

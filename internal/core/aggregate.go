@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -26,7 +25,7 @@ type Table1 struct {
 // BuildTable1 computes the Table 1 accounting from a match result.
 func (r *Result) BuildTable1() Table1 {
 	var t Table1
-	for _, ar := range r.Addr {
+	r.Range(func(_ ipaddr.Addr, ar *AddressResult) {
 		matched, delayed := uint64(len(ar.Matched)), uint64(len(ar.Delayed))
 		if matched > 0 {
 			t.SurveyPackets += matched
@@ -48,7 +47,7 @@ func (r *Result) BuildTable1() Table1 {
 			t.CombinedPackets += matched + delayed
 			t.CombinedAddrs++
 		}
-	}
+	})
 	return t
 }
 
@@ -68,12 +67,11 @@ func (r *Result) DuplicateResponders() []ipaddr.Addr {
 // marked.
 func (r *Result) responders(marked func(*Verdict) bool) []ipaddr.Addr {
 	var out []ipaddr.Addr
-	for a, ar := range r.Addr {
+	r.Range(func(a ipaddr.Addr, ar *AddressResult) {
 		if marked(&ar.Verdict) {
 			out = append(out, a)
 		}
-	}
-	slices.Sort(out)
+	})
 	return out
 }
 
@@ -89,26 +87,11 @@ func (t Table1) Format() string {
 	return b.String()
 }
 
-// PerAddressQuantiles reduces per-address sample sets to percentile
-// vectors. Addresses with no samples are skipped. This is the paper's
-// treat-each-address-equally aggregation (§3.2): reliable, chatty hosts
-// must not drown out hosts that answer rarely.
-func PerAddressQuantiles(samples map[ipaddr.Addr][]time.Duration) map[ipaddr.Addr]stats.Quantiles {
-	out := make(map[ipaddr.Addr]stats.Quantiles, len(samples))
-	for a, s := range samples {
-		if len(s) == 0 {
-			continue
-		}
-		out[a] = stats.ComputeQuantiles(s)
-	}
-	return out
-}
-
 // TimeoutMatrix builds Table 2 from per-address quantiles.
-func TimeoutMatrix(q map[ipaddr.Addr]stats.Quantiles) stats.TimeoutMatrix {
-	vec := make([]stats.Quantiles, 0, len(q))
-	for _, v := range q {
-		vec = append(vec, v)
+func TimeoutMatrix(q []AddrQuantiles) stats.TimeoutMatrix {
+	vec := make([]stats.Quantiles, len(q))
+	for i, v := range q {
+		vec[i] = v.Quantiles
 	}
 	return stats.BuildTimeoutMatrix(vec)
 }
@@ -116,7 +99,7 @@ func TimeoutMatrix(q map[ipaddr.Addr]stats.Quantiles) stats.TimeoutMatrix {
 // PercentileCDF builds, for each standard percentile level, the CDF over
 // addresses of that per-address percentile latency — the curves of
 // Figures 1 and 6. The result maps the percentile level to CDF points.
-func PercentileCDF(q map[ipaddr.Addr]stats.Quantiles, maxPoints int) map[float64][]stats.CDFPoint {
+func PercentileCDF(q []AddrQuantiles, maxPoints int) map[float64][]stats.CDFPoint {
 	out := make(map[float64][]stats.CDFPoint, len(stats.StandardPercentiles))
 	for _, p := range stats.StandardPercentiles {
 		vals := make([]time.Duration, 0, len(q))
@@ -133,18 +116,18 @@ func PercentileCDF(q map[ipaddr.Addr]stats.Quantiles, maxPoints int) map[float64
 // responses to one request.
 func (r *Result) DuplicateCCDF() []struct{ Value, Frac float64 } {
 	var maxes []float64
-	for _, ar := range r.Addr {
+	r.Range(func(_ ipaddr.Addr, ar *AddressResult) {
 		if ar.MaxResponses > 2 {
 			maxes = append(maxes, float64(ar.MaxResponses))
 		}
-	}
+	})
 	return stats.CCDF(maxes)
 }
 
 // FracAddrsAbove returns the fraction of addresses whose percentile-p
 // latency exceeds the threshold — e.g. the share of addresses for which a
 // 5-second timeout yields at least 5% false loss.
-func FracAddrsAbove(q map[ipaddr.Addr]stats.Quantiles, p float64, threshold time.Duration) float64 {
+func FracAddrsAbove(q []AddrQuantiles, p float64, threshold time.Duration) float64 {
 	if len(q) == 0 {
 		return 0
 	}

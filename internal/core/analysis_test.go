@@ -372,14 +372,14 @@ func TestSatelliteScatterAndSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := map[ipaddr.Addr]stats.Quantiles{
-		// Satellite: high P1, modest P99.
-		satPfx.Addr(1): {P1: 600 * time.Millisecond, P99: 1500 * time.Millisecond},
-		satPfx.Addr(2): {P1: 700 * time.Millisecond, P99: 2 * time.Second},
+	q := []AddrQuantiles{
 		// Cellular: high P1 AND enormous P99.
-		cellPfx.Addr(1): {P1: 500 * time.Millisecond, P99: 120 * time.Second},
+		{cellPfx.Addr(1), stats.Quantiles{P1: 500 * time.Millisecond, P99: 120 * time.Second}},
 		// Low-P1 host: excluded by the minP1 cut.
-		cellPfx.Addr(2): {P1: 50 * time.Millisecond, P99: 90 * time.Second},
+		{cellPfx.Addr(2), stats.Quantiles{P1: 50 * time.Millisecond, P99: 90 * time.Second}},
+		// Satellite: high P1, modest P99.
+		{satPfx.Addr(1), stats.Quantiles{P1: 600 * time.Millisecond, P99: 1500 * time.Millisecond}},
+		{satPfx.Addr(2), stats.Quantiles{P1: 700 * time.Millisecond, P99: 2 * time.Second}},
 	}
 	pts := SatelliteScatter(q, db, 300*time.Millisecond)
 	if len(pts) != 3 {
@@ -398,14 +398,14 @@ func TestSatelliteScatterAndSummary(t *testing.T) {
 }
 
 func TestPerAddressQuantilesAndMatrix(t *testing.T) {
-	samples := map[ipaddr.Addr][]time.Duration{
-		1: {100 * time.Millisecond, 200 * time.Millisecond, 300 * time.Millisecond},
-		2: {1 * time.Second, 2 * time.Second, 3 * time.Second},
-		3: {},
+	var b recBuilder
+	for i, rtt := range []time.Duration{100 * time.Millisecond, 200 * time.Millisecond, 300 * time.Millisecond} {
+		send := time.Duration(i) * 660 * time.Second
+		b.matched(1, send, rtt).matched(2, send, time.Duration(i+1)*time.Second).timeout(3, send)
 	}
-	q := PerAddressQuantiles(samples)
-	if len(q) != 2 {
-		t.Fatalf("quantiles for %d addrs", len(q))
+	q := Match(b.recs, Options{}).AddressQuantiles(true)
+	if len(q) != 2 || q[0].Addr != 1 || q[1].Addr != 2 {
+		t.Fatalf("quantiles for %+v, want addresses 1 and 2", q)
 	}
 	m := TimeoutMatrix(q)
 	if m.Addresses != 2 {
@@ -417,11 +417,11 @@ func TestPerAddressQuantilesAndMatrix(t *testing.T) {
 }
 
 func TestFracAddrsAbove(t *testing.T) {
-	q := map[ipaddr.Addr]stats.Quantiles{
-		1: {P95: 10 * time.Second},
-		2: {P95: time.Second},
-		3: {P95: 8 * time.Second},
-		4: {P95: 100 * time.Millisecond},
+	q := []AddrQuantiles{
+		{1, stats.Quantiles{P95: 10 * time.Second}},
+		{2, stats.Quantiles{P95: time.Second}},
+		{3, stats.Quantiles{P95: 8 * time.Second}},
+		{4, stats.Quantiles{P95: 100 * time.Millisecond}},
 	}
 	if got := FracAddrsAbove(q, 95, 5*time.Second); got != 0.5 {
 		t.Errorf("FracAddrsAbove = %v", got)
@@ -432,9 +432,9 @@ func TestFracAddrsAbove(t *testing.T) {
 }
 
 func TestPercentileCDFLevels(t *testing.T) {
-	q := map[ipaddr.Addr]stats.Quantiles{
-		1: {P50: time.Second, P99: 2 * time.Second},
-		2: {P50: 3 * time.Second, P99: 4 * time.Second},
+	q := []AddrQuantiles{
+		{1, stats.Quantiles{P50: time.Second, P99: 2 * time.Second}},
+		{2, stats.Quantiles{P50: 3 * time.Second, P99: 4 * time.Second}},
 	}
 	cdfs := PercentileCDF(q, 0)
 	if len(cdfs) != len(stats.StandardPercentiles) {

@@ -119,24 +119,33 @@ func oracleMatch(records []survey.Record, opt core.Options) map[ipaddr.Addr]*ora
 }
 
 // checkOracle compares Match's result with the oracle's over the same
-// records, field for field, sample order included. Every address must be
-// present in both; a flagged address is exempt only when allowFlagged is
-// set, and Result must count the flagged addresses.
+// records, field for field, sample order included. Range must visit exactly
+// the oracle's addresses, in ascending order, each with the cell Lookup
+// returns; a flagged address is exempt only when allowFlagged is set, and
+// Result must count the flagged addresses.
 func checkOracle(t *testing.T, res *core.Result, want map[ipaddr.Addr]*oracleAddr, allowFlagged bool) {
 	t.Helper()
-	if len(res.Addr) != len(want) {
-		t.Fatalf("Match has %d addresses, oracle %d", len(res.Addr), len(want))
+	if res.Len() != len(want) {
+		t.Fatalf("Match has %d addresses, oracle %d", res.Len(), len(want))
 	}
-	flagged := 0
-	for a, w := range want {
-		g := res.Addr[a]
-		if g == nil {
-			t.Fatalf("%s missing from Match", a)
+	visited, flagged := 0, 0
+	prev := ipaddr.Addr(0)
+	res.Range(func(a ipaddr.Addr, g *core.AddressResult) {
+		w := want[a]
+		if w == nil {
+			t.Fatalf("%s in Match, not in the oracle", a)
 		}
+		if visited > 0 && a <= prev {
+			t.Fatalf("Range visits %s after %s", a, prev)
+		}
+		if res.Lookup(a) != g {
+			t.Fatalf("%s: Lookup and Range disagree", a)
+		}
+		visited, prev = visited+1, a
 		if g.OutOfOrder {
 			flagged++
 			if allowFlagged {
-				continue
+				return
 			}
 			t.Fatalf("%s flagged out of emission order", a)
 		}
@@ -146,6 +155,9 @@ func checkOracle(t *testing.T, res *core.Result, want map[ipaddr.Addr]*oracleAdd
 			t.Fatalf("%s: Match %+v, oracle matched=%v delayed=%v probes=%d maxResp=%d bc=%v dup=%v err=%v packets=%d",
 				a, g, w.matched, w.delayed, w.nProbes, w.maxResp, w.broadcast, w.dup, w.errorSeen, w.packets)
 		}
+	})
+	if visited != len(want) {
+		t.Fatalf("Range visited %d addresses, oracle has %d", visited, len(want))
 	}
 	if res.OutOfOrder != flagged {
 		t.Fatalf("Result counts %d addresses out of order, %d are flagged", res.OutOfOrder, flagged)
@@ -283,9 +295,9 @@ func FuzzAttribution(f *testing.F) {
 			st.Observe(rec)
 		}
 		var samples uint64
-		for _, ar := range res.Addr {
+		res.Range(func(_ ipaddr.Addr, ar *core.AddressResult) {
 			samples += uint64(len(ar.Matched) + len(ar.Delayed))
-		}
+		})
 		if st.Samples() != samples {
 			t.Fatalf("store took %d samples, Match %d", st.Samples(), samples)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -76,13 +77,7 @@ func TestStreamMatcherDenseEquivalence(t *testing.T) {
 		r := m.Finalize()
 		io.WriteString(h, RenderReport(r, false))
 		io.WriteString(h, RenderReport(r, true))
-		addrs := make([]ipaddr.Addr, 0, len(r.Addr))
-		for a := range r.Addr {
-			addrs = append(addrs, a)
-		}
-		slices.Sort(addrs)
-		for _, a := range addrs {
-			ar := r.Addr[a]
+		r.Range(func(a ipaddr.Addr, ar *AddressResult) {
 			var q stats.Quantiles
 			if samples := slices.Concat(ar.Matched, ar.Delayed); len(samples) > 0 {
 				q = stats.ComputeQuantiles(samples)
@@ -90,7 +85,7 @@ func TestStreamMatcherDenseEquivalence(t *testing.T) {
 			fmt.Fprintf(h, "%s matched=%d delayed=%d probes=%d maxresp=%d bc=%v dup=%v err=%v packets=%d q=%v\n",
 				a, len(ar.Matched), len(ar.Delayed), ar.Probes, ar.MaxResponses, ar.Broadcast, ar.Duplicate,
 				ar.ErrorSeen, ar.ResponsePackets(), q)
-		}
+		})
 		if m.Addresses() != 0 || m.Records() != 0 {
 			t.Error("Finalize did not reset the matcher")
 		}
@@ -100,29 +95,50 @@ func TestStreamMatcherDenseEquivalence(t *testing.T) {
 	}
 }
 
-// TestAddressQuantilesMemoized is the regression test for the satellite fix:
-// repeated AddressQuantiles calls return the same preallocated map (no
-// rebuild), and the values still equal the unmemoized computation.
+// TestAddressQuantilesMemoized pins the memo RenderReport relies on: each
+// view's quantiles are built once, and rendering a report reuses them
+// rather than building another slice.
 func TestAddressQuantilesMemoized(t *testing.T) {
 	res := Match(denseStream(), Options{})
-	for _, filtered := range []bool{false, true} {
-		want := PerAddressQuantiles(res.Samples(filtered))
-		first := res.AddressQuantiles(filtered)
-		if len(first) != len(want) {
-			t.Fatalf("filtered=%v: %d addresses, want %d", filtered, len(first), len(want))
+	views := map[string]func() []AddrQuantiles{
+		"naive":           func() []AddrQuantiles { return res.AddressQuantiles(false) },
+		"filtered":        func() []AddrQuantiles { return res.AddressQuantiles(true) },
+		"survey-detected": res.SurveyDetectedQuantiles,
+	}
+	for name, view := range views {
+		first := view()
+		if len(first) == 0 {
+			t.Fatalf("%s: no quantiles", name)
 		}
-		for a, q := range want {
-			if first[a] != q {
-				t.Fatalf("filtered=%v addr %s: %+v, want %+v", filtered, a, first[a], q)
-			}
+		RenderReport(res, false)
+		RenderReport(res, true)
+		if second := view(); len(second) != len(first) || &second[0] != &first[0] {
+			t.Errorf("%s: the second call rebuilt the quantiles", name)
 		}
-		second := res.AddressQuantiles(filtered)
-		// Same backing map, not a rebuild: mutating one shows in the other.
-		var probe ipaddr.Addr = 0x7f000001
-		second[probe] = stats.Quantiles{}
-		if _, ok := first[probe]; !ok {
-			t.Fatalf("filtered=%v: AddressQuantiles rebuilt the map on the second call", filtered)
+	}
+}
+
+// TestAddressQuantilesConcurrent has several goroutines read one fresh
+// Result's views at once, as experiments sharing a Lab's match may: each
+// must get the one memoized slice (run under -race).
+func TestAddressQuantilesConcurrent(t *testing.T) {
+	res := Match(denseStream(), Options{})
+	const readers = 4
+	got := make([][]AddrQuantiles, readers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			RenderReport(res, false)
+			res.SurveyDetectedQuantiles()
+			got[i] = res.AddressQuantiles(true)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if len(got[i]) == 0 || &got[i][0] != &got[0][0] {
+			t.Fatalf("reader %d got its own quantiles", i)
 		}
-		delete(second, probe)
 	}
 }

@@ -16,11 +16,11 @@ package core
 
 import (
 	"io"
+	"sync"
 	"time"
 
 	"timeouts/internal/ipaddr"
 	"timeouts/internal/obs"
-	"timeouts/internal/stats"
 	"timeouts/internal/survey"
 )
 
@@ -112,18 +112,38 @@ type AddressResult struct {
 	Verdict
 }
 
-// Result is the outcome of matching one dataset.
+// Result is the outcome of matching one dataset. It owns the matcher's
+// per-address cells: Range, Lookup and Len read them, and AddressQuantiles
+// reduces them to percentile vectors; no per-address map is built.
 type Result struct {
-	Opt  Options
-	Addr map[ipaddr.Addr]*AddressResult
+	Opt Options
 	// OutOfOrder counts the addresses whose records broke emission order;
 	// their results are not to be trusted.
 	OutOfOrder int
 
-	// quant memoizes AddressQuantiles per filtered flag ([0] naive,
-	// [1] filtered); see that method for the staleness contract.
-	quant [2]map[ipaddr.Addr]stats.Quantiles
+	cells Blocks[matchCell]
+	// quant memoizes each sampleView's quantiles; see AddressQuantiles.
+	quant [numViews]struct {
+		once sync.Once
+		q    []AddrQuantiles
+	}
 }
+
+// Range calls fn on every address's result in ascending address order.
+func (r *Result) Range(fn func(a ipaddr.Addr, ar *AddressResult)) {
+	r.cells.Range(func(a ipaddr.Addr, c *matchCell) { fn(a, &c.res) })
+}
+
+// Lookup returns a's result, or nil if no record named a.
+func (r *Result) Lookup(a ipaddr.Addr) *AddressResult {
+	if c := r.cells.Lookup(a); c != nil {
+		return &c.res
+	}
+	return nil
+}
+
+// Len returns how many addresses the records named.
+func (r *Result) Len() int { return r.cells.Len() }
 
 // StreamMatcher runs the paper's §3.3–§4.1 pipeline over a survey record
 // stream, one record at a time: it drives the attribution kernel
@@ -192,9 +212,6 @@ func (m *StreamMatcher) SetObserver(reg *obs.Registry) {
 // Records returns how many records have been consumed.
 func (m *StreamMatcher) Records() uint64 { return m.records }
 
-// Addresses returns how many addresses hold state.
-func (m *StreamMatcher) Addresses() int { return m.cells.Len() }
-
 // Write implements survey.RecordWriter, folding one record into the match
 // state; it never returns an error.
 func (m *StreamMatcher) Write(rec survey.Record) error {
@@ -261,16 +278,15 @@ func (m *StreamMatcher) Consume(src survey.RecordSource) error {
 }
 
 // Finalize seals all remaining open state and returns the result. The
-// matcher's state moves into the result; further Observe calls start a
-// fresh accumulation.
+// matcher's cells move into the result; further Observe calls start a fresh
+// accumulation.
 func (m *StreamMatcher) Finalize() *Result {
-	res := &Result{Opt: m.opt, Addr: make(map[ipaddr.Addr]*AddressResult, m.cells.Len())}
-	m.cells.Range(func(a ipaddr.Addr, c *matchCell) {
+	res := &Result{Opt: m.opt, cells: m.cells}
+	res.cells.Range(func(_ ipaddr.Addr, c *matchCell) {
 		c.res.Verdict = c.st.finish(&m.opt)
 		if c.res.OutOfOrder {
 			res.OutOfOrder++
 		}
-		res.Addr[a] = &c.res
 	})
 	m.cells = Blocks[matchCell]{}
 	m.records, m.openProbes = 0, 0
@@ -285,39 +301,4 @@ func Match(records []survey.Record, opt Options) *Result {
 		m.Observe(rec)
 	}
 	return m.Finalize()
-}
-
-// Samples returns the per-address latency sample sets. With filtered=false
-// it reproduces the paper's "naive matching": every address, survey-detected
-// plus delayed samples. With filtered=true, broadcast, duplicate and
-// error-tainted addresses are discarded — the "Survey + Delayed" row of
-// Table 1 the rest of the analysis runs on.
-func (r *Result) Samples(filtered bool) map[ipaddr.Addr][]time.Duration {
-	out := make(map[ipaddr.Addr][]time.Duration, len(r.Addr))
-	for a, ar := range r.Addr {
-		if filtered && ar.Discarded() {
-			continue
-		}
-		if len(ar.Matched)+len(ar.Delayed) == 0 {
-			continue
-		}
-		s := make([]time.Duration, 0, len(ar.Matched)+len(ar.Delayed))
-		s = append(s, ar.Matched...)
-		s = append(s, ar.Delayed...)
-		out[a] = s
-	}
-	return out
-}
-
-// SurveyDetected returns only the survey-detected (matched) samples per
-// address, the view Figure 1 is computed from.
-func (r *Result) SurveyDetected() map[ipaddr.Addr][]time.Duration {
-	out := make(map[ipaddr.Addr][]time.Duration, len(r.Addr))
-	for a, ar := range r.Addr {
-		if len(ar.Matched) == 0 {
-			continue
-		}
-		out[a] = append([]time.Duration(nil), ar.Matched...)
-	}
-	return out
 }

@@ -2,11 +2,13 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"timeouts/internal/ipaddr"
+	"timeouts/internal/stats"
 	"timeouts/internal/survey"
 )
 
@@ -45,7 +47,7 @@ func TestMatchSurveyDetectedOnly(t *testing.T) {
 	b.matched(addrA, 0, 150*time.Millisecond).
 		matched(addrA, 660*time.Second, 180*time.Millisecond)
 	res := Match(b.recs, Options{})
-	ar := res.Addr[addrA]
+	ar := res.Lookup(addrA)
 	if len(ar.Matched) != 2 || len(ar.Delayed) != 0 {
 		t.Fatalf("matched=%d delayed=%d", len(ar.Matched), len(ar.Delayed))
 	}
@@ -63,7 +65,7 @@ func TestMatchRecoversDelayedResponse(t *testing.T) {
 	var b recBuilder
 	b.timeout(addrA, 0).unmatched(addrA, 17*time.Second, 1)
 	res := Match(b.recs, Options{})
-	ar := res.Addr[addrA]
+	ar := res.Lookup(addrA)
 	if len(ar.Delayed) != 1 || ar.Delayed[0] != 17*time.Second {
 		t.Fatalf("delayed = %v", ar.Delayed)
 	}
@@ -74,7 +76,7 @@ func TestMatchDelayedUsesMostRecentProbe(t *testing.T) {
 	var b recBuilder
 	b.timeout(addrA, 0).timeout(addrA, 660*time.Second).unmatched(addrA, 700*time.Second, 1)
 	res := Match(b.recs, Options{})
-	ar := res.Addr[addrA]
+	ar := res.Lookup(addrA)
 	if len(ar.Delayed) != 1 || ar.Delayed[0] != 40*time.Second {
 		t.Fatalf("delayed = %v, want [40s]", ar.Delayed)
 	}
@@ -86,7 +88,7 @@ func TestMatchDuplicateAfterMatchIsNotDelayed(t *testing.T) {
 	var b recBuilder
 	b.matched(addrA, 0, 100*time.Millisecond).unmatched(addrA, 5*time.Second, 1)
 	res := Match(b.recs, Options{})
-	ar := res.Addr[addrA]
+	ar := res.Lookup(addrA)
 	if len(ar.Delayed) != 0 {
 		t.Fatalf("delayed = %v, want none", ar.Delayed)
 	}
@@ -100,7 +102,7 @@ func TestMatchSecondUnmatchedIsDuplicate(t *testing.T) {
 	var b recBuilder
 	b.timeout(addrA, 0).unmatched(addrA, 10*time.Second, 1).unmatched(addrA, 20*time.Second, 1)
 	res := Match(b.recs, Options{})
-	ar := res.Addr[addrA]
+	ar := res.Lookup(addrA)
 	if len(ar.Delayed) != 1 {
 		t.Fatalf("delayed = %v", ar.Delayed)
 	}
@@ -113,7 +115,7 @@ func TestMatchStrayResponseBeforeAnyProbe(t *testing.T) {
 	var b recBuilder
 	b.unmatched(addrA, 5*time.Second, 1).timeout(addrA, 10*time.Second)
 	res := Match(b.recs, Options{})
-	ar := res.Addr[addrA]
+	ar := res.Lookup(addrA)
 	if len(ar.Delayed) != 0 {
 		t.Errorf("stray response produced samples: %v", ar.Delayed)
 	}
@@ -124,7 +126,7 @@ func TestMatchDuplicateFilter(t *testing.T) {
 	var b recBuilder
 	b.matched(addrA, 0, 100*time.Millisecond).unmatched(addrA, 1*time.Second, 5)
 	res := Match(b.recs, Options{})
-	ar := res.Addr[addrA]
+	ar := res.Lookup(addrA)
 	if ar.MaxResponses != 6 {
 		t.Fatalf("MaxResponses = %d", ar.MaxResponses)
 	}
@@ -135,7 +137,7 @@ func TestMatchDuplicateFilter(t *testing.T) {
 	var b2 recBuilder
 	b2.matched(addrB, 0, 100*time.Millisecond).unmatched(addrB, 1*time.Second, 3)
 	res2 := Match(b2.recs, Options{})
-	if res2.Addr[addrB].Duplicate {
+	if res2.Lookup(addrB).Duplicate {
 		t.Error("4 responses per request wrongly discarded")
 	}
 }
@@ -144,13 +146,13 @@ func TestMatchErrorAddressIgnored(t *testing.T) {
 	var b recBuilder
 	b.errorRec(addrA, 0).matched(addrA, 660*time.Second, 100*time.Millisecond)
 	res := Match(b.recs, Options{})
-	if !res.Addr[addrA].ErrorSeen || !res.Addr[addrA].Discarded() {
+	if !res.Lookup(addrA).ErrorSeen || !res.Lookup(addrA).Discarded() {
 		t.Error("error-tainted address not ignored")
 	}
-	if _, ok := res.Samples(true)[addrA]; ok {
+	if hasAddr(res.AddressQuantiles(true), addrA) {
 		t.Error("error-tainted address in filtered samples")
 	}
-	if _, ok := res.Samples(false)[addrA]; !ok {
+	if !hasAddr(res.AddressQuantiles(false), addrA) {
 		t.Error("naive samples should still include it")
 	}
 }
@@ -173,7 +175,7 @@ func TestFig4FalseMatchScenario(t *testing.T) {
 		b.unmatched(dev, base+330*time.Second, 1)
 	}
 	res := Match(b.recs, Options{})
-	ar := res.Addr[dev]
+	ar := res.Lookup(dev)
 	if len(ar.Delayed) != rounds {
 		t.Fatalf("delayed samples = %d", len(ar.Delayed))
 	}
@@ -185,10 +187,10 @@ func TestFig4FalseMatchScenario(t *testing.T) {
 	if !ar.Broadcast {
 		t.Error("EWMA filter missed the broadcast responder")
 	}
-	if _, ok := res.Samples(true)[dev]; ok {
+	if hasAddr(res.AddressQuantiles(true), dev) {
 		t.Error("broadcast responder survived filtering")
 	}
-	if _, ok := res.Samples(false)[dev]; !ok {
+	if !hasAddr(res.AddressQuantiles(false), dev) {
 		t.Error("naive view lost the address")
 	}
 }
@@ -207,7 +209,7 @@ func TestBroadcastFilterSparesCongestedHost(t *testing.T) {
 		b.unmatched(slow, base+lat[r%len(lat)], 1)
 	}
 	res := Match(b.recs, Options{})
-	if res.Addr[slow].Broadcast {
+	if res.Lookup(slow).Broadcast {
 		t.Error("varying-latency host wrongly flagged as broadcast responder")
 	}
 }
@@ -226,7 +228,7 @@ func TestBroadcastFilterToleratesOccasionalLoss(t *testing.T) {
 		}
 	}
 	res := Match(b.recs, MatchOptionsForCycles(80))
-	if !res.Addr[dev].Broadcast {
+	if !res.Lookup(dev).Broadcast {
 		t.Error("filter missed a persistent broadcast responder answering 9 of 10 rounds")
 	}
 }
@@ -245,7 +247,7 @@ func TestBroadcastFilterMissesRareResponder(t *testing.T) {
 		}
 	}
 	res := Match(b.recs, MatchOptionsForCycles(100))
-	if res.Addr[dev].Broadcast {
+	if res.Lookup(dev).Broadcast {
 		t.Error("rare responder unexpectedly caught (paper documents these as false negatives)")
 	}
 }
@@ -329,14 +331,19 @@ func TestSamplesViews(t *testing.T) {
 	b.matched(addrA, 0, 100*time.Millisecond)
 	b.timeout(addrA, 660*time.Second).unmatched(addrA, 670*time.Second, 1)
 	res := Match(b.recs, Options{})
-	sd := res.SurveyDetected()
-	if len(sd[addrA]) != 1 {
-		t.Errorf("survey-detected = %v", sd[addrA])
+	sd := []AddrQuantiles{{addrA, stats.ComputeQuantiles([]time.Duration{100 * time.Millisecond})}}
+	if got := res.SurveyDetectedQuantiles(); !slices.Equal(got, sd) {
+		t.Errorf("survey-detected = %+v, want %+v", got, sd)
 	}
-	all := res.Samples(true)
-	if len(all[addrA]) != 2 {
-		t.Errorf("combined = %v", all[addrA])
+	all := []AddrQuantiles{{addrA, stats.ComputeQuantiles([]time.Duration{100 * time.Millisecond, 10 * time.Second})}}
+	if got := res.AddressQuantiles(true); !slices.Equal(got, all) {
+		t.Errorf("combined = %+v, want %+v", got, all)
 	}
+}
+
+// hasAddr reports whether q holds a percentile vector for a.
+func hasAddr(q []AddrQuantiles, a ipaddr.Addr) bool {
+	return slices.ContainsFunc(q, func(v AddrQuantiles) bool { return v.Addr == a })
 }
 
 // TestMatchParallelDeterministic verifies that Match's result does not
@@ -369,11 +376,11 @@ func TestMatchParallelDeterministic(t *testing.T) {
 	seq := Match(b.recs, Options{})
 	runtime.GOMAXPROCS(8)
 	par := Match(b.recs, Options{})
-	if len(seq.Addr) != len(par.Addr) {
-		t.Fatalf("address counts differ: %d vs %d", len(seq.Addr), len(par.Addr))
+	if seq.Len() != par.Len() {
+		t.Fatalf("address counts differ: %d vs %d", seq.Len(), par.Len())
 	}
-	for a, sr := range seq.Addr {
-		pr := par.Addr[a]
+	seq.Range(func(a ipaddr.Addr, sr *AddressResult) {
+		pr := par.Lookup(a)
 		if pr == nil {
 			t.Fatalf("address %s missing from parallel result", a)
 		}
@@ -387,7 +394,7 @@ func TestMatchParallelDeterministic(t *testing.T) {
 				t.Fatalf("address %s delayed[%d] differs", a, i)
 			}
 		}
-	}
+	})
 }
 
 // Property: Match never panics on arbitrary record streams, and its
@@ -416,18 +423,22 @@ func TestMatchArbitraryStreamsProperty(t *testing.T) {
 			recs = append(recs, rec)
 		}
 		res := Match(recs, Options{})
-		for _, ar := range res.Addr {
+		ok := true
+		res.Range(func(_ ipaddr.Addr, ar *AddressResult) {
 			if len(ar.Delayed) > ar.Probes {
-				return false // more recovered samples than probes
+				ok = false // more recovered samples than probes
 			}
 			for _, d := range ar.Delayed {
 				if d < 0 {
-					return false
+					ok = false
 				}
 			}
 			if ar.MaxResponses < 0 {
-				return false
+				ok = false
 			}
+		})
+		if !ok {
+			return false
 		}
 		t1 := res.BuildTable1()
 		if t1.NaivePackets < t1.SurveyPackets || t1.NaiveAddrs < t1.SurveyAddrs {

@@ -9,36 +9,67 @@ import (
 	"timeouts/internal/stats"
 )
 
-// AddressQuantiles returns the per-address percentile vectors of the
-// matched result — equal to PerAddressQuantiles over Samples. The result
-// map is preallocated from the known address count and memoized per
-// filtered flag: report rendering reads it several times (Table 2, headline
-// fractions), and the intermediate per-address sample map Samples built on
-// every call was pure garbage.
-// Callers must not mutate the returned map, and must not add samples to the
-// Result after the first call (the memo would go stale).
-func (r *Result) AddressQuantiles(filtered bool) map[ipaddr.Addr]stats.Quantiles {
-	idx := 0
+// AddrQuantiles is one address's percentile vector.
+type AddrQuantiles struct {
+	Addr ipaddr.Addr
+	stats.Quantiles
+}
+
+// sampleView selects which of an address's samples its quantiles reduce.
+type sampleView int
+
+const (
+	viewNaive          sampleView = iota // matched + delayed, every address
+	viewFiltered                         // matched + delayed, discarded addresses skipped
+	viewSurveyDetected                   // matched only, every address
+	numViews
+)
+
+// AddressQuantiles returns the per-address percentile vectors over each
+// address's survey-detected plus delayed samples, in ascending address
+// order; addresses without samples are skipped. With filtered=false it is
+// the paper's "naive matching" view; with filtered=true broadcast,
+// duplicate and error-tainted addresses are skipped too — the "Survey +
+// Delayed" row of Table 1 the rest of the analysis runs on. This is the
+// paper's treat-each-address-equally aggregation (§3.2): reliable, chatty
+// hosts must not drown out hosts that answer rarely.
+//
+// The slice is built once per view and shared (report rendering reads it
+// several times); callers must not modify it.
+func (r *Result) AddressQuantiles(filtered bool) []AddrQuantiles {
 	if filtered {
-		idx = 1
+		return r.quantiles(viewFiltered)
 	}
-	if r.quant[idx] != nil {
-		return r.quant[idx]
-	}
-	out := make(map[ipaddr.Addr]stats.Quantiles, len(r.Addr))
-	var scratch []time.Duration
-	for a, ar := range r.Addr {
-		if filtered && ar.Discarded() {
-			continue
-		}
-		if len(ar.Matched)+len(ar.Delayed) == 0 {
-			continue
-		}
-		scratch = append(append(scratch[:0], ar.Matched...), ar.Delayed...)
-		out[a] = stats.ComputeQuantiles(scratch)
-	}
-	r.quant[idx] = out
-	return out
+	return r.quantiles(viewNaive)
+}
+
+// SurveyDetectedQuantiles is AddressQuantiles over the matched samples
+// alone, every address included — the view Figure 1 is computed from.
+func (r *Result) SurveyDetectedQuantiles() []AddrQuantiles {
+	return r.quantiles(viewSurveyDetected)
+}
+
+// quantiles builds (once) view v's percentile vectors. Each address's
+// samples are copied into a scratch slice before ComputeQuantiles sorts
+// them, so Matched and Delayed keep their arrival order.
+func (r *Result) quantiles(v sampleView) []AddrQuantiles {
+	m := &r.quant[v]
+	m.once.Do(func() {
+		var scratch []time.Duration
+		r.Range(func(a ipaddr.Addr, ar *AddressResult) {
+			if v == viewFiltered && ar.Discarded() {
+				return
+			}
+			scratch = append(scratch[:0], ar.Matched...)
+			if v != viewSurveyDetected {
+				scratch = append(scratch, ar.Delayed...)
+			}
+			if len(scratch) > 0 {
+				m.q = append(m.q, AddrQuantiles{a, stats.ComputeQuantiles(scratch)})
+			}
+		})
+	})
+	return m.q
 }
 
 // RenderReport renders the full analysis report — Table 1, the Table 2

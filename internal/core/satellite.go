@@ -5,7 +5,6 @@ import (
 
 	"timeouts/internal/ipaddr"
 	"timeouts/internal/ipmeta"
-	"timeouts/internal/stats"
 )
 
 // SatPoint is one address in Figure 11's scatter plot of 1st vs 99th
@@ -20,18 +19,18 @@ type SatPoint struct {
 // SatelliteScatter builds Figure 11's point set from per-address quantiles,
 // keeping addresses with "high values of both" percentiles: 1st percentile
 // above minP1. Points are split by whether the owning AS is satellite-only.
-func SatelliteScatter(q map[ipaddr.Addr]stats.Quantiles, db *ipmeta.DB, minP1 time.Duration) []SatPoint {
+func SatelliteScatter(q []AddrQuantiles, db *ipmeta.DB, minP1 time.Duration) []SatPoint {
 	var out []SatPoint
-	for a, v := range q {
+	for _, v := range q {
 		if v.P1 < minP1 {
 			continue
 		}
-		as, ok := db.Lookup(a)
+		as, ok := db.Lookup(v.Addr)
 		if !ok {
 			continue
 		}
 		out = append(out, SatPoint{
-			Addr: a, P1: v.P1, P99: v.P99, AS: as,
+			Addr: v.Addr, P1: v.P1, P99: v.P99, AS: as,
 			Satellite: as.Type == ipmeta.Satellite,
 		})
 	}

@@ -10,6 +10,9 @@ import (
 	"timeouts/internal/survey"
 )
 
+// Addresses returns how many addresses hold matcher state.
+func (m *StreamMatcher) Addresses() int { return m.cells.Len() }
+
 // TestMatchBoundaryResponseOnProbeInstant is the regression test for the
 // attribution boundary: record times are truncated (to seconds for timeout
 // and unmatched records), so a delayed response can carry the same recorded
@@ -22,7 +25,7 @@ func TestMatchBoundaryResponseOnProbeInstant(t *testing.T) {
 		timeout(addrA, 660*time.Second).
 		unmatched(addrA, 660*time.Second, 1)
 	res := Match(b.recs, Options{})
-	ar := res.Addr[addrA]
+	ar := res.Lookup(addrA)
 	if len(ar.Delayed) != 1 || ar.Delayed[0] != 660*time.Second {
 		t.Fatalf("delayed = %v, want [11m0s] (attributed to the earlier probe)", ar.Delayed)
 	}
@@ -72,18 +75,18 @@ func streamEquivalent(t *testing.T, recs []survey.Record, opt Options) {
 	if got, want := RenderReport(sr, true), RenderReport(res, true); got != want {
 		t.Errorf("naive reports differ:\nstreamed:\n%s\nin memory:\n%s", got, want)
 	}
-	if len(sr.Addr) != len(res.Addr) {
-		t.Fatalf("address counts differ: %d vs %d", len(sr.Addr), len(res.Addr))
+	if sr.Len() != res.Len() {
+		t.Fatalf("address counts differ: %d vs %d", sr.Len(), res.Len())
 	}
-	for a, ar := range res.Addr {
-		sar := sr.Addr[a]
+	res.Range(func(a ipaddr.Addr, ar *AddressResult) {
+		sar := sr.Lookup(a)
 		if sar == nil {
 			t.Fatalf("address %s missing from the streamed result", a)
 		}
 		if !reflect.DeepEqual(*sar, *ar) {
 			t.Fatalf("address %s differs:\nstreamed  %+v\nin memory %+v", a, *sar, *ar)
 		}
-	}
+	})
 }
 
 // TestStreamMatcherEquivalentToMatch exercises every record class — matched,
@@ -153,8 +156,8 @@ func TestStreamMatcherBoundedState(t *testing.T) {
 		t.Fatalf("records = %d", m.Records())
 	}
 	sr := m.Finalize()
-	if sr.Addr[addrA].Probes != 10000 {
-		t.Errorf("probes = %d", sr.Addr[addrA].Probes)
+	if sr.Lookup(addrA).Probes != 10000 {
+		t.Errorf("probes = %d", sr.Lookup(addrA).Probes)
 	}
 	if m.Addresses() != 0 || m.Records() != 0 {
 		t.Error("Finalize did not reset the matcher")
@@ -200,7 +203,7 @@ func TestMatchFlagsOutOfOrder(t *testing.T) {
 		var b recBuilder
 		c.build(&b, a)
 		res := Match(b.recs, Options{})
-		if got := res.Addr[a].OutOfOrder; got != c.flagged {
+		if got := res.Lookup(a).OutOfOrder; got != c.flagged {
 			t.Errorf("%s: OutOfOrder = %v, want %v", c.name, got, c.flagged)
 		}
 		c.build(&all, a)

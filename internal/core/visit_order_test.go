@@ -164,7 +164,7 @@ func TestResultsIndependentOfVisitOrder(t *testing.T) {
 
 	ref := run("octet-major")
 	var broadcast, dup, errs, delayed int
-	for _, ar := range ref.res.Addr {
+	ref.res.Range(func(_ ipaddr.Addr, ar *core.AddressResult) {
 		if ar.Broadcast {
 			broadcast++
 		}
@@ -175,21 +175,21 @@ func TestResultsIndependentOfVisitOrder(t *testing.T) {
 			errs++
 		}
 		delayed += len(ar.Delayed)
-	}
+	})
 	if broadcast == 0 || dup == 0 || errs == 0 || delayed == 0 {
 		t.Fatalf("degenerate streams: %d broadcast, %d duplicate, %d error addresses, %d delayed samples",
 			broadcast, dup, errs, delayed)
 	}
 	for _, name := range []string{"prefix-major", "random"} {
 		got := run(name)
-		if len(got.res.Addr) != len(ref.res.Addr) {
-			t.Fatalf("%s: %d addresses, octet-major has %d", name, len(got.res.Addr), len(ref.res.Addr))
+		if got.res.Len() != ref.res.Len() {
+			t.Fatalf("%s: %d addresses, octet-major has %d", name, got.res.Len(), ref.res.Len())
 		}
-		for a, want := range ref.res.Addr {
-			if !reflect.DeepEqual(got.res.Addr[a], want) {
-				t.Fatalf("%s: %s = %+v, octet-major gives %+v", name, a, got.res.Addr[a], want)
+		ref.res.Range(func(a ipaddr.Addr, want *core.AddressResult) {
+			if !reflect.DeepEqual(got.res.Lookup(a), want) {
+				t.Fatalf("%s: %s = %+v, octet-major gives %+v", name, a, got.res.Lookup(a), want)
 			}
-		}
+		})
 		for _, part := range []struct {
 			what      string
 			got, want []byte

@@ -46,7 +46,7 @@ func (l *Lab) AblTimeout() (Report, error) {
 			return Report{}, fmt.Errorf("experiments: abl-timeout survey failed: %w", err)
 		}
 		res := core.Match(mem.Records, core.MatchOptionsForCycles(cycles))
-		q := core.PerAddressQuantiles(res.SurveyDetected())
+		q := res.SurveyDetectedQuantiles()
 		p95s := collectLevel(q, 95)
 		p9595 := time.Duration(0)
 		if len(p95s) > 0 {
@@ -108,8 +108,7 @@ func (l *Lab) AblScale() (Report, error) {
 			return Report{}, fmt.Errorf("experiments: abl-scale survey failed: %w", err)
 		}
 		res := core.Match(mem.Records, core.MatchOptionsForCycles(cyc))
-		q := core.PerAddressQuantiles(res.Samples(true))
-		m := core.TimeoutMatrix(q)
+		m := core.TimeoutMatrix(res.AddressQuantiles(true))
 		last = m
 		fmt.Fprintf(&b, "%8d %12s %12s %12s %12s\n", cyc,
 			fmtDur(m.At(50, 50)), fmtDur(m.At(95, 95)), fmtDur(m.At(98, 98)), fmtDur(m.At(99, 99)))
@@ -149,7 +148,7 @@ func (l *Lab) AblVantage() (Report, error) {
 			return Report{}, fmt.Errorf("experiments: abl-vantage survey (vantage %c) failed: %w", vp.Name, err)
 		}
 		res := core.Match(mem.Records, core.MatchOptionsForCycles(cycles))
-		q := core.PerAddressQuantiles(res.Samples(true))
+		q := res.AddressQuantiles(true)
 		m := core.TimeoutMatrix(q)
 		over1 := core.FracAddrsAbove(q, 50, time.Second)
 		p9595s = append(p9595s, m.At(95, 95))

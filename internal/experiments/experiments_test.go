@@ -24,7 +24,7 @@ var testLab = NewLab(Quick)
 
 // mustQuantiles, mustMatch and mustScans unwrap the lab accessors' error
 // returns for tests, where a workload failure is simply fatal.
-func mustQuantiles(t *testing.T, l *Lab) map[ipaddr.Addr]stats.Quantiles {
+func mustQuantiles(t *testing.T, l *Lab) []core.AddrQuantiles {
 	t.Helper()
 	q, err := l.Quantiles()
 	if err != nil {
@@ -142,14 +142,16 @@ func TestBroadcastFilterAgainstZmapTruth(t *testing.T) {
 
 func TestFilteringRemovesFalseLatencyBumps(t *testing.T) {
 	m := mustMatch(t, testLab)
-	naive := m.Samples(false)
-	filtered := m.Samples(true)
-	if len(filtered) >= len(naive) {
+	if len(m.AddressQuantiles(true)) >= len(m.AddressQuantiles(false)) {
 		t.Error("filtering removed no addresses")
 	}
 	// Addresses dominated by half-interval false latencies must be gone.
 	bad := 0
-	for a, s := range filtered {
+	m.Range(func(_ ipaddr.Addr, ar *core.AddressResult) {
+		if ar.Discarded() {
+			return
+		}
+		s := slices.Concat(ar.Matched, ar.Delayed)
 		near := 0
 		for _, d := range s {
 			q := d % (330 * time.Second)
@@ -162,9 +164,8 @@ func TestFilteringRemovesFalseLatencyBumps(t *testing.T) {
 		}
 		if near*2 > len(s) && len(s) >= 4 {
 			bad++
-			_ = a
 		}
-	}
+	})
 	if bad > 3 {
 		t.Errorf("%d addresses with majority false-latency samples survived filtering", bad)
 	}
@@ -270,8 +271,22 @@ func TestReportFormatting(t *testing.T) {
 	}
 }
 
+// popProfileCounts counts the responsive addresses of l's population by
+// class.
+func popProfileCounts(l *Lab) map[netmodel.Class]int {
+	pop := netmodel.New(l.popCfg)
+	out := make(map[netmodel.Class]int)
+	for i := 0; i < pop.NumAddrs(); i++ {
+		pr := pop.Profile(pop.AddrAt(i))
+		if pr.Responsive {
+			out[pr.Class]++
+		}
+	}
+	return out
+}
+
 func TestPopulationClassBalance(t *testing.T) {
-	counts := testLab.popProfileCounts()
+	counts := popProfileCounts(testLab)
 	total := 0
 	for _, n := range counts {
 		total += n
@@ -391,11 +406,11 @@ func TestFig4ExampleIsLowestAddress(t *testing.T) {
 	l := NewLab(scale)
 	m := mustMatch(t, l)
 	var qualifying []ipaddr.Addr
-	for a, ar := range m.Addr {
+	m.Range(func(a ipaddr.Addr, ar *core.AddressResult) {
 		if fig4FalseMatch(ar) {
 			qualifying = append(qualifying, a)
 		}
-	}
+	})
 	if len(qualifying) < 2 {
 		t.Fatalf("%d addresses qualify; the check needs at least two", len(qualifying))
 	}
@@ -412,14 +427,6 @@ func TestFig4ExampleIsLowestAddress(t *testing.T) {
 	}
 	if again.Format() != rep.Format() {
 		t.Errorf("fig4 differs between two labs at the same seed:\n%s\n%s", rep.Format(), again.Format())
-	}
-}
-
-func TestSortedAddrs(t *testing.T) {
-	m := map[ipaddr.Addr]int{5: 1, 1: 2, 3: 3}
-	got := sortedAddrs(m)
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 5 {
-		t.Errorf("sortedAddrs = %v", got)
 	}
 }
 

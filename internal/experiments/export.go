@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"timeouts/internal/core"
-	"timeouts/internal/ipaddr"
 	"timeouts/internal/stats"
 )
 
@@ -42,9 +41,9 @@ func (l *Lab) ExportData(dir string) error {
 	if err != nil {
 		return err
 	}
-	w.percentileCDF("fig1_cdf.csv", core.PerAddressQuantiles(m.SurveyDetected()))
-	w.percentileCDF("fig6_naive_cdf.csv", core.PerAddressQuantiles(m.Samples(false)))
-	w.percentileCDF("fig6_filtered_cdf.csv", core.PerAddressQuantiles(m.Samples(true)))
+	w.percentileCDF("fig1_cdf.csv", m.SurveyDetectedQuantiles())
+	w.percentileCDF("fig6_naive_cdf.csv", m.AddressQuantiles(false))
+	w.percentileCDF("fig6_filtered_cdf.csv", m.AddressQuantiles(true))
 
 	// fig2: Zmap broadcast destination octets.
 	oneScan, err := l.Scans(1)
@@ -211,7 +210,7 @@ func (c *csvDir) append(name string, headers []string, body func(emit func(...st
 }
 
 // percentileCDF writes the Figures 1/6 percentile curves.
-func (c *csvDir) percentileCDF(name string, q map[ipaddr.Addr]stats.Quantiles) {
+func (c *csvDir) percentileCDF(name string, q []core.AddrQuantiles) {
 	cdfs := core.PercentileCDF(q, 400)
 	c.write(name, []string{"percentile", "latency_s", "frac"}, func(emit func(...string)) {
 		for _, level := range stats.StandardPercentiles {

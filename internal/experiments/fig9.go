@@ -57,12 +57,11 @@ func (l *Lab) Fig9() (Report, error) {
 			return Report{}, fmt.Errorf("experiments: fig9 survey (year %d) failed: %w", year, err)
 		}
 		res := core.Match(mem.Records, core.MatchOptionsForCycles(cycles))
-		q := core.PerAddressQuantiles(res.Samples(true))
 		points = append(points, core.SurveyPoint{
 			Label:        fmt.Sprintf("it%02d%c", i+50, vp.Name),
 			Vantage:      vp.Name,
 			Year:         year,
-			Matrix:       core.TimeoutMatrix(q),
+			Matrix:       core.TimeoutMatrix(res.AddressQuantiles(true)),
 			ResponseRate: st.ResponseRate(),
 			Broken:       broken || st.ResponseRate() < 0.002,
 		})

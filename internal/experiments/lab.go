@@ -108,7 +108,6 @@ type Lab struct {
 	surveyRecs  []survey.Record
 	surveyStats survey.Stats
 	match       *core.Result
-	quantiles   map[ipaddr.Addr]stats.Quantiles // filtered, combined samples
 	scans       []*zmapper.Scan
 	popCfg      netmodel.Config
 }
@@ -134,9 +133,6 @@ func ShardFabric(pop *netmodel.Population) func(int) simnet.Fabric {
 		return model
 	}
 }
-
-// PopConfig returns the lab's population config.
-func (l *Lab) PopConfig() netmodel.Config { return l.popCfg }
 
 // Survey returns the lab's memoized survey dataset (records and stats),
 // running the survey on first use.
@@ -198,19 +194,15 @@ func (l *Lab) Match() (*core.Result, error) {
 	return l.match, nil
 }
 
-// Quantiles returns the memoized per-address percentile vectors over the
-// filtered, combined (survey + delayed) samples.
-func (l *Lab) Quantiles() (map[ipaddr.Addr]stats.Quantiles, error) {
+// Quantiles returns the per-address percentile vectors over the filtered,
+// combined (survey + delayed) samples, in ascending address order: the
+// match result's AddressQuantiles(true), built once.
+func (l *Lab) Quantiles() ([]core.AddrQuantiles, error) {
 	m, err := l.Match()
 	if err != nil {
 		return nil, err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.quantiles == nil {
-		l.quantiles = core.PerAddressQuantiles(m.Samples(true))
-	}
-	return l.quantiles, nil
+	return m.AddressQuantiles(true), nil
 }
 
 // Scans returns at least n memoized Zmap scan reports, started days apart

@@ -14,13 +14,12 @@ import (
 	"timeouts/internal/stats"
 )
 
-// sortedAddrs returns map keys in address order for deterministic sampling.
-func sortedAddrs[V any](m map[ipaddr.Addr]V) []ipaddr.Addr {
-	out := make([]ipaddr.Addr, 0, len(m))
-	for a := range m {
-		out = append(out, a)
+// addrsOf lists the addresses of q, in q's (ascending) order.
+func addrsOf(q []core.AddrQuantiles) []ipaddr.Addr {
+	out := make([]ipaddr.Addr, len(q))
+	for i, v := range q {
+		out[i] = v.Addr
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -57,21 +56,25 @@ func (l *Lab) Fig8() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	samples := m.Samples(true)
 	pick := func(minFrac float64) []ipaddr.Addr {
 		var out []ipaddr.Addr
-		for _, a := range sortedAddrs(samples) {
-			s := samples[a]
+		m.Range(func(a ipaddr.Addr, ar *core.AddressResult) {
+			n := len(ar.Matched) + len(ar.Delayed)
+			if ar.Discarded() || n == 0 {
+				return
+			}
 			over := 0
-			for _, d := range s {
-				if d >= 100*time.Second {
-					over++
+			for _, s := range [][]time.Duration{ar.Matched, ar.Delayed} {
+				for _, d := range s {
+					if d >= 100*time.Second {
+						over++
+					}
 				}
 			}
-			if len(s) > 0 && float64(over)/float64(len(s)) >= minFrac {
+			if float64(over)/float64(n) >= minFrac {
 				out = append(out, a)
 			}
-		}
+		})
 		return out
 	}
 	// The paper's criterion: >=5% of pings at 100s or more. At deep
@@ -163,9 +166,9 @@ func (l *Lab) Fig10() (Report, error) {
 			continue
 		}
 		cut := stats.Percentile(vals, 95)
-		for _, a := range sortedAddrs(q) {
-			if q[a].At(level) >= cut {
-				candidates = append(candidates, a)
+		for _, v := range q {
+			if v.At(level) >= cut {
+				candidates = append(candidates, v.Addr)
 			}
 		}
 	}
@@ -315,9 +318,9 @@ func (l *Lab) firstPingTrains() (map[ipaddr.Addr][]core.TrainSample, int, error)
 		return nil, 0, err
 	}
 	var candidates []ipaddr.Addr
-	for _, a := range sortedAddrs(q) {
-		if q[a].P50 >= time.Second {
-			candidates = append(candidates, a)
+	for _, v := range q {
+		if v.P50 >= time.Second {
+			candidates = append(candidates, v.Addr)
 		}
 	}
 	targets := sampleEvery(candidates, l.Scale.SampleAddrs*2)
@@ -478,9 +481,9 @@ func (l *Lab) Tab7() (Report, error) {
 		return Report{}, err
 	}
 	var candidates []ipaddr.Addr
-	for _, a := range sortedAddrs(q) {
-		if q[a].P99 >= 100*time.Second {
-			candidates = append(candidates, a)
+	for _, v := range q {
+		if v.P99 >= 100*time.Second {
+			candidates = append(candidates, v.Addr)
 		}
 	}
 	targets := sampleEvery(candidates, l.Scale.SampleAddrs)
@@ -543,12 +546,7 @@ func (l *Lab) Rec60() (Report, error) {
 
 	// Retry-correlation probe: short trains at 3 s spacing on a sample of
 	// responsive addresses.
-	m, err := l.Match()
-	if err != nil {
-		return Report{}, err
-	}
-	samples := m.Samples(true)
-	targets := sampleEvery(sortedAddrs(samples), l.Scale.SampleAddrs*2)
+	targets := sampleEvery(addrsOf(q), l.Scale.SampleAddrs*2)
 	w := NewWorld(l.popCfg)
 	pr := scamper.New(w.Net, scamperSrc, ipmeta.NorthAmerica)
 	defer pr.Close()

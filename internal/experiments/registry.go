@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"timeouts/internal/core"
 	"timeouts/internal/ipaddr"
 	"timeouts/internal/ipmeta"
-	"timeouts/internal/netmodel"
 	"timeouts/internal/outage"
 	"timeouts/internal/stats"
 )
@@ -99,27 +97,27 @@ func (l *Lab) Fig4() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	demo := ipaddr.Addr(0)
+	var demo ipaddr.Addr
+	var demoAR *core.AddressResult
 	nearHalf, marked := 0, 0
-	for a, ar := range m.Addr {
+	m.Range(func(a ipaddr.Addr, ar *core.AddressResult) {
 		if !fig4FalseMatch(ar) {
-			continue
+			return
 		}
 		nearHalf++
 		if ar.Broadcast {
 			marked++
 		}
-		if demo == 0 || a < demo {
-			demo = a
+		if demoAR == nil {
+			demo, demoAR = a, ar
 		}
-	}
+	})
 	var b strings.Builder
 	fmt.Fprintf(&b, "addresses whose delayed responses repeat at multiples of %s: %d\n", fig4Half, nearHalf)
 	fmt.Fprintf(&b, "of those, flagged by the broadcast filter: %d\n", marked)
-	if demo != 0 {
-		ar := m.Addr[demo]
-		fmt.Fprintf(&b, "example %s: %d delayed responses, first few:", demo, len(ar.Delayed))
-		for i, d := range ar.Delayed {
+	if demoAR != nil {
+		fmt.Fprintf(&b, "example %s: %d delayed responses, first few:", demo, len(demoAR.Delayed))
+		for i, d := range demoAR.Delayed {
 			if i == 5 {
 				break
 			}
@@ -151,12 +149,11 @@ func (l *Lab) Outage() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	all := sortedAddrs(q)
-	targets := sampleEvery(all, l.Scale.SampleAddrs)
+	targets := sampleEvery(addrsOf(q), l.Scale.SampleAddrs)
 	var slow []ipaddr.Addr
-	for _, a := range all {
-		if q[a].P95 > 2*time.Second {
-			slow = append(slow, a)
+	for _, v := range q {
+		if v.P95 > 2*time.Second {
+			slow = append(slow, v.Addr)
 		}
 	}
 	slow = sampleEvery(slow, l.Scale.SampleAddrs/3)
@@ -290,8 +287,8 @@ func (l *Lab) AblFilter() (Report, error) {
 			// computed over the remainder.
 			truthSeen := 0
 			for a := range truth {
-				ar, ok := res.Addr[a]
-				if !ok || len(ar.Matched)+len(ar.Delayed) == 0 {
+				ar := res.Lookup(a)
+				if ar == nil || len(ar.Matched)+len(ar.Delayed) == 0 {
 					continue
 				}
 				samples := append(append([]time.Duration(nil), ar.Matched...), ar.Delayed...)
@@ -355,28 +352,4 @@ func (l *Lab) AblDup() (Report, error) {
 			{"addresses discarded at threshold 4", "20,736 (at Internet scale)", fmt.Sprintf("%d", at4)},
 		},
 	}, nil
-}
-
-// popProfileCounts is a convenience for tests: class counts in the lab's
-// population among responsive addresses.
-func (l *Lab) popProfileCounts() map[netmodel.Class]int {
-	pop := netmodel.New(l.popCfg)
-	out := make(map[netmodel.Class]int)
-	for i := 0; i < pop.NumAddrs(); i++ {
-		pr := pop.Profile(pop.AddrAt(i))
-		if pr.Responsive {
-			out[pr.Class]++
-		}
-	}
-	return out
-}
-
-// SortedMetricIDs returns registry ids in order, for docs generation.
-func SortedMetricIDs() []string {
-	ids := make([]string, len(Registry))
-	for i, e := range Registry {
-		ids[i] = e.ID
-	}
-	sort.Strings(ids)
-	return ids
 }

@@ -18,7 +18,7 @@ func (l *Lab) Fig1() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	q := core.PerAddressQuantiles(m.SurveyDetected())
+	q := m.SurveyDetectedQuantiles()
 	var b strings.Builder
 	cdfs := core.PercentileCDF(q, 0)
 	fmt.Fprintf(&b, "per-address percentile latency over survey-detected responses (%d addresses)\n", len(q))
@@ -89,7 +89,7 @@ func (l *Lab) Fig5() (Report, error) {
 	ccdf := m.DuplicateCCDF()
 	var total, over1000 int
 	var max float64
-	for _, ar := range m.Addr {
+	m.Range(func(_ ipaddr.Addr, ar *core.AddressResult) {
 		if ar.MaxResponses > 2 {
 			total++
 			if ar.MaxResponses >= 1000 {
@@ -99,7 +99,7 @@ func (l *Lab) Fig5() (Report, error) {
 				max = f
 			}
 		}
-	}
+	})
 	var b strings.Builder
 	fmt.Fprintf(&b, "addresses with >2 responses to a single request: %d\n", total)
 	fmt.Fprintf(&b, "CCDF points (value, frac above): ")
@@ -184,9 +184,9 @@ func (l *Lab) Fig6() (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
-	naive := core.PerAddressQuantiles(m.Samples(false))
-	filtered := core.PerAddressQuantiles(m.Samples(true))
-	bump := func(q map[ipaddr.Addr]stats.Quantiles) int {
+	naive := m.AddressQuantiles(false)
+	filtered := m.AddressQuantiles(true)
+	bump := func(q []core.AddrQuantiles) int {
 		// Addresses whose 99th percentile sits near a multiple of the
 		// half-interval (330 s): the broadcast false-match signature.
 		n := 0
@@ -280,7 +280,7 @@ func valueAtFrac(pts []stats.CDFPoint, f float64) time.Duration {
 }
 
 // collectLevel gathers one percentile level across addresses, sorted.
-func collectLevel(q map[ipaddr.Addr]stats.Quantiles, p float64) []time.Duration {
+func collectLevel(q []core.AddrQuantiles, p float64) []time.Duration {
 	out := make([]time.Duration, 0, len(q))
 	for _, v := range q {
 		out = append(out, v.At(p))

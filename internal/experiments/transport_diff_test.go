@@ -119,7 +119,7 @@ func runDiffWorkloads(t *testing.T, sc Scale, parallel int) map[string]string {
 	// The lab keeps the scan's report; its raw response stream is the
 	// same scan again through RunShardedInto, collecting nothing on the
 	// lab's registry or tracer.
-	pop := netmodel.New(lab.PopConfig())
+	pop := netmodel.New(lab.popCfg)
 	cfg := lab.scanConfig(0, pop)
 	cfg.Obs, cfg.Trace = nil, nil
 	zh := sha256.New()

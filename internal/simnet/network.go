@@ -39,22 +39,6 @@ type Fabric interface {
 // packets batched by the fabric share one call.
 type Handler func(at Time, data []byte, count int)
 
-// TapDirection distinguishes tapped traffic.
-type TapDirection uint8
-
-// Tap directions.
-const (
-	// TapSent is a probe leaving a prober.
-	TapSent TapDirection = iota
-	// TapReceived is a delivery arriving at a prober.
-	TapReceived
-)
-
-// Tap observes every packet crossing the network — the simulation's
-// equivalent of running tcpdump next to the prober (§5.1 of the paper).
-// For batched deliveries the tap is invoked once with the batch count.
-type Tap func(at Time, dir TapDirection, data []byte, count int)
-
 // DeliveryTag identifies one delivery by the probe that caused it: the
 // caller-assigned rank of the Send (see SetSendRank) and the delivery's
 // index within that Send's fabric response. Sharded drivers use the tag to
@@ -69,7 +53,6 @@ type DeliveryTag struct {
 type Network struct {
 	sched   *Scheduler
 	fabric  Fabric
-	tap     Tap
 	probers map[ipaddr.Addr]Handler
 
 	sendRank uint64      // rank attached to deliveries of subsequent Sends
@@ -119,7 +102,7 @@ type deliveryEvent struct {
 	next  *deliveryEvent
 }
 
-// Run implements Event: deliver to the tap and handler, then recycle.
+// Run implements Event: deliver to the handler, then recycle.
 func (e *deliveryEvent) Run(now Time) {
 	n := e.n
 	h, data, count := e.h, e.data, e.count
@@ -129,9 +112,6 @@ func (e *deliveryEvent) Run(now Time) {
 	e.n, e.h, e.data = nil, nil, nil
 	e.next = n.freeDeliv
 	n.freeDeliv = e
-	if n.tap != nil {
-		n.tap(now, TapReceived, data, count)
-	}
 	h(now, data, count)
 }
 
@@ -154,9 +134,6 @@ func (n *Network) AttachProber(addr ipaddr.Addr, h Handler) {
 
 // DetachProber removes a prober registration.
 func (n *Network) DetachProber(addr ipaddr.Addr) { delete(n.probers, addr) }
-
-// SetTap installs (or, with nil, removes) the packet tap.
-func (n *Network) SetTap(t Tap) { n.tap = t }
 
 // SetObserver registers the network's traffic counters — and the driving
 // scheduler's diagnostic metrics — on reg. A sharded run gives every shard
@@ -185,7 +162,7 @@ func (n *Network) SetFaults(p *faults.Plan) { n.faults = p }
 // so that receive handlers can order records across shards.
 func (n *Network) SetSendRank(r uint64) { n.sendRank = r }
 
-// LastDeliveryTag returns the tag of the delivery whose handler (or tap) is
+// LastDeliveryTag returns the tag of the delivery whose handler is
 // currently executing. It is only meaningful during such a callback.
 func (n *Network) LastDeliveryTag() DeliveryTag { return n.curTag }
 
@@ -202,9 +179,6 @@ func (n *Network) Send(from ipaddr.Addr, pkt []byte) {
 		n.obsProbes.Inc()
 	}
 	at := n.sched.Now()
-	if n.tap != nil {
-		n.tap(at, TapSent, pkt, 1)
-	}
 	rank := n.sendRank
 	for di, d := range n.fabric.Respond(from, at, pkt) {
 		if d.Count == 0 {

@@ -175,39 +175,6 @@ func TestNetworkDetachReattach(t *testing.T) {
 	n.AttachProber(src, func(Time, []byte, int) {}) // must not panic
 }
 
-func TestNetworkTap(t *testing.T) {
-	var s Scheduler
-	n := NewNetwork(&s, &echoFabric{delay: time.Millisecond, count: 3})
-	src := ipaddr.MustParse("240.0.0.1")
-	n.AttachProber(src, func(Time, []byte, int) {})
-	type tapped struct {
-		dir   TapDirection
-		count int
-	}
-	var got []tapped
-	n.SetTap(func(at Time, dir TapDirection, data []byte, count int) {
-		got = append(got, tapped{dir, count})
-	})
-	s.At(0, func() { n.Send(src, []byte{1, 2}) })
-	s.Run()
-	if len(got) != 2 {
-		t.Fatalf("tap saw %d events", len(got))
-	}
-	if got[0].dir != TapSent || got[0].count != 1 {
-		t.Errorf("first tap = %+v", got[0])
-	}
-	if got[1].dir != TapReceived || got[1].count != 3 {
-		t.Errorf("second tap = %+v", got[1])
-	}
-	// Removing the tap stops events.
-	n.SetTap(nil)
-	s.At(s.Now()+1, func() { n.Send(src, []byte{3}) })
-	s.Run()
-	if len(got) != 2 {
-		t.Error("tap events after removal")
-	}
-}
-
 // Property: arbitrary event schedules drain in nondecreasing time order and
 // run every event exactly once.
 func TestSchedulerDrainOrderProperty(t *testing.T) {
