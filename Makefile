@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz fuzz-smoke chaos advisor-chaos bench bench-compare obs-check transport-check advisor-check metrics-check scale-check check ci
+.PHONY: all build vet perfbench-vet test race fuzz fuzz-smoke chaos advisor-chaos bench bench-compare obs-check transport-check advisor-check metrics-check scale-check check ci
 
 all: check
 
@@ -14,6 +14,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# perfbench is a nested module, so `go build ./...` and `go vet ./...` never
+# compile it; vetting it here catches exported API it uses going away.
+perfbench-vet:
+	$(GO) -C perfbench vet ./...
 
 test:
 	$(GO) test ./...
@@ -30,18 +35,16 @@ race:
 # Short fuzz pass over the merge-ordering contract (FuzzShardMerge), the
 # timing wheel's dequeue order against a heap oracle (FuzzWheelVsHeap), the
 # dataset readers (FuzzOpenSource strict+lenient over all three formats,
-# FuzzCompactReader on the varint decoder), the rtt session codec
-# (FuzzSessionPacket), checkpoint round trips (FuzzCheckpointRoundTrip),
-# permutation ranks (FuzzPermutationRank), the matcher and advisor store
-# against the pre-kernel matcher, emission-order check included
-# (FuzzAttribution), and the 8-byte Internet checksum kernel against the
-# 16-bit loop (FuzzChecksum); seeds alone run in `make test`.
+# FuzzCompactReader on the varint decoder), checkpoint round trips
+# (FuzzCheckpointRoundTrip), permutation ranks (FuzzPermutationRank), the
+# matcher and advisor store against the pre-kernel matcher, emission-order
+# check included (FuzzAttribution), and the 8-byte Internet checksum kernel
+# against the 16-bit loop (FuzzChecksum); seeds alone run in `make test`.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzShardMerge -fuzztime=30s ./internal/simnet
 	$(GO) test -run=Fuzz -fuzz=FuzzWheelVsHeap -fuzztime=30s ./internal/simnet
 	$(GO) test -run=Fuzz -fuzz=FuzzOpenSource -fuzztime=30s ./internal/survey
 	$(GO) test -run=Fuzz -fuzz=FuzzCompactReader -fuzztime=30s ./internal/survey
-	$(GO) test -run=Fuzz -fuzz=FuzzSessionPacket -fuzztime=30s ./internal/rtt
 	$(GO) test -run=Fuzz -fuzz=FuzzCheckpointRoundTrip -fuzztime=30s ./internal/advisor
 	$(GO) test -run=Fuzz -fuzz=FuzzPermutationRank -fuzztime=30s ./internal/zmapper
 	$(GO) test -run=Fuzz -fuzz=FuzzAttribution -fuzztime=30s ./internal/core
@@ -53,7 +56,6 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzWheelVsHeap -fuzztime=10s ./internal/simnet
 	$(GO) test -run=Fuzz -fuzz=FuzzOpenSource -fuzztime=10s ./internal/survey
 	$(GO) test -run=Fuzz -fuzz=FuzzCompactReader -fuzztime=10s ./internal/survey
-	$(GO) test -run=Fuzz -fuzz=FuzzSessionPacket -fuzztime=10s ./internal/rtt
 	$(GO) test -run=Fuzz -fuzz=FuzzCheckpointRoundTrip -fuzztime=10s ./internal/advisor
 	$(GO) test -run=Fuzz -fuzz=FuzzPermutationRank -fuzztime=10s ./internal/zmapper
 	$(GO) test -run=Fuzz -fuzz=FuzzAttribution -fuzztime=10s ./internal/core
@@ -156,15 +158,13 @@ else
 	$(GO) run ./cmd/benchjson -compare -threshold $(BENCH_THRESHOLD) $(BENCH_BASELINE) /tmp/bench_current.json
 endif
 
-# The transport boundary suite, raced (the UDP pump runs on its own
-# goroutine): the zero-alloc and deadline-semantics pins on both Transport
-# implementations, the full rtt session tests — sim-oracle determinism plus
-# the live UDP loopback integration (handshake, isochronous round trips,
-# injected drops, late-reply-after-timeout) — and the golden test pinning
-# the probers' outputs through SimTransport on the 96-block population
-# (3 seeds × -parallel 1, 4 and 8).
+# The transport boundary suite, raced: SimTransport's delivery tagging,
+# closed-endpoint contract and zero-alloc pin on the send → network →
+# fabric → handler path, and the golden test pinning the probers' outputs
+# through SimTransport on the 96-block population (3 seeds × -parallel 1,
+# 4 and 8), whose shards run on concurrent goroutines.
 transport-check:
-	$(GO) test -race -count=1 ./internal/transport ./internal/rtt
+	$(GO) test -race -count=1 ./internal/transport
 	$(GO) test -race -count=1 -run 'TestTransportDifferentialIdentity' ./internal/experiments
 
 # The observability determinism suite: vet, the obs package's unit tests
@@ -215,12 +215,12 @@ scale-check:
 
 check: build test race
 
-# The CI pipeline: build, vet, full tests, race pass on the concurrent
-# packages, the fault-injection suite under -race, the advisord kill/restore
-# chaos suite, the observability determinism suite, the transport/rtt suite
-# (loopback + differential, raced), the advice-serving suite (epoch-swap
-# hammer + shard invariance + serve/drain/ingest robustness, raced), the
-# telemetry-plane suite (exposition golden + scrape races + zero-alloc pin,
-# raced), the bounded-memory scale smoke, then a short fuzz smoke of every
-# fuzz target.
-ci: build vet test race chaos advisor-chaos obs-check transport-check advisor-check metrics-check scale-check fuzz-smoke
+# The CI pipeline: build, vet (the nested perfbench module too), full
+# tests, race pass on the concurrent packages, the fault-injection suite
+# under -race, the advisord kill/restore chaos suite, the observability
+# determinism suite, the transport suite (zero-alloc pin + differential,
+# raced), the advice-serving suite (epoch-swap hammer + shard invariance +
+# serve/drain/ingest robustness, raced), the telemetry-plane suite
+# (exposition golden + scrape races + zero-alloc pin, raced), the
+# bounded-memory scale smoke, then a short fuzz smoke of every fuzz target.
+ci: build vet perfbench-vet test race chaos advisor-chaos obs-check transport-check advisor-check metrics-check scale-check fuzz-smoke

@@ -20,9 +20,9 @@
 // repeated entries on either side (a -count N run, or the alternating
 // rounds of `make bench-compare BENCH_BASE_REF=<ref>`) are reduced to their
 // median, and the exit status is 1 when any matched benchmark's ns/op — or,
-// for benchmarks reporting the peak-heap-B metric (obs.ReportPeakHeap,
-// obs.HeapSampler) — grew by more than the threshold percentage (default
-// 10): the CI regression gate covers time and memory footprint alike.
+// for benchmarks reporting the peak-heap-B metric (obs.HeapSampler), its
+// peak heap — grew by more than the threshold percentage (default 10): the
+// CI regression gate covers time and memory footprint alike.
 package main
 
 import (

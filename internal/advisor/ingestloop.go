@@ -90,10 +90,9 @@ type IngestConfig struct {
 // a time. All methods are nil-safe, so a handler can hold an optional
 // *IngestProgress without guards.
 type IngestProgress struct {
-	records     atomic.Uint64
-	queued      atomic.Int64
-	backoffNS   atomic.Int64
-	lastPublish atomic.Int64 // unix ns; 0 = no publish yet
+	records   atomic.Uint64
+	queued    atomic.Int64
+	backoffNS atomic.Int64
 }
 
 // Records returns how many records have reached the store so far.
@@ -124,15 +123,6 @@ func (p *IngestProgress) Backoff() time.Duration {
 	return time.Duration(p.backoffNS.Load())
 }
 
-// LastPublishAt returns the wall time (unix ns) of the loop's most recent
-// advice publish, 0 before the first.
-func (p *IngestProgress) LastPublishAt() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.lastPublish.Load()
-}
-
 // CollectProm exports the live ingest series for /metrics scrapes.
 func (p *IngestProgress) CollectProm(w *obs.PromWriter) {
 	if p == nil {
@@ -154,14 +144,6 @@ func (p *IngestProgress) noteBatch(n uint64, depth int64) {
 	}
 	p.records.Add(n)
 	p.queued.Store(depth)
-}
-
-// notePublish stamps the publish time.
-func (p *IngestProgress) notePublish() {
-	if p == nil {
-		return
-	}
-	p.lastPublish.Store(time.Now().UnixNano())
 }
 
 // setBackoff publishes the backoff the reader is sleeping through (0 clears).
@@ -363,7 +345,6 @@ func RunIngest(ctx context.Context, cfg IngestConfig, st *Store, adv *Advisor, c
 		epoch := adv.Publish(st).Epoch()
 		end()
 		stats.Publishes++
-		cfg.Progress.notePublish()
 		return epoch
 	}
 	checkpoint := func(epoch uint64) error {

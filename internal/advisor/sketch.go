@@ -1,8 +1,8 @@
 // Package advisor is the timeout-recommendation serving layer: the paper's
 // actual deliverable — "wait this long for this destination" (§8, Table 2) —
 // productized as a long-running service. It ingests probe/record streams
-// (survey datasets, the sharded sim engine, or the live internal/rtt plane)
-// into compact per-/24 quantile sketches, and answers
+// (survey datasets or the sharded sim engine) into compact per-/24 quantile
+// sketches, and answers
 //
 //	GET /timeout?addr=X&capture=p&coverage=r
 //

@@ -99,8 +99,7 @@ func (s *Store) sketch(p ipaddr.Prefix24) *Sketch {
 }
 
 // Add folds one directly measured latency sample for addr into its prefix
-// sketch — the entry point for the live rtt plane, where the RTT is known
-// without record-stream attribution.
+// sketch, bypassing record-stream attribution.
 func (s *Store) Add(addr ipaddr.Addr, rtt time.Duration) {
 	s.sample(addr, rtt)
 	s.matched++

@@ -118,7 +118,7 @@ func (l *Lab) AblScale() (Report, error) {
 		Title: "Ablation: Table 2's extreme rows depend on per-address sample depth",
 		Body:  b.String(),
 		Metrics: []Metric{
-			{"99/99 across sample depths", "paper: 145s at ~1800 samples/addr", fmtDur(last.At(99, 99)) + " at the deepest run here"},
+			{"99/99 across sample depths", "145s at ~1800 samples/addr", fmtDur(last.At(99, 99)) + " at the deepest run here"},
 		},
 	}, nil
 }

@@ -331,7 +331,7 @@ var registryGoldens = map[string]string{
 	"abl-filter":  "04811e4ebb4d8cf1eb70e297bd5023b555835ad86a2aeb784fbb60b6a4fbf981",
 	"abl-dup":     "6e470671affc63f0a24f024a0e70183a4f6a28b5e7952335312db9ec10374a55",
 	"abl-timeout": "06b49e7f454c6f112d36702dce845e9326fed6b850b73cb64cbec5d0ba508095",
-	"abl-scale":   "60db86154d138cd1aa7a9cfa87363a3799113e015becf90fcd6f69def1fb19e4",
+	"abl-scale":   "bd4f172be477d1263b444680ce7836344a9c35a1058a1ddfc6cbf2452d5a2305",
 	"abl-vantage": "db9d133a248961053370852ea34f80b23d08becf6ba84097fe8d537eaf2152e5",
 }
 

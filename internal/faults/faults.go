@@ -38,7 +38,6 @@ const (
 	siteWireBit      uint64 = 0x62697421 // "bit!": which bit flips?
 	siteWireTruncLen uint64 = 0x74727563 // "truc": truncate to how many bytes?
 	siteWireDupCount uint64 = 0x64757063 // "dupc": how many extra copies?
-	siteWireDrop     uint64 = 0x64726f70 // "drop": is this packet dropped?
 	siteDataByte     uint64 = 0x64617461 // "data": does this stored byte flip?
 	siteDataBit      uint64 = 0x64626974 // "dbit": which bit of it?
 	siteProcPanic    uint64 = 0x70616e69 // "pani": does this shard worker panic?
@@ -60,11 +59,6 @@ type WireConfig struct {
 	// DuplicateMax bounds the extra copies per duplicated delivery
 	// (default 1).
 	DuplicateMax int
-	// DropRate is the probability a packet is dropped outright. The
-	// simulated network ignores it (the fabric models loss itself); it is
-	// consumed by transport.Faulty, the lossy wrapper the live measurement
-	// plane's tests interpose, via WireDropFor.
-	DropRate float64
 }
 
 func (c WireConfig) active() bool {
@@ -193,16 +187,6 @@ func (p *Plan) WireFaultFor(rank uint64, index int, size int) (WireFault, bool) 
 		return WireFault{Kind: WireDuplicate, Extra: extra}, true
 	}
 	return WireFault{}, false
-}
-
-// WireDropFor decides whether the packet identified by (rank, index) is
-// dropped outright. The decision site is independent of WireFaultFor's, so
-// drop and corruption plans compose without disturbing each other's draws.
-func (p *Plan) WireDropFor(rank uint64, index int) bool {
-	if p == nil || p.Wire.DropRate <= 0 {
-		return false
-	}
-	return xrand.HashFloat(p.Seed, siteWireDrop, rank, uint64(index)) < p.Wire.DropRate
 }
 
 // FlipByte decides whether the dataset byte at the given absolute offset is

@@ -23,30 +23,14 @@ type BenchResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	// PeakHeapBytes is the "peak-heap-B" custom metric emitted by
-	// benchmarks that call ReportPeakHeap — the heap footprint the run
+	// benchmarks that report a HeapSampler — the heap footprint the run
 	// reached, gated against regressions like ns/op.
 	PeakHeapBytes float64 `json:"peak_heap_bytes,omitempty"`
 }
 
-// PeakHeapUnit is the custom-metric unit ReportPeakHeap and
-// HeapSampler.Report emit and ParseBench recognizes.
+// PeakHeapUnit is the custom-metric unit HeapSampler.Report emits and
+// ParseBench recognizes.
 const PeakHeapUnit = "peak-heap-B"
-
-// ReportPeakHeap records the process's peak heap footprint on b as a
-// PeakHeapUnit metric. HeapSys — memory obtained from the OS for the heap —
-// is used rather than a live-bytes figure because it is monotone within a
-// process: it captures the high-water mark the benchmark forced, not
-// whatever the last GC left behind. That monotonicity cuts both ways: in a
-// shared `go test -bench=.` process the reading is the maximum over every
-// benchmark run so far, so call this only from benchmarks that run alone in
-// their process (or first); otherwise use a HeapSampler, whose peak is
-// scoped to the sampled run. (b is *testing.B; the interface avoids a
-// testing dependency here.)
-func ReportPeakHeap(b interface{ ReportMetric(float64, string) }) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	b.ReportMetric(float64(ms.HeapSys), PeakHeapUnit)
-}
 
 // HeapSampler tracks the maximum live heap observed across Sample calls,
 // reported as growth over a baseline taken at construction — a peak scoped

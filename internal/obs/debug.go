@@ -21,7 +21,7 @@ type DebugServer struct {
 
 	// extra are scrape-time collectors appended to /metrics after the
 	// registry; registration is concurrency-safe so a daemon can add
-	// collectors (live session counts, watchdog quantiles) after the server
+	// collectors (ingest progress, watchdog quantiles) after the server
 	// is already up.
 	mu    sync.Mutex
 	extra []PromCollector

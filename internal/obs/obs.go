@@ -17,7 +17,7 @@
 // section.
 //
 // Per-shard registries merge with the same commutative, order-independent
-// discipline as simnet.MergeTagged: counters and histogram buckets add,
+// discipline as simnet.MergeTaggedFunc: counters and histogram buckets add,
 // gauges take the maximum — so the merged registry of a sharded run is
 // independent of shard count and worker scheduling, and (for deterministic
 // metrics) byte-identical to the sequential run's registry.
@@ -179,7 +179,7 @@ func (r *Registry) histogram(name string, diag bool) *Histogram {
 // Merge folds other's metrics into r: counters and histogram buckets add,
 // gauges take the maximum. The operation is commutative and associative, so
 // merging K per-shard registries yields the same result in any order — the
-// registry analogue of simnet.MergeTagged's order-independent merge.
+// registry analogue of simnet.MergeTaggedFunc's order-independent merge.
 func (r *Registry) Merge(other *Registry) {
 	if r == nil || other == nil {
 		return

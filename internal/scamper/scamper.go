@@ -61,7 +61,7 @@ type ProbeResult struct {
 // schedule experiments, run the scheduler, then read results.
 type Prober struct {
 	net       *simnet.Network // kept for SetObserver; probe I/O goes via tr
-	tr        transport.Transport
+	tr        *transport.SimTransport
 	sched     *simnet.Scheduler
 	src       ipaddr.Addr
 	continent ipmeta.Continent
@@ -112,7 +112,6 @@ type probeKey struct {
 func New(net *simnet.Network, src ipaddr.Addr, continent ipmeta.Continent) *Prober {
 	p := &Prober{
 		net:       net,
-		tr:        transport.NewSim(net, src),
 		sched:     net.Scheduler(),
 		src:       src,
 		continent: continent,
@@ -121,7 +120,7 @@ func New(net *simnet.Network, src ipaddr.Addr, continent ipmeta.Continent) *Prob
 		sentAt:    make(map[tracerouteKey]simnet.Time),
 		buf:       wire.GetBuf(),
 	}
-	p.tr.SetHandler(p.receive)
+	p.tr = transport.NewSim(net, src, p.receive)
 	return p
 }
 
@@ -209,7 +208,7 @@ func (p *Prober) send(dst ipaddr.Addr, proto Proto, token, seq uint16) {
 		panic(fmt.Sprintf("scamper: unknown protocol %d", proto))
 	}
 	*p.buf = pkt
-	p.tr.SendTo(transport.InPacket, pkt)
+	p.tr.Send(pkt)
 }
 
 // DecodeErrors returns how many received packets failed to decode — wire
@@ -217,8 +216,7 @@ func (p *Prober) send(dst ipaddr.Addr, proto Proto, token, seq uint16) {
 func (p *Prober) DecodeErrors() uint64 { return p.decodeErr }
 
 // receive matches responses to outstanding probes.
-func (p *Prober) receive(at transport.Time, from transport.Addr, data []byte, count int) {
-	_ = from // the responder's address rides inside the wire packet
+func (p *Prober) receive(at simnet.Time, data []byte, count int) {
 	pkt, err := p.dec.Decode(data)
 	if err != nil {
 		p.decodeErr += uint64(count)

@@ -6,7 +6,6 @@ import (
 
 	"timeouts/internal/ipaddr"
 	"timeouts/internal/simnet"
-	"timeouts/internal/transport"
 	"timeouts/internal/wire"
 )
 
@@ -78,7 +77,7 @@ func (e *hopEvent) Run(simnet.Time) {
 	pkt := wire.AppendEchoTTL((*p.buf)[:0], p.src, e.dst, echo, byte(hop))
 	*p.buf = pkt
 	p.sentAt[key] = p.sched.Now()
-	p.tr.SendTo(transport.InPacket, pkt)
+	p.tr.Send(pkt)
 }
 
 // TracerouteResults returns the hops recorded for dst in hop order.

@@ -109,9 +109,6 @@ func (s *Scheduler) AtEvent(t Time, ev Event) { s.schedule(t, nil, ev) }
 // After schedules fn to run d from now.
 func (s *Scheduler) After(d time.Duration, fn func()) { s.schedule(s.now+d, fn, nil) }
 
-// AfterEvent schedules ev to run d from now.
-func (s *Scheduler) AfterEvent(d time.Duration, ev Event) { s.schedule(s.now+d, nil, ev) }
-
 // seqNormalBand is OR-ed into the insertion sequence of normally scheduled
 // events. Front-band events (AtEventFront) keep the raw sequence, so at equal
 // times every front event orders before every normal event, while events
@@ -191,11 +188,6 @@ func (s *Scheduler) peek() (Time, bool) {
 	s.advance()
 	return s.curList[s.curIdx].at, true
 }
-
-// NextEventTime returns the time of the earliest pending event without
-// running it. Synchronous consumers (transport.SimTransport.Recv) use it to
-// pump the loop up to a deadline without overshooting.
-func (s *Scheduler) NextEventTime() (Time, bool) { return s.peek() }
 
 // Run drains the event queue until empty.
 func (s *Scheduler) Run() {

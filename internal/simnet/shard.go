@@ -14,8 +14,8 @@ import (
 // it owns. What the shards cannot reproduce locally is the *interleaving* of
 // the sequential event loop — so records carry a ShardKey, a (timestamp,
 // sequence) tuple that totally orders the sequential run's record stream,
-// and MergeTagged recovers the sequential order exactly. Determinism — the
-// repo's core invariant — is therefore preserved: the merged output is
+// and MergeTaggedFunc recovers the sequential order exactly. Determinism —
+// the repo's core invariant — is therefore preserved: the merged output is
 // byte-identical to the single-threaded run regardless of shard count or
 // worker scheduling.
 
@@ -89,26 +89,14 @@ func (h *mergeHeap[R]) Pop() any {
 	return it
 }
 
-// MergeTagged k-way merges per-shard record streams, each already sorted by
-// key (the natural emission order of a shard run), into a single record
-// slice in global key order. Equal keys across streams resolve to the
-// lower-indexed stream, so the merge of any order-preserving contiguous
-// partition of a stream equals a stable sort of the whole.
-func MergeTagged[R any](streams [][]Tagged[R]) []R {
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	out := make([]R, 0, total)
-	MergeTaggedFunc(streams, func(r R) { out = append(out, r) })
-	return out
-}
-
-// MergeTaggedFunc is MergeTagged without the output slice: it yields each
-// record to fn in global key order. Consumers that stream the merge — a
-// dataset writer, or a StreamMatcher-style analyzer fed straight from a
-// sharded run — avoid materializing the merged stream entirely, leaving the
-// per-shard buffers as the only O(records) state of a sharded run.
+// MergeTaggedFunc k-way merges per-shard record streams, each already
+// sorted by key (the natural emission order of a shard run), yielding each
+// record to fn in global key order. Equal keys across streams resolve to
+// the lower-indexed stream, so the merge of any order-preserving contiguous
+// partition of a stream equals a stable sort of the whole. Consumers that
+// stream the merge — a dataset writer, or the matcher fed straight from a
+// sharded run — never materialize the merged stream, leaving the per-shard
+// buffers as the only O(records) state of a sharded run.
 func MergeTaggedFunc[R any](streams [][]Tagged[R], fn func(R)) {
 	pos := make([]int, len(streams))
 	h := make(mergeHeap[R], 0, len(streams))

@@ -71,6 +71,13 @@ func TestShardBounds(t *testing.T) {
 	}
 }
 
+// mergeAll collects MergeTaggedFunc's output in order.
+func mergeAll[R any](streams [][]Tagged[R]) []R {
+	var out []R
+	MergeTaggedFunc(streams, func(r R) { out = append(out, r) })
+	return out
+}
+
 func TestMergeTagged(t *testing.T) {
 	// Two streams with interleaved and exactly-equal keys: equal keys must
 	// resolve to the lower stream.
@@ -84,7 +91,7 @@ func TestMergeTagged(t *testing.T) {
 		{Key: ShardKey{At: 5}, Rec: "b5-second"},
 		{Key: ShardKey{At: 9}, Rec: "b9"},
 	}
-	got := MergeTagged([][]Tagged[string]{a, b})
+	got := mergeAll([][]Tagged[string]{a, b})
 	want := []string{"a1", "b2", "a3", "a5-first", "b5-second", "b9"}
 	if len(got) != len(want) {
 		t.Fatalf("merged %d records, want %d", len(got), len(want))
@@ -97,10 +104,10 @@ func TestMergeTagged(t *testing.T) {
 }
 
 func TestMergeTaggedEmpty(t *testing.T) {
-	if got := MergeTagged[int](nil); len(got) != 0 {
+	if got := mergeAll[int](nil); len(got) != 0 {
 		t.Errorf("merge of no streams produced %d records", len(got))
 	}
-	if got := MergeTagged([][]Tagged[int]{{}, {}, {}}); len(got) != 0 {
+	if got := mergeAll([][]Tagged[int]{{}, {}, {}}); len(got) != 0 {
 		t.Errorf("merge of empty streams produced %d records", len(got))
 	}
 }
@@ -239,7 +246,7 @@ func FuzzShardMerge(f *testing.F) {
 				streams[k] = append(streams[k], Tagged[rec]{Key: r.key, Rec: r})
 			}
 		}
-		got := MergeTagged(streams)
+		got := mergeAll(streams)
 
 		if len(got) != len(want) {
 			t.Fatalf("merged %d records, want %d", len(got), len(want))

@@ -79,17 +79,6 @@ func (w *CSVWriter) Flush() error {
 	return w.cw.Error()
 }
 
-// WriteCSV streams records as CSV rows (with a header row).
-func WriteCSV(w io.Writer, recs []Record) error {
-	cw := NewCSVWriter(w)
-	for _, r := range recs {
-		if err := cw.Write(r); err != nil {
-			return err
-		}
-	}
-	return cw.Flush()
-}
-
 // typeByName inverts RecordType.String.
 var typeByName = map[string]RecordType{
 	"matched":   RecMatched,
@@ -101,8 +90,8 @@ var typeByName = map[string]RecordType{
 // csvColumns is the required header row, in order.
 var csvColumns = [4]string{"type", "addr", "when_ns", "rtt_ns"}
 
-// CSVReader streams records from a CSV dataset written by WriteCSV /
-// CSVWriter. It implements RecordSource.
+// CSVReader streams records from a CSV dataset written by CSVWriter. It
+// implements RecordSource.
 type CSVReader struct {
 	cr      *csv.Reader
 	line    int
@@ -192,13 +181,4 @@ func (r *CSVReader) Read() (Record, error) {
 			When: time.Duration(when), RTT: time.Duration(rtt),
 		}, nil
 	}
-}
-
-// ReadCSV parses a CSV dataset written by WriteCSV.
-func ReadCSV(r io.Reader) ([]Record, error) {
-	cr, err := NewCSVReader(r)
-	if err != nil {
-		return nil, err
-	}
-	return DrainSource(cr)
 }

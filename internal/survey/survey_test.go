@@ -292,15 +292,30 @@ func TestVantageContinents(t *testing.T) {
 	}
 }
 
+// readCSV parses a whole CSV dataset.
+func readCSV(r io.Reader) ([]Record, error) {
+	cr, err := NewCSVReader(r)
+	if err != nil {
+		return nil, err
+	}
+	return DrainSource(cr)
+}
+
 func TestCSVRoundtrip(t *testing.T) {
 	recs, _ := runTinySurvey(t, 2, 11)
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, recs); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
+	cw := NewCSVWriter(&buf)
+	for _, r := range recs {
+		if err := cw.Write(r); err != nil {
+			t.Fatalf("CSVWriter.Write: %v", err)
+		}
 	}
-	got, err := ReadCSV(&buf)
+	if err := cw.Flush(); err != nil {
+		t.Fatalf("CSVWriter.Flush: %v", err)
+	}
+	got, err := readCSV(&buf)
 	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
+		t.Fatalf("reading csv: %v", err)
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("rows = %d, want %d", len(got), len(recs))
@@ -313,15 +328,15 @@ func TestCSVRoundtrip(t *testing.T) {
 }
 
 func TestCSVRejectsMalformed(t *testing.T) {
-	if _, err := ReadCSV(bytes.NewReader(nil)); err == nil {
+	if _, err := readCSV(bytes.NewReader(nil)); err == nil {
 		t.Error("empty csv accepted")
 	}
 	bad := "type,addr,when_ns,rtt_ns\nbogus,1.2.3.4,0,0\n"
-	if _, err := ReadCSV(bytes.NewReader([]byte(bad))); err == nil {
+	if _, err := readCSV(bytes.NewReader([]byte(bad))); err == nil {
 		t.Error("unknown record type accepted")
 	}
 	bad2 := "type,addr,when_ns,rtt_ns\nmatched,999.2.3.4,0,0\n"
-	if _, err := ReadCSV(bytes.NewReader([]byte(bad2))); err == nil {
+	if _, err := readCSV(bytes.NewReader([]byte(bad2))); err == nil {
 		t.Error("bad address accepted")
 	}
 }

@@ -219,17 +219,16 @@ func Run(net *simnet.Network, cfg Config, out RecordWriter) (Stats, error) {
 		return Stats{}, err
 	}
 	cfg.traceSimPhases()
-	tr := transport.NewSim(net, cfg.Vantage.Addr)
 	s := &surveyor{
-		tr: tr, seq: tr, sched: net.Scheduler(), cfg: cfg, out: out,
+		sched: net.Scheduler(), cfg: cfg, out: out,
 		ring:       newOutRing(cfg, len(cfg.Blocks)),
 		blockTotal: len(cfg.Blocks),
 		o:          newSurveyObs(cfg.Obs),
 	}
 	net.SetFaults(cfg.Faults)
 	net.SetObserver(cfg.Obs)
-	tr.SetHandler(s.receive)
-	defer tr.Close()
+	s.tr = transport.NewSim(net, cfg.Vantage.Addr, s.receive)
+	defer s.tr.Close()
 
 	s.scheduleAll()
 	defer s.close()
@@ -293,16 +292,15 @@ func RunSharded(cfg Config, shards int, fabric func(shard int) simnet.Fabric, ou
 			scfg.Obs = shardRegs[k]
 		}
 		net.SetObserver(scfg.Obs)
-		tr := transport.NewSim(net, cfg.Vantage.Addr)
 		s := &surveyor{
-			tr: tr, seq: tr, sched: sched, cfg: scfg, tag: true,
+			sched: sched, cfg: scfg, tag: true,
 			ring:     newOutRing(scfg, len(scfg.Blocks)),
 			blockOff: lo, blockTotal: len(cfg.Blocks),
 			o: newSurveyObs(scfg.Obs),
 		}
 		surveyors[k] = s
-		tr.SetHandler(s.receive)
-		defer tr.Close()
+		s.tr = transport.NewSim(net, cfg.Vantage.Addr, s.receive)
+		defer s.tr.Close()
 		s.scheduleAll()
 		sched.Run()
 		s.expireAll()
@@ -351,8 +349,7 @@ func RunSharded(cfg Config, shards int, fabric func(shard int) simnet.Fabric, ou
 // network directly — while the probing schedule itself lives on the sim
 // scheduler, which is what makes the run deterministic.
 type surveyor struct {
-	tr    transport.Transport
-	seq   transport.Sequencer
+	tr    *transport.SimTransport
 	sched *simnet.Scheduler
 	cfg   Config
 	out   RecordWriter
@@ -448,16 +445,15 @@ func (s *surveyor) sendSlot(cycle, slot int) {
 		// The probe's global rank — its position in the full unsharded
 		// probe order — tags the deliveries it causes, so receive can order
 		// its records across shards.
-		s.seq.SetSendRank(slotRank*uint64(s.blockTotal) + gbi)
+		s.tr.SetSendRank(slotRank*uint64(s.blockTotal) + gbi)
 		pkt := wire.AppendEcho((*s.buf)[:0], s.cfg.Vantage.Addr, dst, &s.echo)
 		*s.buf = pkt
-		s.tr.SendTo(transport.InPacket, pkt)
+		s.tr.Send(pkt)
 	}
 }
 
 // receive handles a delivered packet (batch).
-func (s *surveyor) receive(at transport.Time, from transport.Addr, data []byte, count int) {
-	_ = from // source address rides inside the wire packet
+func (s *surveyor) receive(at simnet.Time, data []byte, count int) {
 	if s.cfg.ResponseDropRate > 0 {
 		// Vantage-side filtering drops response packets independently.
 		kept := 0
@@ -483,7 +479,7 @@ func (s *surveyor) receive(at transport.Time, from transport.Addr, data []byte, 
 	}
 	// All records of one delivery share its (probe rank, delivery index)
 	// key, ordered within the delivery by emission index.
-	rank, idx := s.seq.LastDeliveryTag()
+	rank, idx := s.tr.LastDeliveryTag()
 	recIdx := uint64(0)
 	emit := func(r Record) {
 		s.record(r, simnet.ShardKey{At: at, Phase: phaseDeliver, A: rank, B: uint64(idx), C: recIdx})

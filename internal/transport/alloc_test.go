@@ -2,85 +2,31 @@ package transport
 
 import (
 	"testing"
-	"time"
 
 	"timeouts/internal/simnet"
 )
 
-// The transport send/receive hot paths must not allocate in steady state:
-// pooled packet buffers, recycled delivery events and reusable scratch mean
-// a long-running measurement session leaves no garbage per probe
-// (DESIGN.md §6, §13). These tests pin 0 allocs/op on both implementations.
-
-func TestSimLinkRecvAllocFree(t *testing.T) {
-	sched := &simnet.Scheduler{}
-	a, b := NewSimLink(sched, Addr{Port: 1}, Addr{Port: 2}, nil)
-	pkt := make([]byte, 128)
-	buf := make([]byte, 256)
-	xfer := func() {
-		if err := a.SendTo(b.LocalAddr(), pkt); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := b.Recv(buf, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 64; i++ {
-		xfer() // warm the buffer pool, event free list and wheel
-	}
-	if allocs := testing.AllocsPerRun(1000, xfer); allocs != 0 {
-		t.Errorf("sim link send+recv allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func TestSimLinkHandlerAllocFree(t *testing.T) {
-	sched := &simnet.Scheduler{}
-	a, b := NewSimLink(sched, Addr{Port: 1}, Addr{Port: 2}, nil)
+// The probe path must not allocate in steady state: Send hands the packet to
+// the network, whose pooled delivery events carry the fabric's reply to the
+// handler, so a long survey or scan leaves no garbage per probe (DESIGN.md
+// §6, §13). This pins 0 allocs/op on send → network → fabric → handler.
+func TestSimSendAllocFree(t *testing.T) {
+	sched, net := newReplyNet()
 	got := 0
-	b.SetHandler(func(at Time, from Addr, data []byte, count int) { got += count })
+	tr := NewSim(net, testSrc, func(at simnet.Time, data []byte, count int) { got += count })
+	defer tr.Close()
 	pkt := make([]byte, 128)
 	xfer := func() {
-		if err := a.SendTo(b.LocalAddr(), pkt); err != nil {
-			t.Fatal(err)
-		}
+		tr.Send(pkt)
 		sched.Step()
 	}
 	for i := 0; i < 64; i++ {
-		xfer()
+		xfer() // warm the delivery-event free list and the wheel
 	}
 	if allocs := testing.AllocsPerRun(1000, xfer); allocs != 0 {
-		t.Errorf("sim link send+dispatch allocates %.1f/op, want 0", allocs)
+		t.Errorf("sim send+deliver allocates %.1f/op, want 0", allocs)
 	}
 	if got == 0 {
 		t.Fatal("handler never ran")
-	}
-}
-
-func TestUDPAllocFree(t *testing.T) {
-	a, err := NewUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := NewUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	pkt := make([]byte, 128)
-	buf := make([]byte, 256)
-	xfer := func() {
-		if err := a.SendTo(b.LocalAddr(), pkt); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := b.Recv(buf, b.Now()+time.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 64; i++ {
-		xfer()
-	}
-	if allocs := testing.AllocsPerRun(500, xfer); allocs != 0 {
-		t.Errorf("udp send+recv allocates %.1f/op, want 0", allocs)
 	}
 }

@@ -6,58 +6,28 @@ import (
 	"timeouts/internal/simnet"
 )
 
-// BenchmarkTransportSend measures one datagram through each transport's
-// send+deliver path — the per-probe cost every prober and the rtt plane pay.
-// Both sub-benchmarks feed the bench-regression gate (make bench-compare).
-func BenchmarkTransportSend(b *testing.B) {
-	b.Run("sim", func(b *testing.B) {
-		sched := &simnet.Scheduler{}
-		src, dst := NewSimLink(sched, Addr{Port: 1}, Addr{Port: 2}, nil)
-		n := 0
-		dst.SetHandler(func(at Time, from Addr, data []byte, count int) { n += count })
-		pkt := make([]byte, 128)
-		for i := 0; i < 256; i++ { // warm the event pool and link free list
-			src.SendTo(dst.LocalAddr(), pkt)
-			sched.Step()
-		}
-		n = 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			src.SendTo(dst.LocalAddr(), pkt)
-			sched.Step()
-		}
-		if n != b.N {
-			b.Fatalf("delivered %d of %d", n, b.N)
-		}
-	})
-	// The udp sub-benchmark times SendTo alone — a blocking round trip would
-	// measure kernel scheduling latency, far too noisy for a regression gate.
-	// A peer drains in the background so the socket buffer never fills.
-	b.Run("udp", func(b *testing.B) {
-		src, err := NewUDP("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer src.Close()
-		dst, err := NewUDP("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer dst.Close()
-		dst.SetHandler(func(at Time, from Addr, data []byte, count int) {})
-		pkt := make([]byte, 128)
-		for i := 0; i < 256; i++ {
-			if err := src.SendTo(dst.LocalAddr(), pkt); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := src.SendTo(dst.LocalAddr(), pkt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+// BenchmarkSimSendDeliver measures one probe through the transport's
+// send → network → fabric → handler path with a stub fabric: the per-probe
+// cost every prober pays at this boundary, under the bench-regression gate
+// (make bench-compare).
+func BenchmarkSimSendDeliver(b *testing.B) {
+	sched, net := newReplyNet()
+	n := 0
+	tr := NewSim(net, testSrc, func(at simnet.Time, data []byte, count int) { n += count })
+	defer tr.Close()
+	pkt := make([]byte, 128)
+	for i := 0; i < 256; i++ { // warm the delivery-event free list and the wheel
+		tr.Send(pkt)
+		sched.Step()
+	}
+	n = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Send(pkt)
+		sched.Step()
+	}
+	if n != b.N {
+		b.Fatalf("delivered %d of %d", n, b.N)
+	}
 }

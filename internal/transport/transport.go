@@ -1,129 +1,57 @@
-// Package transport is the probe I/O boundary: it carries encoded wire
-// packets between a local endpoint and a network, which may be the
-// deterministic simulation (SimTransport over simnet) or a real UDP socket
-// (UDPTransport over net.UDPConn). The probers (survey, zmapper, scamper)
-// and the rtt measurement plane drive all packet I/O through the Transport
-// interface, so the same encoders, decoders and session logic run unchanged
-// against either network — with the simulation serving as the byte-exact
-// oracle for everything the live path does (DESIGN.md §13).
+// Package transport is the probe I/O boundary between the probers (survey,
+// zmapper, scamper) and the simulated network. A prober attaches a
+// SimTransport at its source address together with the handler that
+// receives its deliveries, sends encoded wire packets through it, and tags
+// each probe with its global send rank, which the sharded merge keys the
+// resulting records on (DESIGN.md §13).
 //
-// The hot path is allocation-free for both implementations: packets are
-// encoded into pooled wire buffers, sim deliveries ride pooled events, and
-// the UDP path sticks to the netip-based UDPConn methods that avoid per-op
-// allocations. alloc_test.go pins 0 allocs/op on send and receive for both.
+// The boundary adds no copy and no allocation: Send hands the packet to
+// simnet.Network.Send, and deliveries reach the handler straight from the
+// network's pooled delivery events. alloc_test.go pins 0 allocs/op on the
+// whole send → network → fabric → handler path.
 package transport
 
 import (
-	"errors"
-	"time"
-
 	"timeouts/internal/ipaddr"
+	"timeouts/internal/simnet"
 )
 
-// Time is a transport clock reading: the duration since the transport's
-// epoch. SimTransport's epoch is the simulation epoch, so its readings equal
-// simnet.Time; UDPTransport's is the (monotonic) instant the socket was
-// opened. Timestamps from different transports are not comparable.
-type Time = time.Duration
-
-// Addr identifies a transport peer: an IPv4 address plus UDP port.
-// Endpoints that exchange full IPv4-encapsulated wire packets (the probers
-// over the sim fabric) carry addressing inside the packet and use InPacket.
-type Addr struct {
-	IP   ipaddr.Addr
-	Port uint16
+// SimTransport is a prober's endpoint on a simnet.Network. Packets carry
+// their own IPv4 addressing, so Send takes no destination, and deliveries
+// keep the network's exact scheduling, batching and (rank, index) tagging.
+// Everything runs on the single-threaded event loop; SimTransport is not
+// safe for concurrent use, matching the rest of the simulation.
+type SimTransport struct {
+	net *simnet.Network
+	src ipaddr.Addr
 }
 
-// InPacket is the destination to pass to SendTo on transports whose packets
-// carry their own addressing — full IPv4-encapsulated wire packets routed by
-// the sim fabric. Such transports ignore the argument.
-var InPacket = Addr{}
-
-// Handler receives inbound packets on a handler-driven transport. data is
-// only valid for the duration of the call (receive buffers are pooled or
-// reused); count is >= 1 — identical packets batched by the sim fabric share
-// one call, exactly as simnet delivers them.
-type Handler func(at Time, from Addr, data []byte, count int)
-
-// Errors returned by transports.
-var (
-	// ErrDeadlineExceeded reports that Recv's deadline passed with no
-	// packet. On the sim it also covers "the event queue ran dry": nothing
-	// can ever arrive, which a live socket expresses only as a timeout.
-	ErrDeadlineExceeded = errors.New("transport: receive deadline exceeded")
-	// ErrClosed reports I/O on a closed transport.
-	ErrClosed = errors.New("transport: closed")
-)
-
-// Transport carries encoded wire packets between the local endpoint and the
-// network. A transport is driven in exactly one of two modes:
-//
-//   - handler mode (SetHandler): inbound packets are pushed to the handler —
-//     inside the event loop for the sim, from a pump goroutine for UDP. This
-//     is how the probers and the rtt server consume the network.
-//   - receive mode (Recv): the caller pulls packets synchronously, bounded
-//     by a deadline. This is how the rtt client paces its isochronous
-//     schedule; on the sim, Recv pumps the shared scheduler, so a whole
-//     client/server session advances deterministically under the caller.
-//
-// Mixing the modes on one transport is a bug.
-type Transport interface {
-	// LocalAddr identifies the endpoint. Sim endpoints have port 0.
-	LocalAddr() Addr
-
-	// Now reads the transport clock.
-	Now() Time
-
-	// SendTo transmits pkt to the peer at to (ignored by transports whose
-	// packets carry their own addressing — pass InPacket there). The caller
-	// may reuse pkt as soon as SendTo returns: implementations either hand
-	// it off synchronously or copy into a pooled buffer.
-	SendTo(to Addr, pkt []byte) error
-
-	// Recv delivers the next inbound packet into buf, reporting its length,
-	// sender, and arrival time on the transport clock. deadline is absolute
-	// on that clock; once it passes, Recv returns ErrDeadlineExceeded — for
-	// the sim this advances the virtual clock to the deadline, mirroring the
-	// time a live socket would burn blocking. A zero deadline means no limit.
-	Recv(buf []byte, deadline Time) (n int, from Addr, at Time, err error)
-
-	// SetHandler switches the transport to handler mode (nil detaches).
-	SetHandler(h Handler)
-
-	// Close releases the endpoint. Pending handler callbacks stop.
-	Close() error
+// NewSim attaches the prober at src to net; every packet delivered to src
+// is handed to h. data is valid only for the duration of the call (the
+// fabric may reuse reply buffers), and count >= 1: identical packets the
+// fabric batches share one call. Close detaches the prober.
+func NewSim(net *simnet.Network, src ipaddr.Addr, h simnet.Handler) *SimTransport {
+	net.AttachProber(src, h)
+	return &SimTransport{net: net, src: src}
 }
 
-// WallClocked marks transports whose clock advances in real time and whose
-// Now may be read from any goroutine (UDPTransport; Faulty forwards the
-// property of its inner transport). Timer-driven components — the rtt
-// server's periodic idle sweeper — key on it: a simulation clock advances
-// only under its event loop and must not be read concurrently, so such
-// components stay quiescent on sim transports and leave all timekeeping to
-// the deterministic schedule.
-type WallClocked interface {
-	// WallClockSafe reports whether Now is safe to call from any goroutine.
-	WallClockSafe() bool
+// Send injects pkt into the network at the current simulation time; its
+// destination rides in its IPv4 header. The caller may reuse pkt as soon as
+// Send returns. Sending after Close is a bug, and the network panics.
+func (t *SimTransport) Send(pkt []byte) { t.net.Send(t.src, pkt) }
+
+// SetSendRank sets the global probe rank recorded on the deliveries that
+// subsequent Sends cause.
+func (t *SimTransport) SetSendRank(rank uint64) { t.net.SetSendRank(rank) }
+
+// LastDeliveryTag returns the (rank, index) identity of the delivery whose
+// handler is currently executing.
+func (t *SimTransport) LastDeliveryTag() (rank uint64, index int) {
+	dt := t.net.LastDeliveryTag()
+	return dt.Rank, dt.Index
 }
 
-// IsWallClocked reports whether tr declares a concurrently readable
-// wall clock.
-func IsWallClocked(tr Transport) bool {
-	w, ok := tr.(WallClocked)
-	return ok && w.WallClockSafe()
-}
-
-// Sequencer is the deterministic-merge extension implemented by transports
-// that can order deliveries globally — the sim, whose fabric tags every
-// delivery with the (send rank, delivery index) identity the sharded
-// byte-identical merge is keyed on. Probers type-assert for it; live
-// transports do not implement it, and sharded live runs would need an
-// ordering of their own.
-type Sequencer interface {
-	// SetSendRank sets the global probe rank recorded on deliveries caused
-	// by subsequent SendTo calls.
-	SetSendRank(rank uint64)
-	// LastDeliveryTag returns the (rank, index) identity of the delivery
-	// whose handler is currently executing.
-	LastDeliveryTag() (rank uint64, index int)
-}
+// Close detaches the prober, freeing its address. Deliveries already
+// scheduled still reach the handler: the network binds each delivery to its
+// handler when the probe is sent.
+func (t *SimTransport) Close() { t.net.DetachProber(t.src) }

@@ -1,166 +1,98 @@
 package transport
 
 import (
-	"errors"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"timeouts/internal/ipaddr"
 	"timeouts/internal/simnet"
 )
 
-// TestUDPDeadlineBoundsOneRecvOnly pins the paper-facing deadline contract:
-// a read deadline bounds a single Recv call, never the socket's lifetime. A
-// datagram that arrives after a Recv timed out is NOT lost — the next Recv
-// returns it, which is what lets callers count late responses
-// (rtt_after_timeout) instead of conflating them with loss.
-func TestUDPDeadlineBoundsOneRecvOnly(t *testing.T) {
-	a, err := NewUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := NewUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+// replyFabric answers every probe with the same preallocated deliveries,
+// standing in for the population model so that the tests and the benchmark
+// see only the transport and network layers.
+type replyFabric struct{ replies []simnet.Delivery }
 
-	// Recv with nothing in flight: the deadline must fire as
-	// ErrDeadlineExceeded, roughly on time.
-	buf := make([]byte, 64)
-	start := time.Now()
-	_, _, _, err = b.Recv(buf, b.Now()+30*time.Millisecond)
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("empty Recv: err = %v, want ErrDeadlineExceeded", err)
-	}
-	if waited := time.Since(start); waited < 20*time.Millisecond || waited > 2*time.Second {
-		t.Fatalf("deadline fired after %v", waited)
-	}
-
-	// A "late" packet: sent after the receiver's deadline already expired.
-	if err := a.SendTo(b.LocalAddr(), []byte("late-reply")); err != nil {
-		t.Fatal(err)
-	}
-	n, from, _, err := b.Recv(buf, b.Now()+2*time.Second)
-	if err != nil {
-		t.Fatalf("post-deadline Recv: %v", err)
-	}
-	if string(buf[:n]) != "late-reply" {
-		t.Fatalf("got %q", buf[:n])
-	}
-	if from != a.LocalAddr() {
-		t.Fatalf("from = %+v, want %+v", from, a.LocalAddr())
-	}
+func (f *replyFabric) Respond(ipaddr.Addr, simnet.Time, []byte) []simnet.Delivery {
+	return f.replies
 }
 
-// TestSimRecvDeadline pins the same contract on the simulated transport,
-// where an expired deadline burns virtual time instead of wall time.
-func TestSimRecvDeadline(t *testing.T) {
+var testSrc = ipaddr.MustParse("240.0.0.1")
+
+// newReplyNet builds a network whose fabric answers each probe with one
+// 64-byte reply after a millisecond.
+func newReplyNet() (*simnet.Scheduler, *simnet.Network) {
 	sched := &simnet.Scheduler{}
-	a, b := NewSimLink(sched, Addr{Port: 1}, Addr{Port: 2},
-		func(_, _ Addr, _ int, _ Time) Time { return Time(50 * time.Millisecond) })
-
-	// Nothing in flight: Recv advances the clock to the deadline and fails.
-	buf := make([]byte, 64)
-	_, _, _, err := b.Recv(buf, Time(30*time.Millisecond))
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
-	}
-	if now := sched.Now(); now != Time(30*time.Millisecond) {
-		t.Fatalf("virtual clock at %v, want 30ms", now)
-	}
-
-	// A packet due at t=80ms: a Recv deadlined at 60ms must miss it without
-	// consuming it, and a later Recv must still deliver it.
-	if err := a.SendTo(b.LocalAddr(), []byte("slow")); err != nil {
-		t.Fatal(err)
-	}
-	_, _, _, err = b.Recv(buf, Time(60*time.Millisecond))
-	if !errors.Is(err, ErrDeadlineExceeded) {
-		t.Fatalf("err = %v, want ErrDeadlineExceeded", err)
-	}
-	n, _, at, err := b.Recv(buf, Time(200*time.Millisecond))
-	if err != nil || string(buf[:n]) != "slow" {
-		t.Fatalf("late sim packet: n=%d err=%v", n, err)
-	}
-	if at != Time(80*time.Millisecond) {
-		t.Fatalf("delivered at %v, want 80ms", at)
-	}
-	if sched.Now() != at {
-		t.Fatalf("clock %v != delivery time %v", sched.Now(), at)
-	}
+	fab := &replyFabric{replies: []simnet.Delivery{{Delay: time.Millisecond, Data: make([]byte, 64)}}}
+	return sched, simnet.NewNetwork(sched, fab)
 }
 
-// TestUDPSetHandlerNilFromHandler pins that a handler may detach itself:
-// SetHandler(nil) called from inside the handler returns instead of waiting
-// on the pump goroutine it is running on (which would deadlock), and no
-// further packets are delivered to the handler afterwards.
-func TestUDPSetHandlerNilFromHandler(t *testing.T) {
-	a, err := NewUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := NewUDP("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
+// delivery is one handler call as a test records it.
+type delivery struct {
+	at    simnet.Time
+	data  string
+	count int
+	rank  uint64
+	index int
+}
 
-	detached := make(chan struct{})
-	var calls atomic.Int32
-	b.SetHandler(func(at Time, from Addr, data []byte, count int) {
-		if calls.Add(1) == 1 {
-			b.SetHandler(nil)
-			close(detached)
-		}
+// TestSimDeliversTagged pins what the probers rely on: each of the fabric's
+// deliveries reaches the handler at send time plus its delay, with its data
+// and batch count, and LastDeliveryTag names the probe's send rank and the
+// delivery's index in the fabric's response.
+func TestSimDeliversTagged(t *testing.T) {
+	sched := &simnet.Scheduler{}
+	net := simnet.NewNetwork(sched, &replyFabric{replies: []simnet.Delivery{
+		{Delay: 5 * time.Millisecond, Data: []byte("a")},
+		{Delay: 2 * time.Millisecond, Data: []byte("bb"), Count: 3},
+	}})
+	var got []delivery
+	var tr *SimTransport
+	tr = NewSim(net, testSrc, func(at simnet.Time, data []byte, count int) {
+		rank, index := tr.LastDeliveryTag()
+		got = append(got, delivery{at, string(data), count, rank, index})
 	})
-	if err := a.SendTo(b.LocalAddr(), []byte("first")); err != nil {
-		t.Fatal(err)
+	defer tr.Close()
+	sched.At(10*time.Millisecond, func() {
+		tr.SetSendRank(7)
+		tr.Send([]byte("probe"))
+	})
+	sched.Run()
+	want := []delivery{
+		{12 * time.Millisecond, "bb", 3, 7, 1},
+		{15 * time.Millisecond, "a", 1, 7, 0},
 	}
-	select {
-	case <-detached:
-	case <-time.After(5 * time.Second):
-		t.Fatal("SetHandler(nil) from inside the handler deadlocked")
+	if len(got) != len(want) {
+		t.Fatalf("got %d deliveries %+v, want %+v", len(got), got, want)
 	}
-
-	// The pump is gone: a packet sent now sits in the socket buffer until a
-	// Recv pulls it, and the old handler never sees it.
-	if err := a.SendTo(b.LocalAddr(), []byte("second")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 64)
-	n, _, _, err := b.Recv(buf, b.Now()+2*time.Second)
-	if err != nil {
-		t.Fatalf("Recv after self-detach: %v", err)
-	}
-	if string(buf[:n]) != "second" {
-		t.Fatalf("got %q", buf[:n])
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("handler ran %d times after detaching itself", got)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("delivery %d = %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }
 
-// TestSimLinkClose pins the closed-endpoint contract both ways.
-func TestSimLinkClose(t *testing.T) {
-	sched := &simnet.Scheduler{}
-	a, b := NewSimLink(sched, Addr{Port: 1}, Addr{Port: 2}, nil)
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Sending to a closed peer is silent loss, like a datagram socket.
-	if err := a.SendTo(b.LocalAddr(), []byte("x")); err != nil {
-		t.Fatalf("send to closed peer: %v", err)
-	}
-	if _, _, _, err := b.Recv(make([]byte, 8), 0); !errors.Is(err, ErrClosed) {
-		t.Fatalf("recv on closed: %v", err)
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SendTo(b.LocalAddr(), []byte("x")); !errors.Is(err, ErrClosed) {
-		t.Fatalf("send on closed: %v", err)
+// TestSimClose pins the closed-endpoint contract: Close frees the address
+// for another prober, a Send after it panics rather than vanishing, and a
+// delivery scheduled before Close still reaches the handler.
+func TestSimClose(t *testing.T) {
+	sched, net := newReplyNet()
+	late := 0
+	tr := NewSim(net, testSrc, func(simnet.Time, []byte, int) { late++ })
+	tr.Send([]byte("x"))
+	tr.Close()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("send on a closed transport did not panic")
+			}
+		}()
+		tr.Send([]byte("x"))
+	}()
+	again := NewSim(net, testSrc, func(simnet.Time, []byte, int) {}) // must not panic
+	defer again.Close()
+	sched.Run()
+	if late != 1 {
+		t.Fatalf("delivery in flight at Close reached the handler %d times, want 1", late)
 	}
 }

@@ -218,8 +218,7 @@ type deliverFunc func(key simnet.ShardKey, r Response, first bool)
 // performs no per-event allocations. All probe I/O flows through the
 // transport boundary; the scanner never touches the network directly.
 type rangeRun struct {
-	tr         transport.Transport
-	seq        transport.Sequencer
+	tr         *transport.SimTransport
 	counts     Counters
 	src        ipaddr.Addr
 	seed       uint64
@@ -258,10 +257,10 @@ func (r *rangeRun) sendProbe(now simnet.Time, dst ipaddr.Addr, pos int) {
 	}
 	r.counts.ProbesSent++
 	r.obsProbes.Inc()
-	r.seq.SetSendRank(uint64(pos))
+	r.tr.SetSendRank(uint64(pos))
 	pkt := wire.AppendEcho((*r.buf)[:0], r.src, dst, &r.echo)
 	*r.buf = pkt
-	r.tr.SendTo(transport.InPacket, pkt)
+	r.tr.Send(pkt)
 }
 
 // pumpEvent is the scanner's probe driver: one event for the whole range,
@@ -301,8 +300,7 @@ func (e *pumpEvent) Run(now simnet.Time) {
 }
 
 // receive handles one delivery.
-func (r *rangeRun) receive(at transport.Time, from transport.Addr, data []byte, count int) {
-	_ = from // the responder's address rides inside the wire packet
+func (r *rangeRun) receive(at simnet.Time, data []byte, count int) {
 	if !r.collecting {
 		return
 	}
@@ -328,7 +326,7 @@ func (r *rangeRun) receive(at transport.Time, from transport.Addr, data []byte, 
 	rtt := time.Duration(at) - time.Duration(zp.SendTime)
 	r.obsResponses.Inc()
 	r.obsRTT.Observe(rtt)
-	rank, idx := r.seq.LastDeliveryTag()
+	rank, idx := r.tr.LastDeliveryTag()
 	first := p.IP.Src == zp.Dst && r.markFirst(rank)
 	if first {
 		r.obsRTTSelf.Observe(rtt)
@@ -357,9 +355,8 @@ func runRange(net *simnet.Network, cfg Config, lo, hi int, deliver deliverFunc) 
 	sched := net.Scheduler()
 	net.SetFaults(cfg.Faults)
 	net.SetObserver(cfg.Obs)
-	tr := transport.NewSim(net, cfg.Src)
 	rr := &rangeRun{
-		tr: tr, seq: tr, src: cfg.Src, seed: cfg.Seed,
+		src: cfg.Src, seed: cfg.Seed,
 		collecting:   true,
 		buf:          wire.GetBuf(),
 		obsProbes:    cfg.Obs.Counter("zmap.probes_sent"),
@@ -373,8 +370,8 @@ func runRange(net *simnet.Network, cfg Config, lo, hi int, deliver deliverFunc) 
 	}
 	defer func() { wire.PutBuf(rr.buf); rr.buf = nil }()
 
-	tr.SetHandler(rr.receive)
-	defer tr.Close()
+	rr.tr = transport.NewSim(net, cfg.Src, rr.receive)
+	defer rr.tr.Close()
 
 	perm := NewPermutation(cfg.TargetN, cfg.Seed)
 	gap := cfg.Duration / time.Duration(cfg.TargetN)
