@@ -16,6 +16,14 @@ import (
 	"timeouts/internal/survey"
 )
 
+// Add folds one directly measured latency sample for addr into its prefix
+// sketch, bypassing record-stream attribution: how the tests build stores
+// sample by sample.
+func (s *Store) Add(addr ipaddr.Addr, rtt time.Duration) {
+	s.sample(addr, rtt)
+	s.matched++
+}
+
 func TestSketchQuantileConservative(t *testing.T) {
 	sk := NewSketch()
 	if _, ok := sk.Quantile(95); ok {
@@ -80,8 +88,8 @@ func TestSketchMergeEqualsCombined(t *testing.T) {
 }
 
 // quantileOracle is the per-level nearest-rank rule Sketch.Quantile
-// implemented before standardRow existed, kept verbatim as the reference
-// the one-pass row must reproduce.
+// implemented before the one-pass row (levelBuckets) existed, kept verbatim
+// as the reference the row must reproduce.
 func quantileOracle(s *Sketch, p float64) time.Duration {
 	if s.n == 0 {
 		return 0
@@ -139,12 +147,22 @@ func TestSketchStandardRowMatchesQuantile(t *testing.T) {
 		}
 		cases[fmt.Sprintf("random%d", k)] = sketchOf(counts)
 	}
+	var idx [nLevels]int
 	row := make([]time.Duration, nLevels)
 	for name, sk := range cases {
-		for i := range row {
-			row[i] = -1 // stale values must be overwritten
+		clear(row) // an empty sketch has no row; it reads as zeros
+		if sk.n > 0 {
+			for i := range idx {
+				idx[i] = -1 // stale values must be overwritten
+			}
+			levelBuckets(sk.counts, sk.n, &idx)
+			for c, i := range idx {
+				if i < 0 || i >= numBuckets {
+					t.Fatalf("%s (n=%d): level %d bucket %d", name, sk.n, c, i)
+				}
+				row[c] = bucketValue(i)
+			}
 		}
-		sk.standardRow(row)
 		for c, p := range stats.StandardPercentiles {
 			if want := quantileOracle(sk, p); row[c] != want {
 				t.Errorf("%s (n=%d): p%v row %v, oracle %v", name, sk.n, p, row[c], want)

@@ -1,6 +1,7 @@
 package advisor
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http"
@@ -212,39 +213,82 @@ var benchStream = sync.OnceValues(func() ([]survey.Record, error) {
 	return mem.Records, err
 })
 
-// BenchmarkRunIngest measures advisord's ingest loop end to end in process:
-// a fresh store and advisor per op, the survey stream read through
-// RunIngest's reader goroutine and batched hand-off, and a publish every
-// 4096 records (the default cadence). ns/record and allocs/record divide
-// the whole op by the stream's record count.
+// benchDataset is benchStream encoded once as a tosv dataset in memory, the
+// format advisord reads.
+var benchDataset = sync.OnceValues(func() ([]byte, error) {
+	recs, err := benchStream()
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	w := survey.NewWriter(&buf, survey.Header{Seed: 42, Vantage: 'w'})
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			return nil, err
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+})
+
+// benchIngest runs RunIngest over cfg with a fresh store and advisor per op,
+// publishing every 4096 records (the default cadence), and reports
+// ns/record and allocs/record: the whole op divided by the n records each
+// op must ingest.
+func benchIngest(b *testing.B, cfg IngestConfig, n int) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stats, err := RunIngest(context.Background(), cfg, NewStore(), New(), nil)
+		if err != nil || stats.Records != uint64(n) {
+			b.Fatalf("RunIngest = %d records, %v; want %d", stats.Records, err, n)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	total := float64(b.N) * float64(n)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/total, "ns/record")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/record")
+}
+
+// BenchmarkRunIngest measures advisord's ingest loop in process over the
+// survey stream as records in memory: RunIngest's reader goroutine and
+// batched hand-off, the store, and the publishes.
 func BenchmarkRunIngest(b *testing.B) {
 	recs, err := benchStream()
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := IngestConfig{Open: func() (survey.RecordSource, error) {
+	benchIngest(b, IngestConfig{Open: func() (survey.RecordSource, error) {
 		return survey.NewSliceSource(recs), nil
-	}}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := RunIngest(context.Background(), cfg, NewStore(), New(), nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	n := float64(b.N) * float64(len(recs))
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/record")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/n, "allocs/record")
+	}}, len(recs))
 }
 
-// BenchmarkAdvisorPublish measures one Publish of a 512-prefix store — the
-// size of the default survey — which advisord repeats every 4096 ingested
-// records: prefix sort, one bucket pass per prefix for its standard-level
-// row, and the population matrix.
-func BenchmarkAdvisorPublish(b *testing.B) {
+// BenchmarkIngestDataset measures the same loop the way advisord feeds it:
+// the stream encoded as a tosv dataset (in memory, so no disk is timed) and
+// read through survey.OpenSourceLenient, with its decode and skip
+// accounting.
+func BenchmarkIngestDataset(b *testing.B) {
+	recs, err := benchStream()
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := benchDataset()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchIngest(b, IngestConfig{Open: func() (survey.RecordSource, error) {
+		src, _, err := survey.OpenSourceLenient(bytes.NewReader(data))
+		return src, err
+	}}, len(recs))
+}
+
+// publishBenchStore is a 512-prefix store — the size of the default survey
+// — of 64 samples per prefix.
+func publishBenchStore() *Store {
 	st := NewStore()
 	for i := 0; i < 512; i++ {
 		addr := ipaddr.Addr(0x0a000001 + uint32(i)<<8)
@@ -252,6 +296,17 @@ func BenchmarkAdvisorPublish(b *testing.B) {
 			st.Add(addr, time.Duration(1+(i*7+j*j)%2000)*time.Millisecond)
 		}
 	}
+	return st
+}
+
+// BenchmarkAdvisorPublish measures one Publish of publishBenchStore, which
+// advisord repeats every 4096 ingested records: one bucket pass per prefix
+// for its standard-level row, and the population matrix counted from the
+// rows. The prefix set does not change between ops, so the rank order is
+// shared, as it is once a survey has visited every /24; TestPublishAllocs
+// pins the allocations.
+func BenchmarkAdvisorPublish(b *testing.B) {
+	st := publishBenchStore()
 	adv := New()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -88,13 +88,9 @@ func EncodeCheckpoint(w io.Writer, st *Store, epoch uint64) error {
 		}
 	}
 
-	prefixes := make([]ipaddr.Prefix24, 0, len(st.sketches))
-	for p, sk := range st.sketches {
-		if sk.n > 0 { // an empty sketch carries no advice and no freshness
-			prefixes = append(prefixes, p)
-		}
-	}
-	sort.Slice(prefixes, func(i, j int) bool { return prefixes[i] < prefixes[j] })
+	// The store's rank order: the prefixes that hold samples (an empty
+	// sketch carries no advice and no freshness), ascending.
+	prefixes := st.rankOrder()
 	if err := put(uint64(len(prefixes))); err != nil {
 		return err
 	}
@@ -272,6 +268,7 @@ func DecodeCheckpoint(r io.Reader) (*Store, uint64, error) {
 			st.updated[p] = int64(upd)
 		}
 	}
+	st.rerank = true
 
 	nOpen, err := get()
 	if err != nil {

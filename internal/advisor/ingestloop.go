@@ -260,10 +260,15 @@ func post(bell chan struct{}) {
 }
 
 // put queues rec, blocking while the queue is full (backpressure). It
-// reports false, leaving rec unqueued, if done closes while it waits; the
-// consumer, not the reader, keeps records read after a cancel out of the
-// store.
+// reports false, leaving rec unqueued, once done has closed, so a stopped
+// reader stops at its next record; the consumer, not the reader, keeps
+// records read after a cancel out of the store.
 func (q *ingestQueue) put(done <-chan struct{}, rec survey.Record) bool {
+	select {
+	case <-done:
+		return false
+	default:
+	}
 	q.mu.Lock()
 	for len(q.recs) >= q.limit {
 		q.mu.Unlock()
@@ -303,10 +308,13 @@ func (q *ingestQueue) take(spare []survey.Record) []survey.Record {
 // cancelled. A reader goroutine hands records to the consumer in batches
 // through an ingestQueue; the consumer feeds them to the store one by one,
 // so publishes land after exactly every PublishEvery-th record wherever the
-// batch boundaries fall. Cancellation is the drain path and returns nil: the
-// consumer stops before its next record, publishes what the store holds,
-// writes a final checkpoint, and hands back. The returned stats are complete
-// in every case.
+// batch boundaries fall. A sample's freshness stamp is the store clock read
+// at the hand-off that delivered it (or after the publish or checkpoint
+// that preceded it in the batch), not one read per sample. Cancellation is
+// the drain path and returns nil: the consumer stops before its next
+// record, waits for the reader to return from its Read in progress,
+// publishes what the store holds, writes a final checkpoint, and hands
+// back. The returned stats are complete in every case.
 //
 // Observability counters (advisor.ingest.loop.*) register on reg if the
 // caller wires one via RegisterIngestObs; RunIngest itself stays free of
@@ -372,10 +380,14 @@ func RunIngest(ctx context.Context, cfg IngestConfig, st *Store, adv *Advisor, c
 	// consume feeds one batch to the store, publishing (and checkpointing)
 	// after every publishEvery-th record. It checks ctx before each record
 	// and reports false, the rest of the batch unconsumed, once ctx is done.
+	// The batch's samples share one store clock reading, taken again after
+	// each publish or checkpoint, which can take longer than the batch.
 	done := ctx.Done()
 	consume := func(batch []survey.Record) bool {
 		depth := int64(len(batch))
 		queueHWM.Observe(depth)
+		st.holdClock()
+		defer st.releaseClock()
 		for i, rec := range batch {
 			select {
 			case <-done:
@@ -394,6 +406,7 @@ func RunIngest(ctx context.Context, cfg IngestConfig, st *Store, adv *Advisor, c
 					}
 					sinceCkpt = 0
 				}
+				st.holdClock()
 			}
 		}
 		cfg.Progress.noteBatch(uint64(len(batch)), depth)
@@ -420,8 +433,10 @@ func RunIngest(ctx context.Context, cfg IngestConfig, st *Store, adv *Advisor, c
 			return finish(err)
 		}
 		// Drain: stop the reader, consume nothing further, keep what the
-		// store already holds.
+		// store already holds. The reader stops once its Read in progress
+		// returns; waiting for it lets its last skip harvest reach the stats.
 		stopReader()
+		<-readErr
 		return finish(nil)
 	}
 }
@@ -430,6 +445,9 @@ func RunIngest(ctx context.Context, cfg IngestConfig, st *Store, adv *Advisor, c
 // (blocking on a full queue — backpressure), harvest skip stats, back off
 // and reopen on failure. It returns nil on a clean end of input,
 // context.Canceled when stopped, or the terminal error (skip budget blown).
+// Skip stats are harvested after every Read only under a MaxSkip budget,
+// which must be checked as they grow; otherwise once per source, when it
+// ends by EOF, error or cancel.
 func readLoop(ctx context.Context, cfg *IngestConfig, ctrs *ingestCounters, q *ingestQueue) error {
 	var failures uint64 // consecutive, for backoff
 	var passes int      // clean EOFs seen, for Tail
@@ -460,24 +478,25 @@ func readLoop(ctx context.Context, cfg *IngestConfig, ctrs *ingestCounters, q *i
 			}
 		}
 		overBudget := func() error {
-			if cfg.MaxSkip > 0 {
-				if sk := ctrs.skipped.Load(); sk > cfg.MaxSkip {
-					return fmt.Errorf("%w: %d corrupt records (budget %d)",
-						ErrSkipBudget, sk, cfg.MaxSkip)
-				}
+			if sk := ctrs.skipped.Load(); sk > cfg.MaxSkip {
+				return fmt.Errorf("%w: %d corrupt records (budget %d)",
+					ErrSkipBudget, sk, cfg.MaxSkip)
 			}
 			return nil
 		}
+		budget := cfg.MaxSkip > 0
 		srcErr := func() error {
 			for {
 				rec, err := src.Read()
-				harvest()
 				// Enforce the budget on every read — including the EOF one,
 				// so an all-corrupt source still trips it — and before
 				// queueing, so a lenient source that skips unboundedly
 				// between two good records cannot outrun it.
-				if berr := overBudget(); berr != nil {
-					return berr
+				if budget {
+					harvest()
+					if berr := overBudget(); berr != nil {
+						return berr
+					}
 				}
 				if err != nil {
 					return err
@@ -487,6 +506,7 @@ func readLoop(ctx context.Context, cfg *IngestConfig, ctrs *ingestCounters, q *i
 				}
 			}
 		}()
+		harvest()
 		switch {
 		case srcErr == io.EOF:
 			if cfg.Tail == 0 || (cfg.Tail > 0 && passes >= cfg.Tail) {

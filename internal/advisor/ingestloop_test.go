@@ -486,3 +486,160 @@ func TestRunIngestBoundedQueue(t *testing.T) {
 		t.Fatalf("Records = %d, %v; want 2000 through a 4-deep queue", stats.Records, err)
 	}
 }
+
+// interleavedCSV builds a CSV dataset with a garbage row before every good
+// record, so a lenient reader skips exactly one row per record it returns.
+func interleavedCSV(t *testing.T, good []survey.Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w := survey.NewCSVWriter(&buf)
+	for _, r := range good {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(buf.Bytes(), []byte("\n"))
+	out := append([]byte(nil), lines[0]...) // the header row
+	for i, l := range lines[1:] {
+		if len(l) > 0 {
+			out = append(out, fmt.Sprintf("garbage,row,%d,?\n", i)...)
+			out = append(out, l...)
+		}
+	}
+	return out
+}
+
+// cancelStatSource is a lenient source that cancels the loop's context
+// inside its n-th Read, which then takes a while to return, as a Read on a
+// slow feed would.
+type cancelStatSource struct {
+	survey.StatSource
+	reads, n int
+	cancel   context.CancelFunc
+}
+
+func (s *cancelStatSource) Read() (survey.Record, error) {
+	rec, err := s.StatSource.Read()
+	if s.reads++; s.reads == s.n {
+		s.cancel()
+		time.Sleep(20 * time.Millisecond)
+	}
+	return rec, err
+}
+
+// TestRunIngestDrainCountsSkips pins IngestStats.Skipped on the drain path
+// with no skip budget, where the reader harvests its source's skip count
+// once, as it stops: cancelled inside its n-th Read, a source that skipped
+// one corrupt row per record must be reported as exactly n skips, although
+// the consumer sees the cancel before that Read returns.
+func TestRunIngestDrainCountsSkips(t *testing.T) {
+	const n = 300
+	data := interleavedCSV(t, ingestRecs(2000))
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var src *cancelStatSource
+	cfg := IngestConfig{
+		Open: func() (survey.RecordSource, error) {
+			s, _, err := survey.OpenSourceLenient(bytes.NewReader(data))
+			if err != nil {
+				return nil, err
+			}
+			src = &cancelStatSource{StatSource: s, n: n, cancel: cancel}
+			return src, nil
+		},
+		PublishEvery: 64,
+	}
+	stats, err := RunIngest(ctx, cfg, NewStore(), New(), nil)
+	if err != nil {
+		t.Fatalf("RunIngest on cancel = %v, want nil (drain)", err)
+	}
+	if got := src.Stats().Skipped(); stats.Skipped != n || got != n {
+		t.Errorf("Skipped = %d, source skipped %d; want %d", stats.Skipped, got, n)
+	}
+	if stats.Records >= n {
+		t.Errorf("Records = %d, want < %d", stats.Records, n)
+	}
+}
+
+// TestRunIngestStampsHandoffClock pins per-hand-off freshness. Every record
+// reaches its own /24, so each prefix's stamp is its one sample's. The store
+// clock advances on every read and logs how many records the store held at
+// each; the first read waits until the reader has queued the whole source,
+// which then arrives in at most three hand-offs (the take that follows the
+// reader's EOF may be empty). Each sample must carry the
+// last reading taken before the store observed it — its hand-off's, or the
+// one after a publish earlier in the batch — and never a later one, and the
+// clock must be read once per hand-off and publish, not per sample.
+func TestRunIngestStampsHandoffClock(t *testing.T) {
+	const n, every = 600, 100
+	recs := make([]survey.Record, n)
+	for i := range recs {
+		recs[i] = survey.Record{
+			Type: survey.RecMatched,
+			Addr: ipaddr.Addr(0x0a000001 + uint32(i)<<8),
+			When: time.Duration(i+1) * time.Second,
+			RTT:  time.Duration(1+i%500) * time.Millisecond,
+		}
+	}
+	drained := make(chan struct{})
+	src := &eofSignalSource{recs: recs, eof: drained}
+	st := NewStore()
+	type reading struct {
+		at      int64
+		records uint64 // the store's record count when the clock was read
+	}
+	var readings []reading
+	st.SetClock(func() int64 {
+		if len(readings) == 0 {
+			<-drained
+		}
+		readings = append(readings, reading{int64(len(readings) + 1), st.Records()})
+		return int64(len(readings))
+	})
+	cfg := IngestConfig{
+		Open:         func() (survey.RecordSource, error) { return src, nil },
+		PublishEvery: every,
+	}
+	stats, err := RunIngest(context.Background(), cfg, st, New(), nil)
+	if err != nil || stats.Records != n {
+		t.Fatalf("RunIngest = %d records, %v; want %d, nil", stats.Records, err, n)
+	}
+	if max := 3 + n/every; len(readings) > max {
+		t.Errorf("store clock read %d times, want at most %d (three hand-offs and %d publishes)",
+			len(readings), max, n/every)
+	}
+	for k, rec := range recs {
+		var want int64 // the last reading taken before record k+1 was observed
+		for _, r := range readings {
+			if r.records <= uint64(k) {
+				want = r.at
+			}
+		}
+		if got := st.updated[rec.Addr.Prefix()]; got != want {
+			t.Fatalf("record %d stamped %d, want %d (readings %v)", k+1, got, want, readings)
+		}
+	}
+}
+
+// eofSignalSource returns its records, then closes eof at end of stream.
+type eofSignalSource struct {
+	recs []survey.Record
+	i    int
+	eof  chan struct{}
+}
+
+func (s *eofSignalSource) Read() (survey.Record, error) {
+	if s.i >= len(s.recs) {
+		if s.eof != nil {
+			close(s.eof)
+			s.eof = nil
+		}
+		return survey.Record{}, io.EOF
+	}
+	r := s.recs[s.i]
+	s.i++
+	return r, nil
+}

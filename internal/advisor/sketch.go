@@ -37,10 +37,10 @@ import (
 // The advice bucket ladder: a 1-1.5-2-3-5-7 subdivision of each decade from
 // 100 µs through 100 s, capped at 1000 s. It is finer than the obs metric
 // ladder (whose job is threshold reporting, not advice) but still compact:
-// len(bucketBounds)+1 uint64 counts per /24 prefix, fixed, mergeable by
-// addition. Quantile reads return the upper bound of the target bucket, so
-// advice is always conservative — a recommended timeout is never below the
-// true quantile it names.
+// numBuckets uint64 counts per /24 prefix, fixed, mergeable by addition.
+// Quantile reads return the upper bound of the target bucket, so advice is
+// always conservative — a recommended timeout is never below the true
+// quantile it names.
 var bucketBounds = buildBounds()
 
 // maxAdvice caps recommendations: samples beyond the last boundary land in
@@ -48,19 +48,27 @@ var bucketBounds = buildBounds()
 // The paper's own tail tops out at 145 s; 1000 s leaves a decade of slack.
 var maxAdvice = bucketBounds[len(bucketBounds)-1]
 
-func buildBounds() []time.Duration {
+// numBuckets counts the sketch's buckets: one per boundary (seven decades
+// of six, plus the 1000 s cap) and the overflow bucket. buildBounds fills
+// exactly numBuckets-1 bounds, so a ladder edit that changes the count
+// fails at package init.
+const numBuckets = 7*6 + 1 + 1
+
+func buildBounds() (out [numBuckets - 1]time.Duration) {
 	mults := []int64{10, 15, 20, 30, 50, 70} // 1, 1.5, 2, 3, 5, 7 in tenths
-	var out []time.Duration
+	i := 0
 	for decade := 10 * time.Microsecond; decade <= 10*time.Second; decade *= 10 {
 		for _, m := range mults {
-			out = append(out, decade*time.Duration(m))
+			out[i] = decade * time.Duration(m)
+			i++
 		}
 	}
-	return append(out, 1000*time.Second)
+	out[i] = 1000 * time.Second
+	if i != len(out)-1 {
+		panic("advisor: bucket ladder does not fill numBuckets")
+	}
+	return out
 }
-
-// numBuckets counts the sketch's buckets: one per boundary plus overflow.
-var numBuckets = len(bucketBounds) + 1
 
 // Sketch is one prefix's latency distribution in bounded space: a count per
 // ladder bucket. Sketches merge by bucket addition — commutative and
@@ -79,7 +87,7 @@ func NewSketch() *Sketch {
 // bucketOf returns the ladder bucket for one sample. The ladder is short
 // and most real samples are sub-second, so the linear scan exits early.
 func bucketOf(d time.Duration) int {
-	for i, b := range bucketBounds {
+	for i, b := range bucketBounds[:] { // a slice: ranging the array would copy it
 		if d <= b {
 			return i
 		}
@@ -111,14 +119,18 @@ func (s *Sketch) Merge(other *Sketch) {
 }
 
 // nearestRank returns the 1-based nearest rank of the p-th percentile
-// among n > 0 samples: ceil(p/100·n), clamped to [1, n]. It is monotone in
-// p, which is what lets standardRow read ascending levels in one pass.
+// among n > 0 samples: ceil(p/100·n), clamped to [1, n] — stats.Percentile's
+// rank rule. It is monotone in p, which is what lets levelBuckets read
+// ascending levels in one pass. The ceiling goes through int64, which
+// converts in one instruction where uint64 needs a branch; both agree for
+// n < 2^63.
 func nearestRank(p float64, n uint64) uint64 {
-	target := uint64(p / 100 * float64(n))
-	if float64(target) < p/100*float64(n) || target == 0 {
+	x := p / 100 * float64(n)
+	target := int64(x)
+	if float64(target) < x || target == 0 {
 		target++ // ceil, and at least rank 1
 	}
-	return min(target, n)
+	return min(uint64(target), n)
 }
 
 // bucketValue is the advice a rank landing in bucket i reads as: the
@@ -149,27 +161,25 @@ func (s *Sketch) Quantile(p float64) (d time.Duration, ok bool) {
 	return maxAdvice, true // unreachable: cum == n >= target
 }
 
-// standardRow fills row (one slot per stats.StandardPercentiles level) with
-// the sketch's Quantile at every standard level in a single pass over the
-// buckets: the levels ascend, so their nearest ranks do too, and each is
-// read as the cumulative count first reaches it. An empty sketch fills
-// zeros.
-func (s *Sketch) standardRow(row []time.Duration) {
-	if s.n == 0 {
-		clear(row)
-		return
-	}
+// levelBuckets fills row (one slot per stats.StandardPercentiles level)
+// with the bucket each level's nearest rank lands in, among the n > 0
+// values counted into counts, in a single pass: the levels ascend, so their
+// nearest ranks do too, and each is read as the cumulative count first
+// reaches it. Over a sketch's buckets the row is the sketch's Quantile at
+// every standard level (through bucketValue); over a histogram of those
+// rows it is a column of the population matrix.
+func levelBuckets(counts []uint64, n uint64, row *[nLevels]int) {
 	lv := 0
-	target := nearestRank(stats.StandardPercentiles[0], s.n)
+	target := nearestRank(stats.StandardPercentiles[0], n)
 	var cum uint64
-	for i, c := range s.counts {
+	for i, c := range counts {
 		cum += c
 		for cum >= target {
-			row[lv] = bucketValue(i)
-			if lv++; lv == len(row) {
+			row[lv] = i
+			if lv++; lv == nLevels {
 				return
 			}
-			target = nearestRank(stats.StandardPercentiles[lv], s.n)
+			target = nearestRank(stats.StandardPercentiles[lv], n)
 		}
 	}
 }

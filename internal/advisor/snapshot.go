@@ -4,15 +4,15 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"slices"
 	"time"
 
 	"timeouts/internal/ipaddr"
 	"timeouts/internal/stats"
 )
 
-// nLevels is the width of each prefix's flat quantile row.
-var nLevels = len(stats.StandardPercentiles)
+// nLevels is the width of each prefix's flat quantile row:
+// len(stats.StandardPercentiles), one level per stats.Quantiles field.
+const nLevels = 7
 
 // Lookup errors. Both are sentinels so the hot path allocates nothing.
 var (
@@ -76,7 +76,7 @@ type Advice struct {
 // matrix. Readers share snapshots freely; nothing in one ever mutates.
 type Snapshot struct {
 	epoch    uint64
-	prefixes []ipaddr.Prefix24 // sorted ascending
+	prefixes []ipaddr.Prefix24 // sorted ascending; the store's rank order, shared and never written
 	samples  []uint64          // per prefix rank
 	updated  []int64           // per prefix rank: newest sample's wall time, unix ns
 	quants   []time.Duration   // rank*nLevels + levelIndex
@@ -93,37 +93,68 @@ type Snapshot struct {
 }
 
 // Snapshot builds an immutable advice snapshot of the store's current
-// sketches, stamped with epoch. The build is read-only on the store and
-// deterministic: prefixes sort ascending, quantiles are pure functions of
-// bucket counts, and the population matrix aggregates the per-prefix
-// vectors with the Table 2 quantile-of-quantiles discipline. Each prefix's
-// row of standard-level quantiles is read in one pass over its buckets and
-// serves both the flat quants array and the matrix input.
+// sketches, stamped with epoch. The build is deterministic: prefixes come in
+// the store's rank order, quantiles are pure functions of bucket counts, and
+// the population matrix aggregates the per-prefix vectors with the Table 2
+// quantile-of-quantiles discipline. Each prefix's row of standard-level
+// quantiles is read in one pass over its buckets, as bucket indices that
+// fill the flat quants array and count into the matrix's per-level
+// histograms. The snapshot shares the rank order with the store and with
+// every other snapshot built while the prefix set is unchanged.
 func (s *Store) Snapshot(epoch uint64) *Snapshot {
-	snap := &Snapshot{epoch: epoch}
-	snap.prefixes = make([]ipaddr.Prefix24, 0, len(s.sketches))
-	for p, sk := range s.sketches {
-		if sk.n > 0 {
-			snap.prefixes = append(snap.prefixes, p)
-		}
+	prefixes := s.rankOrder()
+	snap := &Snapshot{
+		epoch:    epoch,
+		prefixes: prefixes,
+		samples:  make([]uint64, len(prefixes)),
+		updated:  make([]int64, len(prefixes)),
+		quants:   make([]time.Duration, len(prefixes)*nLevels),
 	}
-	slices.Sort(snap.prefixes)
-	snap.samples = make([]uint64, len(snap.prefixes))
-	snap.updated = make([]int64, len(snap.prefixes))
-	snap.quants = make([]time.Duration, len(snap.prefixes)*nLevels)
-	vecs := make([]stats.Quantiles, len(snap.prefixes))
-	for r, p := range snap.prefixes {
+	var hist [nLevels][numBuckets]uint64 // hist[c][i]: prefixes whose level-c quantile is bucket i
+	var row [nLevels]int
+	for r, p := range prefixes {
 		sk := s.sketches[p]
-		row := snap.quants[r*nLevels : (r+1)*nLevels]
-		sk.standardRow(row)
-		// row follows stats.StandardPercentiles: 1, 50, 80, 90, 95, 98, 99.
-		vecs[r] = stats.Quantiles{P1: row[0], P50: row[1], P80: row[2], P90: row[3], P95: row[4], P98: row[5], P99: row[6]}
+		levelBuckets(sk.counts, sk.n, &row)
+		for c, i := range row {
+			snap.quants[r*nLevels+c] = bucketValue(i)
+			hist[c][i]++
+		}
 		snap.samples[r] = sk.n
 		snap.updated[r] = s.updated[p]
 		snap.total += sk.n
 	}
-	snap.matrix = stats.BuildTimeoutMatrix(vecs)
+	snap.matrix = populationMatrix(&hist, uint64(len(prefixes)))
 	return snap
+}
+
+// populationMatrix is stats.BuildTimeoutMatrix over n prefix rows counted
+// into hist. Every row value is a ladder bound, and bucketValue is monotone
+// in the bucket index, so column c sorted is hist[c] read in bucket order,
+// and its nearest-rank percentile (stats.Percentile's rule) is the bucket
+// where the cumulative count reaches the rank: the same one-pass read as a
+// sketch's row, with no column to fill or sort. stats.BuildTimeoutMatrix
+// stays the oracle (TestPopulationMatrixMatchesBuildTimeoutMatrix).
+func populationMatrix(hist *[nLevels][numBuckets]uint64, n uint64) stats.TimeoutMatrix {
+	m := stats.TimeoutMatrix{
+		Levels:    stats.StandardPercentiles,
+		Cell:      make([][]time.Duration, nLevels),
+		Addresses: int(n),
+	}
+	cells := make([]time.Duration, nLevels*nLevels)
+	for r := range m.Cell {
+		m.Cell[r] = cells[r*nLevels : (r+1)*nLevels : (r+1)*nLevels]
+	}
+	if n == 0 {
+		return m
+	}
+	var rows [nLevels]int
+	for c := range hist {
+		levelBuckets(hist[c][:], n, &rows)
+		for r, i := range rows {
+			m.Cell[r][c] = bucketValue(i)
+		}
+	}
+	return m
 }
 
 // Epoch returns the snapshot's publish epoch.

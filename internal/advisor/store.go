@@ -2,6 +2,7 @@ package advisor
 
 import (
 	"io"
+	"slices"
 	"time"
 
 	"timeouts/internal/core"
@@ -32,9 +33,22 @@ type Store struct {
 	matched  uint64
 	delayed  uint64
 
+	// ranked lists the prefixes that hold samples in ascending order: the
+	// rank order of every snapshot and checkpoint of the store. Snapshots
+	// share the slice, so it is replaced, never written in place; rerank
+	// marks it out of date once a prefix gains its first sample (or after
+	// a Merge or a checkpoint decode).
+	ranked []ipaddr.Prefix24
+	rerank bool
+
 	// clock stamps per-prefix freshness; nil means the wall clock. Tests
 	// and the checkpoint chaos suite inject a deterministic clock.
 	clock func() int64
+	// held, while holding is set, is the one clock reading RunIngest took
+	// for the hand-off it is feeding: every sample in the batch carries it
+	// instead of reading the clock itself.
+	held    int64
+	holding bool
 
 	// Observability (nil-safe no-ops unless SetObserver installs them).
 	obsRecords  *obs.Counter
@@ -57,7 +71,7 @@ func NewStore() *Store {
 // confidently-wrong stale advice.
 func (s *Store) SetClock(fn func() int64) { s.clock = fn }
 
-// now returns the store's current freshness stamp.
+// now reads the store's clock.
 func (s *Store) now() int64 {
 	if s.clock != nil {
 		return s.clock()
@@ -65,8 +79,40 @@ func (s *Store) now() int64 {
 	return time.Now().UnixNano()
 }
 
-// touch stamps a prefix as freshly sampled.
-func (s *Store) touch(p ipaddr.Prefix24) { s.updated[p] = s.now() }
+// stamp returns the freshness stamp of a sample folded in now: the held
+// hand-off reading inside RunIngest, else a fresh clock read.
+func (s *Store) stamp() int64 {
+	if s.holding {
+		return s.held
+	}
+	return s.now()
+}
+
+// holdClock reads the clock once for the samples that follow, until
+// releaseClock: RunIngest holds one reading per hand-off, and takes a new
+// one after each publish or checkpoint, so a sample's stamp trails its
+// ingest by at most one batch's consume time.
+func (s *Store) holdClock() { s.held, s.holding = s.now(), true }
+
+// releaseClock returns the store to one clock read per sample.
+func (s *Store) releaseClock() { s.holding = false }
+
+// rankOrder returns the prefixes that hold samples, ascending, re-sorting
+// only after the prefix set changed. A re-sort builds a new slice: the old
+// one may be a published snapshot's.
+func (s *Store) rankOrder() []ipaddr.Prefix24 {
+	if s.rerank {
+		ranked := make([]ipaddr.Prefix24, 0, len(s.sketches))
+		for p, sk := range s.sketches {
+			if sk.n > 0 {
+				ranked = append(ranked, p)
+			}
+		}
+		slices.Sort(ranked)
+		s.ranked, s.rerank = ranked, false
+	}
+	return s.ranked
+}
 
 // SetObserver registers the store's ingest metrics on reg. All three are
 // deterministic-class: record streams arrive in dataset emission order,
@@ -96,13 +142,6 @@ func (s *Store) sketch(p ipaddr.Prefix24) *Sketch {
 		s.obsPrefixes.Observe(int64(len(s.sketches)))
 	}
 	return sk
-}
-
-// Add folds one directly measured latency sample for addr into its prefix
-// sketch, bypassing record-stream attribution.
-func (s *Store) Add(addr ipaddr.Addr, rtt time.Duration) {
-	s.sample(addr, rtt)
-	s.matched++
 }
 
 // Write implements survey.RecordWriter, so a survey (sequential or sharded)
@@ -148,8 +187,12 @@ func (s *Store) Observe(rec survey.Record) {
 // sample folds one latency sample for addr into its prefix sketch.
 func (s *Store) sample(addr ipaddr.Addr, lat time.Duration) {
 	p := addr.Prefix()
-	s.sketch(p).Add(lat)
-	s.touch(p)
+	sk := s.sketch(p)
+	if sk.n == 0 {
+		s.rerank = true // the prefix joins the rank order
+	}
+	sk.Add(lat)
+	s.updated[p] = s.stamp()
 	s.obsSamples.Inc()
 }
 
@@ -178,7 +221,7 @@ func (s *Store) Consume(src survey.RecordSource) error {
 // Counter/metric agreement: the folded record and sample counts are also
 // mirrored into s's obs counters, so a store observed on a registry keeps
 // advisor.ingest.records == Records() and advisor.ingest.samples ==
-// Samples() across any sequence of Observe/Add/Merge — the invariant
+// Samples() across any sequence of Observe/Merge — the invariant
 // TestStoreMergeCounterAgreement pins. The stores being merged *in* must
 // therefore be unobserved, or observed on registries that are never merged
 // with s's — otherwise their ingest totals would count twice. That is the
@@ -203,6 +246,7 @@ func (s *Store) Merge(other *Store) {
 			*cur = *ring
 		}
 	})
+	s.rerank = true
 	s.records += other.records
 	s.matched += other.matched
 	s.delayed += other.delayed

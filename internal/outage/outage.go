@@ -14,6 +14,7 @@ import (
 	"timeouts/internal/ipaddr"
 	"timeouts/internal/ipmeta"
 	"timeouts/internal/simnet"
+	"timeouts/internal/transport"
 	"timeouts/internal/wire"
 )
 
@@ -25,21 +26,23 @@ type probeKey struct {
 }
 
 // prober is a minimal ICMP prober with per-probe timeout callbacks, shared
-// by both detectors.
+// by both detectors. Its probe I/O goes through a transport.SimTransport,
+// like every other prober's.
 type prober struct {
-	net     *simnet.Network
+	sched   *simnet.Scheduler
+	tr      *transport.SimTransport
 	src     ipaddr.Addr
 	pending map[probeKey]func(rtt time.Duration)
 	nextID  uint16
 }
 
 func newProber(net *simnet.Network, src ipaddr.Addr) *prober {
-	p := &prober{net: net, src: src, pending: make(map[probeKey]func(time.Duration)), nextID: 1}
-	net.AttachProber(src, p.receive)
+	p := &prober{sched: net.Scheduler(), src: src, pending: make(map[probeKey]func(time.Duration)), nextID: 1}
+	p.tr = transport.NewSim(net, src, p.receive)
 	return p
 }
 
-func (p *prober) close() { p.net.DetachProber(p.src) }
+func (p *prober) close() { p.tr.Close() }
 
 // ping sends one echo request; exactly one of onReply/onTimeout fires.
 // Responses arriving after the timeout are ignored — this is the behavior
@@ -51,12 +54,12 @@ func (p *prober) ping(dst ipaddr.Addr, seq uint16, timeout time.Duration, onRepl
 		p.nextID = 1
 	}
 	key := probeKey{dst: dst, id: id, seq: seq}
-	sent := p.net.Scheduler().Now()
+	sent := p.sched.Now()
 	p.pending[key] = func(rtt time.Duration) { onReply(rtt) }
-	p.net.Send(p.src, wire.EncodeEcho(p.src, dst, &wire.ICMPEcho{
+	p.tr.Send(wire.EncodeEcho(p.src, dst, &wire.ICMPEcho{
 		Type: wire.ICMPTypeEchoRequest, ID: id, Seq: seq,
 	}))
-	p.net.Scheduler().At(sent+timeout, func() {
+	p.sched.At(sent+timeout, func() {
 		if _, still := p.pending[key]; still {
 			delete(p.pending, key)
 			onTimeout()
@@ -178,7 +181,7 @@ type roundMonitor struct {
 
 func (m *roundMonitor) attempt(try int) {
 	m.rep.Probes++
-	sent := m.p.net.Scheduler().Now()
+	sent := m.p.sched.Now()
 	m.p.ping(m.rep.Addr, m.seq+uint16(try), m.cfg.Timeout,
 		func(at time.Duration) {
 			_ = at - time.Duration(sent) // RTT available if needed
@@ -187,7 +190,7 @@ func (m *roundMonitor) attempt(try int) {
 			m.rep.Losses++
 			m.fail++
 			if try+1 <= m.cfg.Retries {
-				m.p.net.Scheduler().After(m.cfg.RetrySpacing, func() { m.attempt(try + 1) })
+				m.p.sched.After(m.cfg.RetrySpacing, func() { m.attempt(try + 1) })
 			} else {
 				m.rep.DownRounds++
 			}

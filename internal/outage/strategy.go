@@ -118,8 +118,8 @@ type tcpStyleRound struct {
 
 func (r *tcpStyleRound) start() {
 	r.rep.Rounds++
-	deadline := r.p.net.Scheduler().Now() + r.cfg.ListenFor
-	r.p.net.Scheduler().At(deadline, func() {
+	deadline := r.p.sched.Now() + r.cfg.ListenFor
+	r.p.sched.At(deadline, func() {
 		r.closed = true
 		if !r.answered {
 			r.rep.DownRounds++
@@ -150,7 +150,7 @@ func (r *tcpStyleRound) probe(try int) {
 		},
 		func() {})
 	if try < r.cfg.Retransmits {
-		r.p.net.Scheduler().After(r.cfg.RetransmitAfter, func() {
+		r.p.sched.After(r.cfg.RetransmitAfter, func() {
 			r.probe(try + 1)
 		})
 	}
@@ -292,7 +292,7 @@ func (a *adaptiveRound) attempt(try int) {
 		timeout = clampRTO(a.cfg, a.cfg.InitialRTO<<uint(try))
 	}
 	a.rep.Probes++
-	sent := a.p.net.Scheduler().Now()
+	sent := a.p.sched.Now()
 	a.p.ping(a.rep.Addr, a.seq+uint16(try), timeout,
 		func(at time.Duration) {
 			a.est.observe(at - time.Duration(sent))
@@ -300,7 +300,7 @@ func (a *adaptiveRound) attempt(try int) {
 		func() {
 			a.rep.Losses++
 			if try < a.cfg.Retries {
-				a.p.net.Scheduler().After(timeout, func() { a.attempt(try + 1) })
+				a.p.sched.After(timeout, func() { a.attempt(try + 1) })
 			} else {
 				a.rep.DownRounds++
 			}

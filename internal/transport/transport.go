@@ -1,5 +1,5 @@
 // Package transport is the probe I/O boundary between the probers (survey,
-// zmapper, scamper) and the simulated network. A prober attaches a
+// zmapper, scamper, outage) and the simulated network. A prober attaches a
 // SimTransport at its source address together with the handler that
 // receives its deliveries, sends encoded wire packets through it, and tags
 // each probe with its global send rank, which the sharded merge keys the
