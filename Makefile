@@ -186,12 +186,14 @@ obs-check:
 # pin on the lock-free read path (TTL paths included), checkpoint
 # encode/decode and recovery, the supervised ingest loop, overload shedding
 # and graceful drain, plus the advisord binary end-to-end lifecycle test.
-# The ingest-loop tests then run ten more times under -race: the loop's
-# reader and consumer goroutines swap record batches through a mutex and two
-# doorbell channels, and a single pass can miss an interleaving that a
-# stalled source, a mid-batch cancel or a full queue needs to show a race.
-# So does the aliasing test: readers hold a snapshot whose prefix slice the
-# store shared while the writer keeps adding prefixes and publishing.
+# The ingest-loop tests then run ten more times under -race. The loop itself
+# runs on one goroutine, but other goroutines reach it while it runs: a
+# cancel arrives from another goroutine mid-Read, /healthz reads the loop's
+# progress, and lookups read each snapshot it publishes
+# (TestRunIngestProgressUnderPolling polls both), and a single pass can miss
+# the interleaving that shows a race. So does the aliasing test: readers
+# hold a snapshot whose prefix slice the store shared while the writer keeps
+# adding prefixes and publishing.
 advisor-check:
 	$(GO) test -race -count=1 ./internal/advisor ./cmd/advisord
 	$(GO) test -race -count=10 -run 'TestRunIngest|TestSnapshotAliasing' ./internal/advisor

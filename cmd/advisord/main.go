@@ -49,7 +49,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -67,7 +66,7 @@ func main() {
 		sim      = flag.Bool("sim", false, "generate the ingest in-process with the sim engine")
 		blocks   = flag.Int("blocks", 512, "-sim: population size in /24 blocks")
 		cycles   = flag.Int("cycles", 24, "-sim: probing rounds")
-		seed     = flag.Uint64("seed", 42, "-sim: population seed")
+		seed     = flag.Uint64("seed", 42, "-sim: population seed; -i: ingest retry backoff jitter")
 		vantage  = flag.String("vantage", "w", "-sim: vantage point: w, c, j or g")
 		parallel = flag.Int("parallel", 1, "-sim: shard count (1 = sequential, 0 = one per CPU)")
 
@@ -211,18 +210,17 @@ func main() {
 	start := time.Now()
 	switch {
 	case *in != "":
-		var f atomic.Pointer[os.File]
+		var f *os.File
 		stats, err := advisor.RunIngest(ctx, advisor.IngestConfig{
 			Open: func() (survey.RecordSource, error) {
-				if old := f.Load(); old != nil {
-					old.Close()
+				if f != nil {
+					f.Close()
 				}
-				nf, err := os.Open(*in)
-				if err != nil {
+				var err error
+				if f, err = os.Open(*in); err != nil {
 					return nil, err
 				}
-				f.Store(nf)
-				src, _, err := survey.OpenSourceLenient(nf)
+				src, _, err := survey.OpenSourceLenient(f)
 				return src, err
 			},
 			Seed:            *seed,
@@ -232,8 +230,8 @@ func main() {
 			Obs:             reg,
 			Trace:           cli.Tracer,
 		}, st, adv, ck)
-		if last := f.Load(); last != nil {
-			last.Close()
+		if f != nil {
+			f.Close()
 		}
 		advisor.RegisterIngestObs(reg, stats)
 		if err != nil {

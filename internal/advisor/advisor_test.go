@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -22,6 +23,21 @@ import (
 func (s *Store) Add(addr ipaddr.Addr, rtt time.Duration) {
 	s.sample(addr, rtt)
 	s.matched++
+}
+
+// sliceSource adapts an in-memory record slice to survey.RecordSource.
+type sliceSource struct {
+	recs []survey.Record
+	i    int
+}
+
+func (s *sliceSource) Read() (survey.Record, error) {
+	if s.i >= len(s.recs) {
+		return survey.Record{}, io.EOF
+	}
+	r := s.recs[s.i]
+	s.i++
+	return r, nil
 }
 
 func TestSketchQuantileConservative(t *testing.T) {

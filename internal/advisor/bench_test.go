@@ -234,9 +234,8 @@ var benchDataset = sync.OnceValues(func() ([]byte, error) {
 })
 
 // benchIngest runs RunIngest over cfg with a fresh store and advisor per op,
-// publishing every 4096 records (the default cadence), and reports
-// ns/record and allocs/record: the whole op divided by the n records each
-// op must ingest.
+// publishing every 4096 records as advisord does, and reports ns/record and
+// allocs/record: the whole op divided by the n records each op must ingest.
 func benchIngest(b *testing.B, cfg IngestConfig, n int) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -255,22 +254,22 @@ func benchIngest(b *testing.B, cfg IngestConfig, n int) {
 }
 
 // BenchmarkRunIngest measures advisord's ingest loop in process over the
-// survey stream as records in memory: RunIngest's reader goroutine and
-// batched hand-off, the store, and the publishes.
+// survey stream as records in memory: RunIngest's per-record loop, the
+// store, and the publishes.
 func BenchmarkRunIngest(b *testing.B) {
 	recs, err := benchStream()
 	if err != nil {
 		b.Fatal(err)
 	}
 	benchIngest(b, IngestConfig{Open: func() (survey.RecordSource, error) {
-		return survey.NewSliceSource(recs), nil
+		return &sliceSource{recs: recs}, nil
 	}}, len(recs))
 }
 
-// BenchmarkIngestDataset measures the same loop the way advisord feeds it:
-// the stream encoded as a tosv dataset (in memory, so no disk is timed) and
-// read through survey.OpenSourceLenient, with its decode and skip
-// accounting.
+// BenchmarkIngestDataset measures RunIngest the way advisord feeds it: the
+// stream encoded as a tosv dataset (in memory, so no disk is timed) and
+// decoded by survey.OpenSourceLenient on the loop's goroutine, skip
+// accounting included.
 func BenchmarkIngestDataset(b *testing.B) {
 	recs, err := benchStream()
 	if err != nil {

@@ -303,7 +303,7 @@ func TestChaosConsumeCorruptStream(t *testing.T) {
 
 		// Clean ingest of exactly the survivors: advice must match.
 		stClean := NewStore()
-		if err := stClean.Consume(survey.NewSliceSource(survivors)); err != nil {
+		if err := stClean.Consume(&sliceSource{recs: survivors}); err != nil {
 			t.Fatal(err)
 		}
 		var a, b bytes.Buffer

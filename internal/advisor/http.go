@@ -39,14 +39,12 @@ type healthResponse struct {
 	// first): a serving-but-stalled advisor shows here long before its
 	// advice goes quietly stale.
 	SnapshotAgeS float64 `json:"snapshot_age_s"`
-	// IngestRecords and IngestQueue report the live ingest loop when one is
-	// wired (WithIngestProgress): records consumed so far and the queue
-	// depth between reader and store. IngestBackoffS is the source-retry
-	// backoff currently in progress (0 when the feed is healthy) — together
-	// they answer "is this advisor falling behind its feed" from the same
-	// endpoint that answers "is it up".
+	// IngestRecords reports the live ingest loop when one is wired
+	// (WithIngestProgress): records consumed so far. IngestBackoffS is the
+	// source-retry backoff currently in progress (0 when the feed is
+	// healthy) — together they answer "is this advisor falling behind its
+	// feed" from the same endpoint that answers "is it up".
 	IngestRecords  uint64  `json:"ingest_records"`
-	IngestQueue    int64   `json:"ingest_queue"`
 	IngestBackoffS float64 `json:"ingest_backoff_s"`
 	// LastCheckpointAgeS is the seconds since the last durable save (-1
 	// when checkpointing is off or none has landed yet).
@@ -99,7 +97,7 @@ func WithMetrics(h http.Handler) HandlerOption {
 }
 
 // WithIngestProgress feeds the live ingest loop's progress into /healthz
-// (records consumed, queue depth, active backoff).
+// (records consumed, active backoff).
 func WithIngestProgress(p *IngestProgress) HandlerOption {
 	return func(c *handlerConfig) { c.progress = p }
 }
@@ -166,7 +164,6 @@ func NewHandler(adv *Advisor, opts ...HandlerOption) http.Handler {
 			h.SnapshotAgeS = time.Duration(adv.clockFn()() - at).Seconds()
 		}
 		h.IngestRecords = cfg.progress.Records()
-		h.IngestQueue = cfg.progress.Queued()
 		h.IngestBackoffS = cfg.progress.Backoff().Seconds()
 		if at := cfg.ckpt.LastSaveAt(); at != 0 {
 			h.LastCheckpointAgeS = time.Since(time.Unix(0, at)).Seconds()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -36,7 +37,7 @@ func TestRunIngestRetriesTransientOpenErrors(t *testing.T) {
 			if opens.Add(1) <= 3 {
 				return nil, errors.New("feed not up yet")
 			}
-			return survey.NewSliceSource(recs), nil
+			return &sliceSource{recs: recs}, nil
 		},
 		Backoff:    time.Millisecond,
 		BackoffMax: 4 * time.Millisecond,
@@ -61,80 +62,118 @@ func TestRunIngestRetriesTransientOpenErrors(t *testing.T) {
 	}
 }
 
-// errAfterSource yields n records then fails mid-stream, exercising the
-// reopen-on-source-error path (as a feed dying mid-read would).
-type errAfterSource struct {
-	recs []survey.Record
-	i    int
+// cutSource passes its source's records through until it has returned n,
+// then fails, as a feed dying mid-read would.
+type cutSource struct {
+	survey.StatSource
+	n int
 }
 
-func (s *errAfterSource) Read() (survey.Record, error) {
-	if s.i >= len(s.recs) {
+func (s *cutSource) Read() (survey.Record, error) {
+	if s.n == 0 {
 		return survey.Record{}, errors.New("connection reset")
 	}
-	r := s.recs[s.i]
-	s.i++
-	return r, nil
+	s.n--
+	return s.StatSource.Read()
 }
 
+// TestRunIngestReopensAfterSourceError pins the reopen contract: Open
+// returns the feed from its first record, and RunIngest discards what a
+// reopened source repeats. Two opens die partway through the same 60-record
+// feed and a third delivers it whole; the store must hold each record once,
+// byte for byte a store fed the feed directly, and a lenient source's skip
+// count must count each corrupt row once, not once per pass over it.
 func TestRunIngestReopensAfterSourceError(t *testing.T) {
 	recs := ingestRecs(60)
-	var opens atomic.Int64
-	cfg := IngestConfig{
-		Open: func() (survey.RecordSource, error) {
-			// First two opens die partway through; the third delivers the
-			// whole pass. Records before the cut are re-read on reopen —
-			// the "fresh source positioned where the caller wants" contract.
-			switch opens.Add(1) {
-			case 1:
-				return &errAfterSource{recs: recs[:10]}, nil
-			case 2:
-				return &errAfterSource{recs: recs[:25]}, nil
-			default:
-				return survey.NewSliceSource(recs), nil
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		skipped uint64
+	}{
+		{"clean", corruptCSV(t, recs, 0), 0},
+		{"corrupt-rows", interleavedCSV(t, recs), 60}, // one before each record
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var opens int
+			cfg := IngestConfig{
+				Open: func() (survey.RecordSource, error) {
+					src, _, err := survey.OpenSourceLenient(bytes.NewReader(tc.data))
+					if err != nil {
+						return nil, err
+					}
+					switch opens++; opens {
+					case 1:
+						return &cutSource{src, 10}, nil
+					case 2:
+						return &cutSource{src, 25}, nil
+					default:
+						return src, nil
+					}
+				},
+				Backoff: time.Millisecond,
 			}
-		},
-		Backoff: time.Millisecond,
-	}
-	st := NewStore()
-	stats, err := RunIngest(context.Background(), cfg, st, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Records != 10+25+60 {
-		t.Errorf("Records = %d, want 95 (two partial passes + one full)", stats.Records)
-	}
-	if stats.SourceErrors != 2 || stats.Reopens != 2 {
-		t.Errorf("SourceErrors = %d, Reopens = %d; want 2 and 2", stats.SourceErrors, stats.Reopens)
+			st := NewStore()
+			adv := New()
+			stats, err := RunIngest(context.Background(), cfg, st, adv, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Records != 60 || st.Records() != 60 {
+				t.Errorf("Records = %d (store %d), want 60: each record once", stats.Records, st.Records())
+			}
+			if stats.Skipped != tc.skipped {
+				t.Errorf("Skipped = %d, want %d: each corrupt row once", stats.Skipped, tc.skipped)
+			}
+			if stats.SourceErrors != 2 || stats.Reopens != 2 {
+				t.Errorf("SourceErrors = %d, Reopens = %d; want 2 and 2", stats.SourceErrors, stats.Reopens)
+			}
+			src, _, err := survey.OpenSourceLenient(bytes.NewReader(tc.data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct := NewStore()
+			if err := direct.Consume(src); err != nil {
+				t.Fatal(err)
+			}
+			var got, want bytes.Buffer
+			if err := adv.Current().WriteJSON(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := direct.Snapshot(adv.Current().Epoch()).WriteJSON(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Error("snapshot after reopens differs from a store fed each record once")
+			}
+		})
 	}
 }
 
 // TestRunIngestPublishAndCheckpointCadence pins the record cadence of
-// publishes and checkpoints wherever the hand-off's batch boundaries fall
-// (the second case's counts line up with no batch size), and that the final
-// advice equals, byte for byte, a store fed the same records and published
-// directly at the same epoch.
+// publishes (every 4096th record) and checkpoints (at the first publish
+// after every CheckpointEvery records), and that the final advice equals,
+// byte for byte, a store fed the same records and published directly at the
+// same epoch.
 func TestRunIngestPublishAndCheckpointCadence(t *testing.T) {
 	for _, tc := range []struct {
-		records                 int
-		publishEvery, ckptEvery uint64
-		publishes, checkpoints  uint64
+		records                int
+		ckptEvery              uint64
+		publishes, checkpoints uint64
 	}{
-		// 64/16 = 4 in-stream publishes plus the final; checkpoints at
-		// records 32 and 64 plus the final.
-		{records: 64, publishEvery: 16, ckptEvery: 32, publishes: 5, checkpoints: 3},
-		// Publishes at 300, 600 and 900 plus the final; a checkpoint at 600
-		// plus the final.
-		{records: 1000, publishEvery: 300, ckptEvery: 600, publishes: 4, checkpoints: 2},
+		// Publishes at records 4096 and 8192 plus the final; a checkpoint
+		// at each.
+		{records: 2*publishEvery + 1000, ckptEvery: publishEvery, publishes: 3, checkpoints: 3},
+		// Publishes at 4096, 8192 and 12288 plus the final; a checkpoint at
+		// 8192, the first publish 6000 records in, plus the final.
+		{records: 3 * publishEvery, ckptEvery: 6000, publishes: 4, checkpoints: 2},
 	} {
-		t.Run(fmt.Sprintf("n%d-publish%d-ckpt%d", tc.records, tc.publishEvery, tc.ckptEvery), func(t *testing.T) {
+		t.Run(fmt.Sprintf("n%d-ckpt%d", tc.records, tc.ckptEvery), func(t *testing.T) {
 			dir := t.TempDir()
 			recs := ingestRecs(tc.records)
 			cfg := IngestConfig{
 				Open: func() (survey.RecordSource, error) {
-					return survey.NewSliceSource(recs), nil
+					return &sliceSource{recs: recs}, nil
 				},
-				PublishEvery:    tc.publishEvery,
 				CheckpointEvery: tc.ckptEvery,
 			}
 			st := NewStore()
@@ -186,8 +225,8 @@ func TestRunIngestPublishAndCheckpointCadence(t *testing.T) {
 }
 
 // stallSource returns its records, then blocks in Read until released —
-// a feed that bursts and goes quiet. Records read before the stall must
-// not wait in the reader for a batch that never fills.
+// a feed that bursts and goes quiet. Every record consumed before the stall
+// must show in the loop's progress while the stalled Read blocks.
 type stallSource struct {
 	recs    []survey.Record
 	i       int
@@ -205,7 +244,7 @@ func (s *stallSource) Read() (survey.Record, error) {
 }
 
 func TestRunIngestStalledSourceDelivers(t *testing.T) {
-	const k = 100 // well under the default Queue: the queue never fills
+	const k = 100
 	src := &stallSource{recs: ingestRecs(k), release: make(chan struct{})}
 	progress := &IngestProgress{}
 	cfg := IngestConfig{
@@ -254,8 +293,8 @@ func (s *cancelSource) Read() (survey.Record, error) {
 }
 
 // TestRunIngestCancelStopsBeforeNextRecord pins that the drain stops between
-// records, not only between batches: no record returned by the Read that
-// cancelled, or by any later one, reaches the store.
+// records: no record returned by the Read that cancelled, or by any later
+// one, reaches the store.
 func TestRunIngestCancelStopsBeforeNextRecord(t *testing.T) {
 	const n = 700
 	ctx, cancel := context.WithCancel(context.Background())
@@ -264,8 +303,7 @@ func TestRunIngestCancelStopsBeforeNextRecord(t *testing.T) {
 	st := NewStore()
 	adv := New()
 	cfg := IngestConfig{
-		Open:         func() (survey.RecordSource, error) { return src, nil },
-		PublishEvery: 64,
+		Open: func() (survey.RecordSource, error) { return src, nil },
 	}
 	stats, err := RunIngest(ctx, cfg, st, adv, &Checkpointer{Dir: t.TempDir()})
 	if err != nil {
@@ -280,7 +318,7 @@ func TestRunIngestCancelStopsBeforeNextRecord(t *testing.T) {
 	}
 }
 
-// infiniteSource generates records forever — the tail-a-live-feed shape.
+// infiniteSource generates records forever, as a live feed would.
 type infiniteSource struct{ i int }
 
 func (s *infiniteSource) Read() (survey.Record, error) {
@@ -294,7 +332,7 @@ func (s *infiniteSource) Read() (survey.Record, error) {
 }
 
 // TestRunIngestCancelDrains pins the drain contract: cancelling the context
-// mid-tail returns nil (not an error), publishes what was ingested, and
+// mid-feed returns nil (not an error), publishes what was ingested, and
 // writes a final checkpoint.
 func TestRunIngestCancelDrains(t *testing.T) {
 	dir := t.TempDir()
@@ -305,8 +343,7 @@ func TestRunIngestCancelDrains(t *testing.T) {
 	adv := New()
 	ck := &Checkpointer{Dir: dir}
 	cfg := IngestConfig{
-		Open:         func() (survey.RecordSource, error) { return &infiniteSource{}, nil },
-		PublishEvery: 50,
+		Open: func() (survey.RecordSource, error) { return &infiniteSource{}, nil },
 	}
 	go func() {
 		// Cancel once records have demonstrably flowed — observed through
@@ -332,27 +369,6 @@ func TestRunIngestCancelDrains(t *testing.T) {
 	st2, _, _, err := ck.Load()
 	if err != nil || st2 == nil {
 		t.Fatalf("final checkpoint unreadable: %v", err)
-	}
-}
-
-func TestRunIngestTailReopensAtEOF(t *testing.T) {
-	recs := ingestRecs(20)
-	var opens atomic.Int64
-	cfg := IngestConfig{
-		Open: func() (survey.RecordSource, error) {
-			opens.Add(1)
-			return survey.NewSliceSource(recs), nil
-		},
-		Tail: 2, // first pass + two reopens = three passes
-	}
-	st := NewStore()
-	stats, err := RunIngest(context.Background(), cfg, st, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opens.Load() != 3 || stats.Records != 60 || stats.Reopens != 2 {
-		t.Errorf("opens = %d, Records = %d, Reopens = %d; want 3, 60, 2",
-			opens.Load(), stats.Records, stats.Reopens)
 	}
 }
 
@@ -458,35 +474,6 @@ func TestIngestBackoffJitterBounds(t *testing.T) {
 	}
 }
 
-// slowSource blocks each Read briefly so the bounded queue actually fills
-// and drains under ctx control; used to smoke the backpressure path.
-type slowSource struct{ i int }
-
-func (s *slowSource) Read() (survey.Record, error) {
-	if s.i >= 2000 {
-		return survey.Record{}, io.EOF
-	}
-	s.i++
-	return survey.Record{
-		Type: survey.RecMatched,
-		Addr: ipaddr.Addr(0x0a000001),
-		When: time.Duration(s.i) * time.Second,
-		RTT:  time.Millisecond,
-	}, nil
-}
-
-func TestRunIngestBoundedQueue(t *testing.T) {
-	cfg := IngestConfig{
-		Open:  func() (survey.RecordSource, error) { return &slowSource{}, nil },
-		Queue: 4, // tiny queue: the reader must block on the consumer
-	}
-	st := NewStore()
-	stats, err := RunIngest(context.Background(), cfg, st, nil, nil)
-	if err != nil || stats.Records != 2000 {
-		t.Fatalf("Records = %d, %v; want 2000 through a 4-deep queue", stats.Records, err)
-	}
-}
-
 // interleavedCSV builds a CSV dataset with a garbage row before every good
 // record, so a lenient reader skips exactly one row per record it returns.
 func interleavedCSV(t *testing.T, good []survey.Record) []byte {
@@ -531,10 +518,10 @@ func (s *cancelStatSource) Read() (survey.Record, error) {
 }
 
 // TestRunIngestDrainCountsSkips pins IngestStats.Skipped on the drain path
-// with no skip budget, where the reader harvests its source's skip count
+// with no skip budget, where the loop harvests its source's skip count
 // once, as it stops: cancelled inside its n-th Read, a source that skipped
 // one corrupt row per record must be reported as exactly n skips, although
-// the consumer sees the cancel before that Read returns.
+// the record that Read returns never reaches the store.
 func TestRunIngestDrainCountsSkips(t *testing.T) {
 	const n = 300
 	data := interleavedCSV(t, ingestRecs(2000))
@@ -550,7 +537,6 @@ func TestRunIngestDrainCountsSkips(t *testing.T) {
 			src = &cancelStatSource{StatSource: s, n: n, cancel: cancel}
 			return src, nil
 		},
-		PublishEvery: 64,
 	}
 	stats, err := RunIngest(ctx, cfg, NewStore(), New(), nil)
 	if err != nil {
@@ -564,17 +550,17 @@ func TestRunIngestDrainCountsSkips(t *testing.T) {
 	}
 }
 
-// TestRunIngestStampsHandoffClock pins per-hand-off freshness. Every record
+// TestRunIngestStampsPublishClock pins per-publish freshness. Every record
 // reaches its own /24, so each prefix's stamp is its one sample's. The store
 // clock advances on every read and logs how many records the store held at
-// each; the first read waits until the reader has queued the whole source,
-// which then arrives in at most three hand-offs (the take that follows the
-// reader's EOF may be empty). Each sample must carry the
-// last reading taken before the store observed it — its hand-off's, or the
-// one after a publish earlier in the batch — and never a later one, and the
-// clock must be read once per hand-off and publish, not per sample.
-func TestRunIngestStampsHandoffClock(t *testing.T) {
-	const n, every = 600, 100
+// each. The feed dies partway through its second publish interval and is
+// reopened, and every publish also checkpoints. Each sample must carry the
+// last reading taken before the store observed it, taken less than one
+// publish interval of records earlier, and the clock must be read at most
+// once per open and once per in-stream publish (its checkpoint included),
+// not per sample.
+func TestRunIngestStampsPublishClock(t *testing.T) {
+	const n, cut = 2*publishEvery + 500, 5000
 	recs := make([]survey.Record, n)
 	for i := range recs {
 		recs[i] = survey.Record{
@@ -584,8 +570,6 @@ func TestRunIngestStampsHandoffClock(t *testing.T) {
 			RTT:  time.Duration(1+i%500) * time.Millisecond,
 		}
 	}
-	drained := make(chan struct{})
-	src := &eofSignalSource{recs: recs, eof: drained}
 	st := NewStore()
 	type reading struct {
 		at      int64
@@ -593,53 +577,108 @@ func TestRunIngestStampsHandoffClock(t *testing.T) {
 	}
 	var readings []reading
 	st.SetClock(func() int64 {
-		if len(readings) == 0 {
-			<-drained
-		}
 		readings = append(readings, reading{int64(len(readings) + 1), st.Records()})
 		return int64(len(readings))
 	})
+	var opens int
 	cfg := IngestConfig{
-		Open:         func() (survey.RecordSource, error) { return src, nil },
-		PublishEvery: every,
+		Open: func() (survey.RecordSource, error) {
+			if opens++; opens == 1 {
+				return &cutSource{&statSlice{sliceSource{recs: recs}}, cut}, nil
+			}
+			return &sliceSource{recs: recs}, nil
+		},
+		Backoff:         time.Millisecond,
+		CheckpointEvery: 1,
 	}
-	stats, err := RunIngest(context.Background(), cfg, st, New(), nil)
-	if err != nil || stats.Records != n {
-		t.Fatalf("RunIngest = %d records, %v; want %d, nil", stats.Records, err, n)
+	stats, err := RunIngest(context.Background(), cfg, st, New(), &Checkpointer{Dir: t.TempDir()})
+	if err != nil || stats.Records != n || stats.Checkpoints != stats.Publishes {
+		t.Fatalf("RunIngest = %d records, %d publishes, %d checkpoints, %v; want %d records, a checkpoint per publish",
+			stats.Records, stats.Publishes, stats.Checkpoints, err, n)
 	}
-	if max := 3 + n/every; len(readings) > max {
-		t.Errorf("store clock read %d times, want at most %d (three hand-offs and %d publishes)",
-			len(readings), max, n/every)
+	if max := opens + n/publishEvery; len(readings) > max {
+		t.Errorf("store clock read %d times, want at most %d (%d opens and %d publishes)",
+			len(readings), max, opens, n/publishEvery)
 	}
 	for k, rec := range recs {
-		var want int64 // the last reading taken before record k+1 was observed
+		var want reading // the last reading taken before record k+1 was observed
 		for _, r := range readings {
 			if r.records <= uint64(k) {
-				want = r.at
+				want = r
 			}
 		}
-		if got := st.updated[rec.Addr.Prefix()]; got != want {
-			t.Fatalf("record %d stamped %d, want %d (readings %v)", k+1, got, want, readings)
+		if got := st.updated[rec.Addr.Prefix()]; got != want.at || uint64(k)-want.records >= publishEvery {
+			t.Fatalf("record %d stamped %d, want %d, read within %d records before it (readings %v)",
+				k+1, got, want.at, publishEvery, readings)
 		}
+	}
+	// Direct Observe calls after the loop read the clock per sample again.
+	before := len(readings)
+	st.Observe(survey.Record{Type: survey.RecMatched, Addr: ipaddr.Addr(0x0b000001), When: time.Hour, RTT: time.Millisecond})
+	if len(readings) != before+1 {
+		t.Errorf("direct Observe after RunIngest read the clock %d times, want 1", len(readings)-before)
 	}
 }
 
-// eofSignalSource returns its records, then closes eof at end of stream.
-type eofSignalSource struct {
-	recs []survey.Record
-	i    int
-	eof  chan struct{}
-}
+// statSlice is a sliceSource that reports (zero) read stats, so cutSource
+// can wrap it.
+type statSlice struct{ sliceSource }
 
-func (s *eofSignalSource) Read() (survey.Record, error) {
-	if s.i >= len(s.recs) {
-		if s.eof != nil {
-			close(s.eof)
-			s.eof = nil
-		}
-		return survey.Record{}, io.EOF
+func (*statSlice) Stats() survey.ReadStats { return survey.ReadStats{} }
+
+// TestRunIngestProgressUnderPolling polls the loop's live progress and its
+// published advice from another goroutine, as /healthz and lookups do,
+// while RunIngest ingests three and a half publish intervals (raced ten
+// times by make advisor-check). Both only move forward, and they end where
+// the returned stats do.
+func TestRunIngestProgressUnderPolling(t *testing.T) {
+	n := 3*publishEvery + publishEvery/2
+	recs := ingestRecs(n)
+	progress := &IngestProgress{}
+	adv := New()
+	cfg := IngestConfig{
+		Open:     func() (survey.RecordSource, error) { return &sliceSource{recs: recs}, nil },
+		Progress: progress,
 	}
-	r := s.recs[s.i]
-	s.i++
-	return r, nil
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var records, epoch, samples uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			r := progress.Records()
+			if r < records {
+				t.Errorf("Progress.Records went back from %d to %d", records, r)
+				return
+			}
+			records = r
+			if snap := adv.Current(); snap != nil {
+				if snap.Epoch() < epoch || snap.Samples() < samples {
+					t.Errorf("advice went back from epoch %d (%d samples) to epoch %d (%d samples)",
+						epoch, samples, snap.Epoch(), snap.Samples())
+					return
+				}
+				epoch, samples = snap.Epoch(), snap.Samples()
+			}
+		}
+	}()
+	stats, err := RunIngest(context.Background(), cfg, NewStore(), adv, nil)
+	close(stop)
+	wg.Wait()
+	if err != nil || stats.Records != uint64(n) {
+		t.Fatalf("RunIngest = %d records, %v; want %d, nil", stats.Records, err, n)
+	}
+	if got := progress.Records(); got != stats.Records {
+		t.Errorf("final Progress.Records = %d, want %d", got, stats.Records)
+	}
+	if cur := adv.Current(); cur.Epoch() != stats.Publishes || cur.Samples() != stats.Records {
+		t.Errorf("final advice: epoch %d, %d samples; want epoch %d, %d samples",
+			cur.Epoch(), cur.Samples(), stats.Publishes, stats.Records)
+	}
 }

@@ -136,7 +136,7 @@ func TestHealthzIngestAndCheckpointFields(t *testing.T) {
 	st.Add(ipaddr.Addr(0x0a000001), 50*time.Millisecond)
 	adv.Publish(st)
 	gate.SetState(GateServing)
-	progress.noteBatch(2, 17)
+	progress.setRecords(2)
 	progress.setBackoff(1500 * time.Millisecond)
 	if _, err := ck.Save(st, 1); err != nil {
 		t.Fatal(err)
@@ -145,9 +145,8 @@ func TestHealthzIngestAndCheckpointFields(t *testing.T) {
 	if !hr.OK || hr.State != "serving" {
 		t.Errorf("serving health = %+v", hr)
 	}
-	if hr.IngestRecords != 2 || hr.IngestQueue != 17 || hr.IngestBackoffS != 1.5 {
-		t.Errorf("ingest fields = records %d queue %d backoff %v",
-			hr.IngestRecords, hr.IngestQueue, hr.IngestBackoffS)
+	if hr.IngestRecords != 2 || hr.IngestBackoffS != 1.5 {
+		t.Errorf("ingest fields = records %d backoff %v", hr.IngestRecords, hr.IngestBackoffS)
 	}
 	if hr.LastCheckpointAgeS < 0 || hr.LastCheckpointAgeS > 60 {
 		t.Errorf("LastCheckpointAgeS = %v, want a small non-negative age", hr.LastCheckpointAgeS)
@@ -167,7 +166,7 @@ func TestHealthzIngestAndCheckpointFields(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &hr2); err != nil {
 		t.Fatal(err)
 	}
-	if hr2.IngestRecords != 0 || hr2.IngestQueue != 0 || hr2.LastCheckpointAgeS != -1 {
+	if hr2.IngestRecords != 0 || hr2.LastCheckpointAgeS != -1 {
 		t.Errorf("bare health = %+v, want zero ingest fields and checkpoint age -1", hr2)
 	}
 }

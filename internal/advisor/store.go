@@ -45,8 +45,8 @@ type Store struct {
 	// and the checkpoint chaos suite inject a deterministic clock.
 	clock func() int64
 	// held, while holding is set, is the one clock reading RunIngest took
-	// for the hand-off it is feeding: every sample in the batch carries it
-	// instead of reading the clock itself.
+	// for the samples it is feeding: each carries it instead of reading the
+	// clock itself.
 	held    int64
 	holding bool
 
@@ -80,7 +80,7 @@ func (s *Store) now() int64 {
 }
 
 // stamp returns the freshness stamp of a sample folded in now: the held
-// hand-off reading inside RunIngest, else a fresh clock read.
+// reading inside RunIngest, else a fresh clock read.
 func (s *Store) stamp() int64 {
 	if s.holding {
 		return s.held
@@ -89,9 +89,9 @@ func (s *Store) stamp() int64 {
 }
 
 // holdClock reads the clock once for the samples that follow, until
-// releaseClock: RunIngest holds one reading per hand-off, and takes a new
-// one after each publish or checkpoint, so a sample's stamp trails its
-// ingest by at most one batch's consume time.
+// releaseClock: RunIngest holds one reading from each source's open, and
+// takes a new one after each publish or checkpoint, so a sample's stamp
+// trails its ingest by at most one publish interval.
 func (s *Store) holdClock() { s.held, s.holding = s.now(), true }
 
 // releaseClock returns the store to one clock read per sample.

@@ -41,7 +41,7 @@ const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // PromCollector contributes scrape-time series to a /metrics response —
 // values that are better read at scrape time than mirrored into a registry
-// (snapshot age, ingest queue depth, watchdog quantiles, Go runtime state).
+// (snapshot age, ingest progress, watchdog quantiles, Go runtime state).
 type PromCollector interface {
 	CollectProm(w *PromWriter)
 }

@@ -8,12 +8,11 @@ import (
 
 // RecordSource is the read side of the streaming analysis pipeline: anything
 // that yields survey records one at a time, returning io.EOF at end of
-// stream. All three dataset readers (fixed binary, compact, CSV) satisfy it,
-// as does SliceSource for records already in memory. Consumers that process
-// records through a RecordSource — rather than materializing a []Record —
-// run in memory bounded by their own per-address state, not by the dataset
-// size, which is what lets the analysis scale toward the paper's 9.64
-// billion-response surveys.
+// stream. All three dataset readers (fixed binary, compact, CSV) satisfy
+// it. Consumers that process records through a RecordSource — rather than
+// materializing a []Record — run in memory bounded by their own per-address
+// state, not by the dataset size, which is what lets the analysis scale
+// toward the paper's 9.64 billion-response surveys.
 type RecordSource interface {
 	Read() (Record, error)
 }
@@ -57,28 +56,6 @@ func (s ReadStats) String() string {
 type StatSource interface {
 	RecordSource
 	Stats() ReadStats
-}
-
-// SliceSource adapts an in-memory record slice to RecordSource, for tests
-// and for analyses that already hold the records.
-type SliceSource struct {
-	recs []Record
-	i    int
-}
-
-// NewSliceSource wraps records as a RecordSource.
-func NewSliceSource(recs []Record) *SliceSource {
-	return &SliceSource{recs: recs}
-}
-
-// Read implements RecordSource.
-func (s *SliceSource) Read() (Record, error) {
-	if s.i >= len(s.recs) {
-		return Record{}, io.EOF
-	}
-	r := s.recs[s.i]
-	s.i++
-	return r, nil
 }
 
 // OpenSource sniffs the dataset format behind r — fixed binary ("TOSV"),
