@@ -22,7 +22,10 @@
 // median, and the exit status is 1 when any matched benchmark's ns/op — or,
 // for benchmarks reporting the peak-heap-B metric (obs.HeapSampler), its
 // peak heap — grew by more than the threshold percentage (default 10): the
-// CI regression gate covers time and memory footprint alike.
+// CI regression gate covers time and memory footprint alike. Benchmarks
+// found in only one file are named on stderr ("only in old", "only in
+// new"), so a renamed or deleted benchmark cannot leave the gate unseen;
+// they do not change the exit status.
 package main
 
 import (
@@ -55,7 +58,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, "benchjson:", err)
 			os.Exit(2)
 		}
-		deltas := obs.CompareBench(oldRes, newRes, *threshold)
+		deltas, onlyOld, onlyNew := obs.CompareBench(oldRes, newRes, *threshold)
+		for _, r := range onlyOld {
+			fmt.Fprintf(os.Stderr, "benchjson: only in old: %s (procs %d)\n", r.Name, r.Procs)
+		}
+		for _, r := range onlyNew {
+			fmt.Fprintf(os.Stderr, "benchjson: only in new: %s (procs %d)\n", r.Name, r.Procs)
+		}
 		if len(deltas) == 0 {
 			fmt.Fprintln(os.Stderr, "benchjson: no matching benchmarks to compare")
 			return

@@ -107,7 +107,7 @@ func main() {
 	model.AddVantage(src, ipmeta.NorthAmerica)
 	sched := &simnet.Scheduler{}
 	net := simnet.NewNetwork(sched, model)
-	prob := scamper.New(net, src, ipmeta.NorthAmerica)
+	prob := scamper.New(net, src)
 	defer prob.Close()
 	if cli.Reg != nil {
 		prob.SetObserver(cli.Reg)

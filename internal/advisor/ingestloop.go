@@ -43,7 +43,8 @@ type IngestConfig struct {
 	// Backoff is the initial retry delay after a failed open or a source
 	// error (default 100ms), doubling per consecutive failure up to
 	// BackoffMax (default 30s), with ±50% deterministic jitter derived from
-	// Seed so restarts don't synchronize.
+	// Seed so restarts don't synchronize. Only a pass that stores a new
+	// record ends a run of failures.
 	Backoff    time.Duration
 	BackoffMax time.Duration
 	// Seed drives the jitter (and nothing else).
@@ -300,20 +301,26 @@ func RunIngest(ctx context.Context, cfg IngestConfig, st *Store, adv *Advisor, c
 		}
 	}
 
-	var failures uint64 // consecutive, for backoff
+	// failures counts consecutive passes that stored no new record: a feed
+	// that opens and then fails before delivering anything new backs off as
+	// one that will not open does.
+	var failures uint64
 	for {
 		if ctx.Err() != nil {
 			return finish(nil)
 		}
 		src, err := cfg.Open()
 		if err == nil {
-			failures = 0
+			stored := stats.Records
 			err = consume(src)
 			switch {
 			case err == io.EOF, err == context.Canceled:
 				return finish(nil)
 			case errors.Is(err, ErrSkipBudget):
 				return finish(err)
+			}
+			if stats.Records > stored {
+				failures = 0
 			}
 		}
 		stats.SourceErrors++

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"timeouts/internal/ipaddr"
+	"timeouts/internal/obs"
 	"timeouts/internal/survey"
 )
 
@@ -439,6 +440,52 @@ func TestRunIngestSkipBudget(t *testing.T) {
 	// The good records read before the budget blew still landed.
 	if stats.Records != 10 {
 		t.Errorf("Records = %d, want 10", stats.Records)
+	}
+}
+
+// failingSource opens fine and fails on every Read.
+type failingSource struct{}
+
+func (failingSource) Read() (survey.Record, error) {
+	return survey.Record{}, errors.New("read error")
+}
+
+// TestRunIngestBacksOffWhenReopensStoreNothing: a feed that opens and then
+// fails before storing a record must back off as one that will not open
+// does, doubling per pass, not reopen at the base delay forever. The loop
+// is cancelled at the fifth open, so its backoff high-water mark must be the
+// largest of the first five delays.
+func TestRunIngestBacksOffWhenReopensStoreNothing(t *testing.T) {
+	const opens = 5
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	reg := obs.NewRegistry()
+	var n int
+	cfg := IngestConfig{
+		Open: func() (survey.RecordSource, error) {
+			if n++; n == opens {
+				cancel()
+			}
+			return failingSource{}, nil
+		},
+		Backoff:    time.Millisecond,
+		BackoffMax: time.Second,
+		Seed:       3,
+		Obs:        reg,
+	}
+	stats, err := RunIngest(ctx, cfg, NewStore(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != opens || stats.SourceErrors != opens || stats.Records != 0 {
+		t.Fatalf("opens %d, SourceErrors %d, Records %d; want %d, %d, 0", n, stats.SourceErrors, stats.Records, opens, opens)
+	}
+	var want time.Duration
+	for k := uint64(0); k < opens; k++ {
+		want = max(want, cfg.backoffDelay(k))
+	}
+	if got := time.Duration(reg.DiagGauge("advisor.ingest.loop.backoff_hwm_ns").Value()); got != want {
+		t.Errorf("backoff high-water mark %v, want %v (the first failure's delay is %v)", got, want, cfg.backoffDelay(0))
 	}
 }
 

@@ -158,7 +158,7 @@ func Example_firstping() {
 	model.AddVantage(src, ipmeta.NorthAmerica)
 	sched := &simnet.Scheduler{}
 	net := simnet.NewNetwork(sched, model)
-	pr := scamper.New(net, src, ipmeta.NorthAmerica)
+	pr := scamper.New(net, src)
 	defer pr.Close()
 
 	// Candidates: cellular addresses (in the paper these were selected by

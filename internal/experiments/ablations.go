@@ -34,18 +34,18 @@ func (l *Lab) AblTimeout() (Report, error) {
 	var rows []row
 	for _, timeout := range []time.Duration{time.Second, 3 * time.Second, 10 * time.Second, 60 * time.Second} {
 		w := NewWorld(netmodel.Config{Seed: l.Scale.Seed, Blocks: blocks})
-		var mem survey.MemWriter
+		m := core.NewStreamMatcher(core.MatchOptionsForCycles(cycles))
 		st, err := survey.Run(w.Net, survey.Config{
 			Vantage: survey.VantageW,
 			Blocks:  w.Pop.Blocks(),
 			Cycles:  cycles,
 			Timeout: timeout,
 			Seed:    l.Scale.Seed,
-		}, &mem)
+		}, m)
 		if err != nil {
 			return Report{}, fmt.Errorf("experiments: abl-timeout survey failed: %w", err)
 		}
-		res := core.Match(mem.Records, core.MatchOptionsForCycles(cycles))
+		res := m.Finalize()
 		q := res.SurveyDetectedQuantiles()
 		p95s := collectLevel(q, 95)
 		p9595 := time.Duration(0)
@@ -98,17 +98,16 @@ func (l *Lab) AblScale() (Report, error) {
 	cycles := []int{6, 12, 24, 48}
 	for _, cyc := range cycles {
 		w := NewWorld(netmodel.Config{Seed: l.Scale.Seed, Blocks: blocks})
-		var mem survey.MemWriter
+		sm := core.NewStreamMatcher(core.MatchOptionsForCycles(cyc))
 		if _, err := survey.Run(w.Net, survey.Config{
 			Vantage: survey.VantageW,
 			Blocks:  w.Pop.Blocks(),
 			Cycles:  cyc,
 			Seed:    l.Scale.Seed,
-		}, &mem); err != nil {
+		}, sm); err != nil {
 			return Report{}, fmt.Errorf("experiments: abl-scale survey failed: %w", err)
 		}
-		res := core.Match(mem.Records, core.MatchOptionsForCycles(cyc))
-		m := core.TimeoutMatrix(res.AddressQuantiles(true))
+		m := core.TimeoutMatrix(sm.Finalize().AddressQuantiles(true))
 		last = m
 		fmt.Fprintf(&b, "%8d %12s %12s %12s %12s\n", cyc,
 			fmtDur(m.At(50, 50)), fmtDur(m.At(95, 95)), fmtDur(m.At(98, 98)), fmtDur(m.At(99, 99)))
@@ -137,18 +136,17 @@ func (l *Lab) AblVantage() (Report, error) {
 	var p9595s []time.Duration
 	for _, vp := range survey.Vantages {
 		w := NewWorld(netmodel.Config{Seed: l.Scale.Seed, Blocks: blocks})
-		var mem survey.MemWriter
+		sm := core.NewStreamMatcher(core.MatchOptionsForCycles(cycles))
 		st, err := survey.Run(w.Net, survey.Config{
 			Vantage: vp,
 			Blocks:  w.Pop.Blocks(),
 			Cycles:  cycles,
 			Seed:    l.Scale.Seed,
-		}, &mem)
+		}, sm)
 		if err != nil {
 			return Report{}, fmt.Errorf("experiments: abl-vantage survey (vantage %c) failed: %w", vp.Name, err)
 		}
-		res := core.Match(mem.Records, core.MatchOptionsForCycles(cycles))
-		q := res.AddressQuantiles(true)
+		q := sm.Finalize().AddressQuantiles(true)
 		m := core.TimeoutMatrix(q)
 		over1 := core.FracAddrsAbove(q, 50, time.Second)
 		p9595s = append(p9595s, m.At(95, 95))

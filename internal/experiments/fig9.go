@@ -45,18 +45,18 @@ func (l *Lab) Fig9() (Report, error) {
 			drop, broken = 0.999, true
 		}
 		w := NewWorld(cfg)
-		var mem survey.MemWriter
+		m := core.NewStreamMatcher(core.MatchOptionsForCycles(cycles))
 		st, err := survey.Run(w.Net, survey.Config{
 			Vantage:          vp,
 			Blocks:           w.Pop.Blocks(),
 			Cycles:           cycles,
 			Seed:             cfg.Seed,
 			ResponseDropRate: drop,
-		}, &mem)
+		}, m)
 		if err != nil {
 			return Report{}, fmt.Errorf("experiments: fig9 survey (year %d) failed: %w", year, err)
 		}
-		res := core.Match(mem.Records, core.MatchOptionsForCycles(cycles))
+		res := m.Finalize()
 		points = append(points, core.SurveyPoint{
 			Label:        fmt.Sprintf("it%02d%c", i+50, vp.Name),
 			Vantage:      vp.Name,

@@ -8,7 +8,6 @@ import (
 
 	"timeouts/internal/core"
 	"timeouts/internal/ipaddr"
-	"timeouts/internal/ipmeta"
 	"timeouts/internal/scamper"
 	"timeouts/internal/simnet"
 	"timeouts/internal/stats"
@@ -95,7 +94,7 @@ func (l *Lab) Fig8() (Report, error) {
 	}
 
 	w := NewWorld(l.popCfg)
-	pr := scamper.New(w.Net, scamperSrc, ipmeta.NorthAmerica)
+	pr := scamper.New(w.Net, scamperSrc)
 	defer pr.Close()
 	for i, a := range targets {
 		start := simnet.Time(i) * 37 * time.Millisecond
@@ -184,7 +183,7 @@ func (l *Lab) Fig10() (Report, error) {
 	targets := sampleEvery(uniq, l.Scale.SampleAddrs)
 
 	w := NewWorld(l.popCfg)
-	pr := scamper.New(w.Net, scamperSrc, ipmeta.NorthAmerica)
+	pr := scamper.New(w.Net, scamperSrc)
 	defer pr.Close()
 	const gap = 20 * time.Minute
 	for i, a := range targets {
@@ -326,7 +325,7 @@ func (l *Lab) firstPingTrains() (map[ipaddr.Addr][]core.TrainSample, int, error)
 	targets := sampleEvery(candidates, l.Scale.SampleAddrs*2)
 
 	w := NewWorld(l.popCfg)
-	pr := scamper.New(w.Net, scamperSrc, ipmeta.NorthAmerica)
+	pr := scamper.New(w.Net, scamperSrc)
 	defer pr.Close()
 	for i, a := range targets {
 		t0 := simnet.Time(i) * 97 * time.Millisecond
@@ -489,7 +488,7 @@ func (l *Lab) Tab7() (Report, error) {
 	targets := sampleEvery(candidates, l.Scale.SampleAddrs)
 
 	w := NewWorld(l.popCfg)
-	pr := scamper.New(w.Net, scamperSrc, ipmeta.NorthAmerica)
+	pr := scamper.New(w.Net, scamperSrc)
 	defer pr.Close()
 	for i, a := range targets {
 		t0 := simnet.Time(i) * 41 * time.Millisecond
@@ -548,7 +547,7 @@ func (l *Lab) Rec60() (Report, error) {
 	// responsive addresses.
 	targets := sampleEvery(addrsOf(q), l.Scale.SampleAddrs*2)
 	w := NewWorld(l.popCfg)
-	pr := scamper.New(w.Net, scamperSrc, ipmeta.NorthAmerica)
+	pr := scamper.New(w.Net, scamperSrc)
 	defer pr.Close()
 	// Stagger trains across several hours so some land inside congestion
 	// and buffered-outage episodes; correlation is what happens *within*

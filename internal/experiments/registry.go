@@ -7,7 +7,6 @@ import (
 
 	"timeouts/internal/core"
 	"timeouts/internal/ipaddr"
-	"timeouts/internal/ipmeta"
 	"timeouts/internal/outage"
 	"timeouts/internal/stats"
 )
@@ -169,8 +168,7 @@ func (l *Lab) Outage() (Report, error) {
 	for _, timeout := range []time.Duration{time.Second, 3 * time.Second, 5 * time.Second, 20 * time.Second, 60 * time.Second} {
 		w := NewWorld(l.popCfg)
 		cfg := outage.HostMonitorConfig{
-			Src: outageSrc, Continent: ipmeta.NorthAmerica,
-			Timeout: timeout, Retries: 3, Rounds: 6,
+			Src: outageSrc, Timeout: timeout, Retries: 3, Rounds: 6,
 		}
 		repAll := outage.MonitorHosts(w.Net, cfg, targets)
 		w2 := NewWorld(l.popCfg)
@@ -206,7 +204,7 @@ func (l *Lab) Outage() (Report, error) {
 	// 60s) vs a Trinocular-style belief detector at 3s.
 	w3 := NewWorld(l.popCfg)
 	tcp := outage.MonitorTCPStyle(w3.Net, outage.StrategyConfig{
-		Src: outageSrc, Continent: ipmeta.NorthAmerica, Rounds: 6,
+		Src: outageSrc, Rounds: 6,
 	}, slow)
 	var tcpDown, tcpRounds, tcpLate int
 	for _, r := range tcp {
@@ -224,7 +222,7 @@ func (l *Lab) Outage() (Report, error) {
 		tri = append(tri, outage.TrinocularBlock{Prefix: pfx, Addrs: as, Availability: 0.9})
 	}
 	triReps := outage.MonitorTrinocular(w4.Net, outage.TrinocularConfig{
-		Src: outageSrc, Continent: ipmeta.NorthAmerica, Rounds: 6,
+		Src: outageSrc, Rounds: 6,
 	}, tri)
 	var triDown, triRounds int
 	for _, r := range triReps {
@@ -325,24 +323,37 @@ func (l *Lab) AblFilter() (Report, error) {
 
 // AblDup — sweep the duplicate-filter threshold: the paper chose 4 so that
 // a duplicated direct response plus a duplicated broadcast response is not
-// discarded.
+// discarded. The threshold enters only an address's verdict (Duplicate is
+// MaxResponses > DuplicateMax), so the lab's one match serves every
+// threshold: at k, Table 1 drops each address not marked broadcast whose
+// MaxResponses exceeds k, with all its response packets.
 func (l *Lab) AblDup() (Report, error) {
-	recs, _, err := l.Survey()
+	res, err := l.Match()
 	if err != nil {
 		return Report{}, err
 	}
+	thresholds := []int{2, 3, 4, 8, 16}
+	addrs := make([]uint64, len(thresholds))
+	packets := make([]uint64, len(thresholds))
+	res.Range(func(_ ipaddr.Addr, ar *core.AddressResult) {
+		if ar.Broadcast {
+			return
+		}
+		for i, k := range thresholds {
+			if ar.MaxResponses > k {
+				addrs[i]++
+				packets[i] += ar.ResponsePackets()
+			}
+		}
+	})
 	var b strings.Builder
 	fmt.Fprintf(&b, "%10s %14s %16s\n", "threshold", "addrs dropped", "packets dropped")
 	var at4 uint64
-	for _, maxDup := range []int{2, 3, 4, 8, 16} {
-		opt := core.MatchOptionsForCycles(l.Scale.SurveyCycles)
-		opt.DuplicateMax = maxDup
-		res := core.Match(recs, opt)
-		t := res.BuildTable1()
-		if maxDup == 4 {
-			at4 = t.DuplicateAddrs
+	for i, k := range thresholds {
+		if k == 4 {
+			at4 = addrs[i]
 		}
-		fmt.Fprintf(&b, "%10d %14d %16d\n", maxDup, t.DuplicateAddrs, t.DuplicatePackets)
+		fmt.Fprintf(&b, "%10d %14d %16d\n", k, addrs[i], packets[i])
 	}
 	return Report{
 		ID:    "abl-dup",

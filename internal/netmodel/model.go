@@ -138,17 +138,6 @@ func (m *Model) Respond(from ipaddr.Addr, at simnet.Time, pkt []byte) []simnet.D
 		return nil // a malformed probe dies in the network
 	}
 	t := at.Seconds()
-	// TTL expiry: a probe whose TTL is smaller than the path's hop count
-	// dies at that router, which answers with ICMP time exceeded — the
-	// mechanism traceroute exploits. No path is longer than maxHostHops,
-	// so a probe whose TTL is at least that (the probers send 64) skips
-	// the hop draw.
-	if p.IP.TTL > 0 && p.IP.TTL < maxHostHops {
-		h := xrand.Hash(m.pop.cfg.Seed, uint64(p.IP.Dst))
-		if hops := m.pop.hostHops(vc, p.IP.Dst, h); int(p.IP.TTL) < hops {
-			return m.timeExceeded(vc, from, p, h, hops, t)
-		}
-	}
 	switch {
 	case p.Echo != nil && p.Echo.Type == wire.ICMPTypeEchoRequest:
 		m.Stats.EchoProbes++
@@ -293,32 +282,6 @@ func (m *Model) respondBroadcast(vc ipmeta.Continent, from ipaddr.Addr, p *wire.
 		m.Stats.BroadcastFanouts++
 	}
 	return out
-}
-
-// timeExceeded answers a TTL-expired probe from the router at that hop of
-// the destination's hops-long path; h is the destination's address hash.
-// The delay scales with how far along the path the probe died.
-func (m *Model) timeExceeded(vc ipmeta.Continent, from ipaddr.Addr, p *wire.Packet, h uint64, hops int, t float64) []simnet.Delivery {
-	dst := p.IP.Dst
-	hop := int(p.IP.TTL)
-	router := m.pop.RouterAddr(vc, dst, hop)
-	spec, ok := m.pop.spec(dst.Prefix())
-	cont := vc
-	if ok && hop > hops/2 {
-		cont = spec.AS.Continent
-	}
-	frac := float64(hop) / float64(hops)
-	rng := xrand.FromHash(xrand.Extend(h, saltGwJitter, usOf(t), uint64(hop)))
-	// Routers rate-limit ICMP generation (RFC 1812); drop some requests.
-	if rng.Float64() < 0.08 {
-		return nil
-	}
-	delay := propRTT[vc][cont]*frac*(0.9+0.2*rng.Float64()) + 0.004 + rng.Exp(0.01)
-	ttl := byte(255 - hop)
-	reply := wire.EncodeICMPErrorTTL(router, from, &wire.ICMPError{
-		Type: wire.ICMPTypeTimeExceeded, Code: 0, Original: m.quoteFor(p),
-	}, ttl)
-	return m.deliver(simnet.Delivery{Delay: durOf(delay), Data: reply})
 }
 
 // gatewayError emits a host-unreachable from the block gateway for a small

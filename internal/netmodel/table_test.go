@@ -195,8 +195,8 @@ func TestBlockTableMatchesOracle(t *testing.T) {
 					}
 					for _, octet := range []byte{0, 1, byte(pre) * 37, 254, 255} {
 						a := pre.Addr(octet)
-						if g, w := p.HostHops(vc, a), o.hostHops(vc, a); g != w || g > maxHostHops {
-							t.Fatalf("%s from %s: HostHops %d, oracle %d (bound %d)", a, vc, g, w, maxHostHops)
+						if g, w := p.hostHops(vc, a, xrand.Hash(p.cfg.Seed, uint64(a))), o.hostHops(vc, a); g != w {
+							t.Fatalf("%s from %s: hostHops %d, oracle %d", a, vc, g, w)
 						}
 						if g, w := p.ReplyTTL(vc, a), o.replyTTL(vc, a); g != w {
 							t.Fatalf("%s from %s: ReplyTTL %d, oracle %d", a, vc, g, w)
@@ -215,21 +215,6 @@ func TestBlockTableMatchesOracle(t *testing.T) {
 				check(pre, false)
 			}
 		})
-	}
-}
-
-// TestMaxHostHopsBoundsEveryPath pins the bound Respond uses to skip the
-// hop draw: the longest continental base plus the largest per-block and
-// per-host draws.
-func TestMaxHostHopsBoundsEveryPath(t *testing.T) {
-	longest := 0
-	for _, row := range baseHops {
-		for _, h := range row {
-			longest = max(longest, h)
-		}
-	}
-	if got := longest + 3 + 2; got != maxHostHops {
-		t.Errorf("longest modelled path is %d hops, maxHostHops is %d", got, maxHostHops)
 	}
 }
 

@@ -33,11 +33,6 @@ var baseHops = [ipmeta.NumContinents][ipmeta.NumContinents]int{
 	{20, 14, 20, 21, 15, 9},
 }
 
-// maxHostHops bounds hostHops: the largest baseHops entry (21) plus the
-// per-block (≤3) and per-host (≤2) draws. A probe whose TTL is at least this
-// cannot expire on any modelled path.
-const maxHostHops = 26
-
 // initialTTL returns the host's OS-stack initial TTL: most hosts 64 (unix
 // derivatives), many 128 (Windows), a few 255 (network gear, some unices).
 // h is the address hash xrand.Hash(seed, addr).
@@ -95,19 +90,6 @@ func (p *Population) FirewallTTL(vc ipmeta.Continent, pre ipaddr.Prefix24) byte 
 		ttl = 1
 	}
 	return byte(ttl)
-}
-
-// RouterAddr returns the deterministic address of the hop-th router on the
-// path from the vantage to the destination's block, in CGNAT space
-// (100.64.0.0/10) so router addresses never collide with the population.
-func (p *Population) RouterAddr(vc ipmeta.Continent, dst ipaddr.Addr, hop int) ipaddr.Addr {
-	h := xrand.Hash(p.cfg.Seed, uint64(dst.Prefix()), uint64(vc), uint64(hop), 0x7207)
-	return ipaddr.Addr(0x64400000 | uint32(h&0x003fffff))
-}
-
-// HostHops exposes the modeled hop count for tests and tools.
-func (p *Population) HostHops(vc ipmeta.Continent, a ipaddr.Addr) int {
-	return p.hostHops(vc, a, xrand.Hash(p.cfg.Seed, uint64(a)))
 }
 
 // GatewayTTL returns the TTL on ICMP errors from the block gateway.

@@ -208,17 +208,25 @@ type BenchDelta struct {
 // thresholdPct percent. Repeated entries for one (Name, Procs), as a
 // `-count N` run or several rounds of one binary produce, are first reduced
 // on each side to their median ns/op and median peak heap, so each
-// benchmark yields one delta. Benchmarks present on only one side are
-// skipped: a renamed or new benchmark is not a regression.
-func CompareBench(old, new []BenchResult, thresholdPct float64) []BenchDelta {
-	idx := make(map[benchKey]BenchResult, len(old))
-	for _, r := range medianBench(old) {
+// benchmark yields one delta. A benchmark present on only one side is not a
+// regression — it was renamed, added or deleted — but it is not covered
+// either, so it is returned, median-reduced and in order of first
+// appearance, in onlyOld or onlyNew.
+func CompareBench(old, new []BenchResult, thresholdPct float64) (out []BenchDelta, onlyOld, onlyNew []BenchResult) {
+	olds := medianBench(old)
+	idx := make(map[benchKey]BenchResult, len(olds))
+	for _, r := range olds {
 		idx[benchKey{r.Name, r.Procs}] = r
 	}
-	var out []BenchDelta
 	for _, r := range medianBench(new) {
-		o, ok := idx[benchKey{r.Name, r.Procs}]
-		if !ok || o.NsPerOp <= 0 {
+		k := benchKey{r.Name, r.Procs}
+		o, ok := idx[k]
+		if !ok {
+			onlyNew = append(onlyNew, r)
+			continue
+		}
+		delete(idx, k)
+		if o.NsPerOp <= 0 {
 			continue
 		}
 		pct := (r.NsPerOp - o.NsPerOp) / o.NsPerOp * 100
@@ -235,7 +243,12 @@ func CompareBench(old, new []BenchResult, thresholdPct float64) []BenchDelta {
 		}
 		out = append(out, d)
 	}
-	return out
+	for _, r := range olds {
+		if _, unmatched := idx[benchKey{r.Name, r.Procs}]; unmatched {
+			onlyOld = append(onlyOld, r)
+		}
+	}
+	return out, onlyOld, onlyNew
 }
 
 type benchKey struct {

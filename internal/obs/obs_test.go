@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -278,11 +279,18 @@ func TestCompareBench(t *testing.T) {
 	now := []BenchResult{
 		{Name: "ParallelScan/shards=1", Procs: 1, NsPerOp: 1200}, // +20%: regression
 		{Name: "SchedulerThroughput", Procs: 1, NsPerOp: 100},    // -50%: improvement
-		{Name: "Fresh", Procs: 1, NsPerOp: 10},                   // unmatched: skipped
+		{Name: "Fresh", Procs: 1, NsPerOp: 10},                   // unmatched: named, not compared
+		{Name: "Fresh", Procs: 1, NsPerOp: 30},
+		{Name: "SchedulerThroughput", Procs: 2, NsPerOp: 90}, // other procs: unmatched
 	}
-	deltas := CompareBench(old, now, 10)
+	deltas, onlyOld, onlyNew := CompareBench(old, now, 10)
 	if len(deltas) != 2 {
 		t.Fatalf("got %d deltas, want 2: %+v", len(deltas), deltas)
+	}
+	wantOld := []BenchResult{{Name: "Gone", Procs: 1, NsPerOp: 50}}
+	wantNew := []BenchResult{{Name: "Fresh", Procs: 1, NsPerOp: 20}, {Name: "SchedulerThroughput", Procs: 2, NsPerOp: 90}}
+	if !reflect.DeepEqual(onlyOld, wantOld) || !reflect.DeepEqual(onlyNew, wantNew) {
+		t.Errorf("only in old %+v, only in new %+v; want %+v and %+v", onlyOld, onlyNew, wantOld, wantNew)
 	}
 	byName := map[string]BenchDelta{}
 	for _, d := range deltas {
@@ -299,7 +307,7 @@ func TestCompareBench(t *testing.T) {
 		t.Error("WriteBenchDeltas did not report the regression")
 	}
 	// Just inside the threshold is not a regression.
-	if ds := CompareBench(old[:1], []BenchResult{{Name: "ParallelScan/shards=1", Procs: 1, NsPerOp: 1100}}, 10); ds[0].Regressed {
+	if ds, _, _ := CompareBench(old[:1], []BenchResult{{Name: "ParallelScan/shards=1", Procs: 1, NsPerOp: 1100}}, 10); ds[0].Regressed {
 		t.Errorf("+10.0%% flagged at a 10%% threshold: %+v", ds[0])
 	}
 }
@@ -322,7 +330,7 @@ func TestCompareBenchMedians(t *testing.T) {
 		{Name: "Analyze", Procs: 1, NsPerOp: 1300},
 		{Name: "Analyze", Procs: 1, NsPerOp: 1100},
 	}
-	deltas := CompareBench(old, now, 10)
+	deltas, _, _ := CompareBench(old, now, 10)
 	if len(deltas) != 2 {
 		t.Fatalf("got %d deltas, want one per (name, procs): %+v", len(deltas), deltas)
 	}
@@ -349,7 +357,7 @@ func TestCompareBenchPeakHeap(t *testing.T) {
 		// Peak appearing on only one side is not compared.
 		{Name: "NoPeak", Procs: 1, NsPerOp: 500, PeakHeapBytes: 1 << 20},
 	}
-	deltas := CompareBench(old, now, 10)
+	deltas, _, _ := CompareBench(old, now, 10)
 	if len(deltas) != 2 {
 		t.Fatalf("got %d deltas: %+v", len(deltas), deltas)
 	}

@@ -34,8 +34,7 @@ func Example_outagedetect() {
 	monitor := func(addrs []ipaddr.Addr, timeout time.Duration) (loss, down float64) {
 		_, net := world()
 		reps := outage.MonitorHosts(net, outage.HostMonitorConfig{
-			Src: src, Continent: ipmeta.NorthAmerica,
-			Timeout: timeout, Retries: 3, Rounds: 5,
+			Src: src, Timeout: timeout, Retries: 3, Rounds: 5,
 		}, addrs)
 		var probes, losses, downs, rounds int
 		for _, r := range reps {
@@ -105,8 +104,7 @@ func Example_outagedetect() {
 		blocks[a.Prefix()] = append(blocks[a.Prefix()], a)
 	}
 	breps := outage.MonitorBlocks(net2, outage.BlockMonitorConfig{
-		Src: src, Continent: ipmeta.NorthAmerica,
-		Timeout: 3 * time.Second, Rounds: 4,
+		Src: src, Timeout: 3 * time.Second, Rounds: 4,
 	}, blocks)
 	var outages, rounds int
 	for _, r := range breps {

@@ -1,10 +1,12 @@
 // Package outage implements the class of systems the paper's advice is
-// aimed at: active-probing outage detectors. Two simplified detectors are
-// provided — a Trinocular-style block monitor (Quan et al., SIGCOMM 2013)
-// and a Thunderping-style multi-vantage host monitor (Schulman & Spring,
-// IMC 2011) — both parameterized by the probe timeout, so the headline
-// consequence of the paper can be measured directly: short timeouts turn
-// high-latency (but healthy) hosts into false losses and false outages.
+// aimed at: active-probing outage detectors. It provides two simplified
+// Trinocular-style block monitors (Quan et al., SIGCOMM 2013), one
+// round-robin and one Bayesian, and a single-vantage Thunderping-style host
+// monitor with retries (Schulman & Spring, IMC 2011). Each is parameterized
+// by the probe timeout, so the headline consequence of the paper can be
+// measured directly: short timeouts turn high-latency (but healthy) hosts
+// into false losses and false outages. strategy.go adds §7's alternatives
+// to a single fixed timeout.
 package outage
 
 import (
@@ -12,7 +14,6 @@ import (
 	"time"
 
 	"timeouts/internal/ipaddr"
-	"timeouts/internal/ipmeta"
 	"timeouts/internal/simnet"
 	"timeouts/internal/transport"
 	"timeouts/internal/wire"
@@ -26,7 +27,7 @@ type probeKey struct {
 }
 
 // prober is a minimal ICMP prober with per-probe timeout callbacks, shared
-// by both detectors. Its probe I/O goes through a transport.SimTransport,
+// by every detector. Its probe I/O goes through a transport.SimTransport,
 // like every other prober's.
 type prober struct {
 	sched   *simnet.Scheduler
@@ -85,8 +86,7 @@ func (p *prober) receive(at simnet.Time, data []byte, count int) {
 
 // HostMonitorConfig parameterizes a Thunderping-style host monitor.
 type HostMonitorConfig struct {
-	Src       ipaddr.Addr
-	Continent ipmeta.Continent
+	Src ipaddr.Addr
 	// Interval between monitoring rounds per host.
 	Interval time.Duration
 	// Timeout per probe (the knob under study; Thunderping uses 3 s).
@@ -199,9 +199,8 @@ func (m *roundMonitor) attempt(try int) {
 
 // BlockMonitorConfig parameterizes a Trinocular-style /24 monitor.
 type BlockMonitorConfig struct {
-	Src       ipaddr.Addr
-	Continent ipmeta.Continent
-	Timeout   time.Duration
+	Src     ipaddr.Addr
+	Timeout time.Duration
 	// AdaptiveProbes is the probe budget per round before declaring a
 	// block outage (Trinocular sends up to 15 additional probes).
 	AdaptiveProbes int

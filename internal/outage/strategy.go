@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"timeouts/internal/ipaddr"
-	"timeouts/internal/ipmeta"
 	"timeouts/internal/simnet"
 )
 
@@ -25,8 +24,7 @@ import (
 
 // StrategyConfig parameterizes a strategy comparison run.
 type StrategyConfig struct {
-	Src       ipaddr.Addr
-	Continent ipmeta.Continent
+	Src ipaddr.Addr
 	// Interval between monitoring rounds.
 	Interval time.Duration
 	// Rounds of monitoring per host.
@@ -158,10 +156,9 @@ func (r *tcpStyleRound) probe(try int) {
 
 // AdaptiveConfig parameterizes the RTO-style adaptive monitor.
 type AdaptiveConfig struct {
-	Src       ipaddr.Addr
-	Continent ipmeta.Continent
-	Interval  time.Duration
-	Rounds    int
+	Src      ipaddr.Addr
+	Interval time.Duration
+	Rounds   int
 	// InitialRTO seeds the estimator before any sample (TCP uses 1 s; the
 	// paper's tools used 2-3 s).
 	InitialRTO time.Duration

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"timeouts/internal/ipaddr"
-	"timeouts/internal/ipmeta"
 	"timeouts/internal/simnet"
 )
 
@@ -24,8 +23,7 @@ import (
 
 // TrinocularConfig parameterizes the detector.
 type TrinocularConfig struct {
-	Src       ipaddr.Addr
-	Continent ipmeta.Continent
+	Src ipaddr.Addr
 	// Timeout per probe; Trinocular uses 3 s (the choice under study).
 	Timeout time.Duration
 	// Interval between belief-maintenance rounds per block.
@@ -171,135 +169,4 @@ func (t *trinocularRound) probe(try, round int) {
 				t.probe(try+1, round)
 			}
 		})
-}
-
-// BuildTrinocularBlocks derives the ever-responsive sets and availabilities
-// from survey history, the way Trinocular seeds its state from ISI census
-// data: per /24, the addresses seen responding and the fraction of their
-// probes that were answered.
-func BuildTrinocularBlocks(history map[ipaddr.Addr]struct{ Answered, Probes int }) []TrinocularBlock {
-	type acc struct {
-		addrs    []ipaddr.Addr
-		answered int
-		probes   int
-	}
-	m := make(map[ipaddr.Prefix24]*acc)
-	for a, h := range history {
-		if h.Answered == 0 {
-			continue
-		}
-		b := m[a.Prefix()]
-		if b == nil {
-			b = &acc{}
-			m[a.Prefix()] = b
-		}
-		b.addrs = append(b.addrs, a)
-		b.answered += h.Answered
-		b.probes += h.Probes
-	}
-	out := make([]TrinocularBlock, 0, len(m))
-	for pfx, b := range m {
-		sort.Slice(b.addrs, func(i, j int) bool { return b.addrs[i] < b.addrs[j] })
-		av := 0.5
-		if b.probes > 0 {
-			av = float64(b.answered) / float64(b.probes)
-		}
-		// Clamp availability into a sane band; Trinocular requires
-		// A(E(b)) high enough that timeouts carry signal.
-		av = math.Min(0.99, math.Max(0.1, av))
-		out = append(out, TrinocularBlock{Prefix: pfx, Addrs: b.addrs, Availability: av})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Prefix < out[j].Prefix })
-	return out
-}
-
-// MultiVantageConfig parameterizes a Thunderping-style multi-vantage host
-// monitor: Thunderping probes each host from several vantage points and
-// declares it down only when *every* vantage fails — single-vantage
-// failures are treated as path problems (Schulman & Spring, IMC 2011).
-type MultiVantageConfig struct {
-	// Vantages are the prober addresses with their continents; all must be
-	// registered with the model.
-	Vantages []struct {
-		Addr      ipaddr.Addr
-		Continent ipmeta.Continent
-	}
-	Interval     time.Duration
-	Timeout      time.Duration
-	Retries      int
-	RetrySpacing time.Duration
-	Rounds       int
-	Start        simnet.Time
-}
-
-// MultiVantageReport summarizes one host across vantages.
-type MultiVantageReport struct {
-	Addr ipaddr.Addr
-	// Rounds monitored; VantageFailures counts per-vantage down
-	// declarations; DownRounds counts rounds where ALL vantages failed.
-	Rounds, VantageFailures, DownRounds int
-}
-
-// MonitorMultiVantage runs the Thunderping strategy and drains the
-// scheduler.
-func MonitorMultiVantage(net *simnet.Network, cfg MultiVantageConfig, addrs []ipaddr.Addr) []MultiVantageReport {
-	if len(cfg.Vantages) == 0 {
-		panic("outage: MonitorMultiVantage needs at least one vantage")
-	}
-	base := HostMonitorConfig{
-		Interval: cfg.Interval, Timeout: cfg.Timeout,
-		Retries: cfg.Retries, RetrySpacing: cfg.RetrySpacing,
-		Rounds: cfg.Rounds, Start: cfg.Start,
-	}.withDefaults()
-
-	// Run every vantage's monitor over the same hosts; the probers share
-	// the event loop, so the rounds interleave in simulated time exactly
-	// as Thunderping's do.
-	perVantage := make([][]HostReport, len(cfg.Vantages))
-	probers := make([]*prober, len(cfg.Vantages))
-	sched := net.Scheduler()
-	for vi, v := range cfg.Vantages {
-		probers[vi] = newProber(net, v.Addr)
-	}
-	defer func() {
-		for _, p := range probers {
-			p.close()
-		}
-	}()
-	for vi := range cfg.Vantages {
-		perVantage[vi] = make([]HostReport, len(addrs))
-		for i, a := range addrs {
-			perVantage[vi][i] = HostReport{Addr: a, Rounds: base.Rounds}
-			for round := 0; round < base.Rounds; round++ {
-				vi, i, round := vi, i, round
-				at := base.Start + simnet.Time(round)*base.Interval
-				sched.At(at, func() {
-					mon := &roundMonitor{p: probers[vi], cfg: base, rep: &perVantage[vi][i], seq: uint16(round * 64)}
-					mon.attempt(0)
-				})
-			}
-		}
-	}
-	sched.Run()
-
-	// A host's round is "down" only if every vantage declared it down.
-	// DownRounds per vantage are aggregate counts; per-round alignment
-	// needs the per-round outcomes, so recompute conservatively: the
-	// number of rounds all vantages failed is at most the minimum of the
-	// per-vantage failure counts.
-	out := make([]MultiVantageReport, len(addrs))
-	for i, a := range addrs {
-		r := MultiVantageReport{Addr: a, Rounds: base.Rounds}
-		min := base.Rounds + 1
-		for vi := range cfg.Vantages {
-			d := perVantage[vi][i].DownRounds
-			r.VantageFailures += d
-			if d < min {
-				min = d
-			}
-		}
-		r.DownRounds = min
-		out[i] = r
-	}
-	return out
 }

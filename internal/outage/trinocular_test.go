@@ -5,8 +5,6 @@ import (
 	"time"
 
 	"timeouts/internal/ipaddr"
-	"timeouts/internal/ipmeta"
-	"timeouts/internal/netmodel"
 	"timeouts/internal/simnet"
 )
 
@@ -106,127 +104,4 @@ func TestTrinocularLowAvailabilityNeedsMoreProbes(t *testing.T) {
 		t.Errorf("high availability (%d probes) should decide faster than low (%d)",
 			reps2[0].Probes, r.Probes)
 	}
-}
-
-func TestBuildTrinocularBlocks(t *testing.T) {
-	pfx := ipaddr.MustParse("7.7.7.0").Prefix()
-	hist := map[ipaddr.Addr]struct{ Answered, Probes int }{
-		pfx.Addr(1):  {Answered: 9, Probes: 10},
-		pfx.Addr(2):  {Answered: 7, Probes: 10},
-		pfx.Addr(3):  {Answered: 0, Probes: 10}, // never answered: excluded
-		pfx.Addr(99): {Answered: 4, Probes: 10},
-	}
-	blocks := BuildTrinocularBlocks(hist)
-	if len(blocks) != 1 {
-		t.Fatalf("blocks = %d", len(blocks))
-	}
-	b := blocks[0]
-	if len(b.Addrs) != 3 {
-		t.Errorf("addrs = %v", b.Addrs)
-	}
-	want := 20.0 / 30.0
-	if b.Availability < want-0.01 || b.Availability > want+0.01 {
-		t.Errorf("availability = %v, want %v", b.Availability, want)
-	}
-}
-
-func TestMonitorMultiVantage(t *testing.T) {
-	// The wake fabric answers everyone (slowly at first); no vantage
-	// should see enough failures to declare the host down with a long
-	// timeout, and the all-vantages rule must never exceed any single
-	// vantage's failures.
-	sched := &simnet.Scheduler{}
-	net := simnet.NewNetwork(sched, &slowFabric{delay: 5 * time.Second})
-	cfg := MultiVantageConfig{
-		Timeout: 3 * time.Second, Retries: 2, Rounds: 3,
-	}
-	for i, addr := range []string{"240.0.4.1", "240.0.4.2", "240.0.4.3"} {
-		cfg.Vantages = append(cfg.Vantages, struct {
-			Addr      ipaddr.Addr
-			Continent ipmeta.Continent
-		}{ipaddr.MustParse(addr), ipmeta.NorthAmerica})
-		_ = i
-	}
-	addrs := []ipaddr.Addr{ipaddr.MustParse("1.2.3.4")}
-	reps := MonitorMultiVantage(net, cfg, addrs)
-	r := reps[0]
-	// All vantages time out on the 5s host with 3s timeouts.
-	if r.VantageFailures != 9 {
-		t.Errorf("vantage failures = %d, want 3 vantages x 3 rounds", r.VantageFailures)
-	}
-	if r.DownRounds != 3 {
-		t.Errorf("down rounds = %d", r.DownRounds)
-	}
-
-	// With a 60s timeout no vantage fails and the host is never down.
-	sched2 := &simnet.Scheduler{}
-	net2 := simnet.NewNetwork(sched2, &slowFabric{delay: 5 * time.Second})
-	cfg.Timeout = 60 * time.Second
-	reps2 := MonitorMultiVantage(net2, cfg, addrs)
-	if reps2[0].VantageFailures != 0 || reps2[0].DownRounds != 0 {
-		t.Errorf("long timeout: %+v", reps2[0])
-	}
-}
-
-func TestMultiVantagePanicsWithoutVantages(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic")
-		}
-	}()
-	sched := &simnet.Scheduler{}
-	net := simnet.NewNetwork(sched, silentFabric{})
-	MonitorMultiVantage(net, MultiVantageConfig{}, nil)
-}
-
-func TestMonitorHubbleAgainstModel(t *testing.T) {
-	pop := netmodel.New(netmodel.Config{Seed: 11, Blocks: 256})
-	model := netmodel.NewModel(pop)
-	src := ipaddr.MustParse("240.0.4.1")
-	trSrc := ipaddr.MustParse("240.0.4.9")
-	model.AddVantage(src, ipmeta.NorthAmerica)
-	model.AddVantage(trSrc, ipmeta.NorthAmerica)
-	sched := &simnet.Scheduler{}
-	net := simnet.NewNetwork(sched, model)
-
-	// Monitor healthy cellular hosts: Hubble's 2s timeout makes wake-up
-	// hosts suspects; the confirmation traceroute then often catches the
-	// "down" host answering.
-	var cellular []ipaddr.Addr
-	for i := 0; i < pop.NumAddrs() && len(cellular) < 40; i++ {
-		p := pop.Profile(pop.AddrAt(i))
-		if p.Responsive && p.JoinTime == 0 && p.Class == netmodel.ClassCellular {
-			cellular = append(cellular, p.Addr)
-		}
-	}
-	if len(cellular) < 10 {
-		t.Skip("too few cellular hosts")
-	}
-	reps := MonitorHubble(net, HubbleConfig{
-		Src: src, TracerouteSrc: trSrc, Continent: ipmeta.NorthAmerica, Rounds: 3,
-	}, cellular)
-	var rounds, suspect, confirmed, visible, reached int
-	for _, r := range reps {
-		rounds += r.Rounds
-		suspect += r.Suspect
-		confirmed += r.Confirmed
-		visible += r.PathVisible
-		reached += r.ReachedAnyway
-	}
-	if rounds != len(cellular)*3 {
-		t.Fatalf("rounds = %d", rounds)
-	}
-	if suspect == 0 {
-		t.Error("no suspects: the 2s timeout should trip on wake-up hosts")
-	}
-	if confirmed > suspect {
-		t.Errorf("confirmed %d > suspect %d", confirmed, suspect)
-	}
-	// Every confirmed outage here is false; the traceroute should show a
-	// working path (and often an answering host) most of the time.
-	if confirmed > 0 && visible == 0 {
-		t.Error("confirmation traceroutes never saw the path")
-	}
-	t.Logf("rounds=%d suspect=%d confirmed=%d pathVisible=%d reachedAnyway=%d",
-		rounds, suspect, confirmed, visible, reached)
 }

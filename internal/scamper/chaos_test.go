@@ -6,7 +6,6 @@ import (
 
 	"timeouts/internal/faults"
 	"timeouts/internal/ipaddr"
-	"timeouts/internal/ipmeta"
 	"timeouts/internal/simnet"
 )
 
@@ -17,7 +16,7 @@ func TestChaosCorruptRepliesCountedAsLoss(t *testing.T) {
 	sched := &simnet.Scheduler{}
 	net := simnet.NewNetwork(sched, &fixedFabric{delay: 40 * time.Millisecond})
 	net.SetFaults(&faults.Plan{Seed: 2, Wire: faults.WireConfig{CorruptRate: 1}})
-	pr := New(net, ipaddr.MustParse("240.0.3.1"), ipmeta.NorthAmerica)
+	pr := New(net, ipaddr.MustParse("240.0.3.1"))
 	dst := ipaddr.MustParse("1.2.3.4")
 	pr.SchedulePing(dst, ICMP, 0, 5, time.Second)
 	sched.Run()
@@ -42,7 +41,7 @@ func TestChaosFaultOffProberUnchanged(t *testing.T) {
 	sched := &simnet.Scheduler{}
 	net := simnet.NewNetwork(sched, &fixedFabric{delay: 40 * time.Millisecond})
 	net.SetFaults(&faults.Plan{Seed: 2})
-	pr := New(net, ipaddr.MustParse("240.0.3.1"), ipmeta.NorthAmerica)
+	pr := New(net, ipaddr.MustParse("240.0.3.1"))
 	dst := ipaddr.MustParse("1.2.3.4")
 	pr.SchedulePing(dst, ICMP, 0, 3, time.Second)
 	sched.Run()

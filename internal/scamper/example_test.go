@@ -27,7 +27,7 @@ func Example_protocolcmp() {
 	model.AddVantage(src, ipmeta.NorthAmerica)
 	sched := &simnet.Scheduler{}
 	net := simnet.NewNetwork(sched, model)
-	pr := scamper.New(net, src, ipmeta.NorthAmerica)
+	pr := scamper.New(net, src)
 	defer pr.Close()
 
 	// High-latency candidates: cellular and congested hosts. The paper's

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"timeouts/internal/ipaddr"
-	"timeouts/internal/ipmeta"
 	"timeouts/internal/obs"
 	"timeouts/internal/simnet"
 	"timeouts/internal/transport"
@@ -64,7 +63,6 @@ type Prober struct {
 	tr        *transport.SimTransport
 	sched     *simnet.Scheduler
 	src       ipaddr.Addr
-	continent ipmeta.Continent
 	nextToken uint16
 	pending   map[probeKey]*ProbeResult
 	results   []*ProbeResult
@@ -75,11 +73,6 @@ type Prober struct {
 	obsResponses *obs.Counter
 	obsDecodeErr *obs.Counter
 	obsRTT       *obs.Histogram
-
-	// traceroute state (see traceroute.go)
-	trPending map[tracerouteKey]*HopResult
-	trResults map[ipaddr.Addr][]*HopResult
-	sentAt    map[tracerouteKey]simnet.Time
 
 	// Hot-path scratch: reusable decoder and pooled probe buffer.
 	dec wire.Decoder
@@ -109,15 +102,13 @@ type probeKey struct {
 }
 
 // New attaches a prober at src.
-func New(net *simnet.Network, src ipaddr.Addr, continent ipmeta.Continent) *Prober {
+func New(net *simnet.Network, src ipaddr.Addr) *Prober {
 	p := &Prober{
 		net:       net,
 		sched:     net.Scheduler(),
 		src:       src,
-		continent: continent,
 		nextToken: 0x8000, // tokens double as source ports; stay ephemeral
 		pending:   make(map[probeKey]*ProbeResult),
-		sentAt:    make(map[tracerouteKey]simnet.Time),
 		buf:       wire.GetBuf(),
 	}
 	p.tr = transport.NewSim(net, src, p.receive)
@@ -146,9 +137,6 @@ func (p *Prober) SetObserver(reg *obs.Registry) {
 
 // Src returns the prober's source address.
 func (p *Prober) Src() ipaddr.Addr { return p.src }
-
-// Continent returns the prober's location.
-func (p *Prober) Continent() ipmeta.Continent { return p.continent }
 
 // SchedulePing schedules count probes of the given protocol to dst,
 // starting at start, spaced by interval. All probes of the train share one
@@ -221,9 +209,6 @@ func (p *Prober) receive(at simnet.Time, data []byte, count int) {
 	if err != nil {
 		p.decodeErr += uint64(count)
 		p.obsDecodeErr.Add(uint64(count))
-		return
-	}
-	if p.handleTraceroute(at, pkt) {
 		return
 	}
 	var key probeKey

@@ -50,7 +50,7 @@ func (f *fixedFabric) Respond(from ipaddr.Addr, at simnet.Time, pkt []byte) []si
 func fixedWorld(delay time.Duration, drop map[int]bool) (*simnet.Scheduler, *Prober) {
 	sched := &simnet.Scheduler{}
 	net := simnet.NewNetwork(sched, &fixedFabric{delay: delay, drop: drop})
-	pr := New(net, ipaddr.MustParse("240.0.3.1"), ipmeta.NorthAmerica)
+	pr := New(net, ipaddr.MustParse("240.0.3.1"))
 	return sched, pr
 }
 
@@ -191,7 +191,7 @@ func TestAgainstNetmodelFirewallTTL(t *testing.T) {
 	model.AddVantage(src, ipmeta.NorthAmerica)
 	sched := &simnet.Scheduler{}
 	net := simnet.NewNetwork(sched, model)
-	pr := New(net, src, ipmeta.NorthAmerica)
+	pr := New(net, src)
 	dst := fwBlock.Addr(33)
 	pr.SchedulePing(dst, TCP, 0, 3, time.Second)
 	sched.Run()
@@ -207,118 +207,5 @@ func TestAgainstNetmodelFirewallTTL(t *testing.T) {
 		if r.RTT > time.Second {
 			t.Errorf("firewall RST slow: %v", r.RTT)
 		}
-	}
-}
-
-func TestTraceroute(t *testing.T) {
-	pop := netmodel.New(netmodel.Config{Seed: 7, Blocks: 256})
-	model := netmodel.NewModel(pop)
-	src := ipaddr.MustParse("240.0.3.1")
-	model.AddVantage(src, ipmeta.NorthAmerica)
-	sched := &simnet.Scheduler{}
-	net := simnet.NewNetwork(sched, model)
-	pr := New(net, src, ipmeta.NorthAmerica)
-	defer pr.Close()
-
-	dst, ok := func() (ipaddr.Addr, bool) {
-		for i := 0; i < pop.NumAddrs(); i++ {
-			p := pop.Profile(pop.AddrAt(i))
-			if p.Responsive && p.JoinTime == 0 && p.Class == netmodel.ClassQuiet && p.LossRate < 0.01 {
-				return p.Addr, true
-			}
-		}
-		return 0, false
-	}()
-	if !ok {
-		t.Skip("no quiet host")
-	}
-	pr.ScheduleTraceroute(dst, 0, 30, 500*time.Millisecond)
-	sched.Run()
-
-	hops := pr.TracerouteResults(dst)
-	if len(hops) != 30 {
-		t.Fatalf("hops = %d", len(hops))
-	}
-	want := pop.HostHops(ipmeta.NorthAmerica, dst)
-	reached := pr.ReachedHop(dst)
-	if reached != want {
-		t.Errorf("reached at hop %d, model says %d", reached, want)
-	}
-	// Intermediate hops answer with time-exceeded from CGNAT routers.
-	answered := 0
-	for _, h := range hops {
-		if h.Hop < want && h.Responded {
-			answered++
-			if h.Reached {
-				t.Errorf("hop %d claims destination reached", h.Hop)
-			}
-			o1, _, _, _ := h.Responder.Octets()
-			if o1 != 100 {
-				t.Errorf("hop %d responder %s outside CGNAT router space", h.Hop, h.Responder)
-			}
-			if h.RTT <= 0 {
-				t.Errorf("hop %d RTT %v", h.Hop, h.RTT)
-			}
-		}
-		// Hops beyond the destination also reach it (TTL is ample).
-		if h.Hop > want && h.Responded && !h.Reached {
-			t.Errorf("hop %d responded without reaching", h.Hop)
-		}
-	}
-	if answered < (want-1)*3/4 {
-		t.Errorf("only %d of %d intermediate hops answered", answered, want-1)
-	}
-	// Hop RTTs grow along the path (roughly).
-	var first, last time.Duration
-	for _, h := range hops {
-		if h.Responded && h.Hop < want {
-			if first == 0 {
-				first = h.RTT
-			}
-			last = h.RTT
-		}
-	}
-	if first > 0 && last > 0 && last < first {
-		t.Errorf("path RTT shrank along the route: %v -> %v", first, last)
-	}
-}
-
-func TestTracerouteToUnresponsiveHost(t *testing.T) {
-	pop := netmodel.New(netmodel.Config{Seed: 7, Blocks: 256})
-	model := netmodel.NewModel(pop)
-	src := ipaddr.MustParse("240.0.3.1")
-	model.AddVantage(src, ipmeta.NorthAmerica)
-	sched := &simnet.Scheduler{}
-	net := simnet.NewNetwork(sched, model)
-	pr := New(net, src, ipmeta.NorthAmerica)
-	defer pr.Close()
-
-	dst, ok := func() (ipaddr.Addr, bool) {
-		for i := 0; i < pop.NumAddrs(); i++ {
-			p := pop.Profile(pop.AddrAt(i))
-			if !p.Responsive && !p.ICMPErrorResponder && !pop.BlockProfile(p.Addr.Prefix()).IsSpecial(p.Addr.LastOctet()) {
-				return p.Addr, true
-			}
-		}
-		return 0, false
-	}()
-	if !ok {
-		t.Skip("no silent address")
-	}
-	pr.ScheduleTraceroute(dst, 0, 30, 100*time.Millisecond)
-	sched.Run()
-	if pr.ReachedHop(dst) != 0 {
-		t.Error("unresponsive destination was 'reached'")
-	}
-	// The routers along the way still answer: the path is visible even
-	// though the host is not — exactly what Hubble uses traceroutes for.
-	answered := 0
-	for _, h := range pr.TracerouteResults(dst) {
-		if h.Responded {
-			answered++
-		}
-	}
-	if answered < 5 {
-		t.Errorf("only %d hops visible", answered)
 	}
 }

@@ -242,18 +242,3 @@ func (r *CompactReader) Read() (Record, error) {
 	r.rs.Records++
 	return rec, nil
 }
-
-// ReadAll drains the reader.
-func (r *CompactReader) ReadAll() ([]Record, error) {
-	var out []Record
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-}

@@ -175,18 +175,3 @@ func (r *Reader) Read() (Record, error) {
 		return rec, nil
 	}
 }
-
-// ReadAll drains the reader.
-func (r *Reader) ReadAll() ([]Record, error) {
-	var out []Record
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
-}

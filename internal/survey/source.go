@@ -61,8 +61,8 @@ type StatSource interface {
 // OpenSource sniffs the dataset format behind r — fixed binary ("TOSV"),
 // varint-compact ("TOSC"), or CSV (header row starting "type") — and returns
 // a streaming RecordSource positioned at the first record, plus the dataset
-// header (CSV carries none; its header is zero except Vantage '?'). Unlike
-// the ReadAll paths, nothing beyond the reader's buffer is materialized.
+// header (CSV carries none; its header is zero except Vantage '?'). Nothing
+// beyond the reader's buffer is materialized.
 func OpenSource(r io.Reader) (RecordSource, Header, error) {
 	src, hdr, err := openSource(r, false)
 	if err != nil {

@@ -61,9 +61,9 @@ func TestRecordFormatRoundtrip(t *testing.T) {
 	if h := r.Header(); h.Seed != 99 || h.Vantage != 'w' {
 		t.Errorf("header = %+v", h)
 	}
-	got, err := r.ReadAll()
+	got, err := DrainSource(r)
 	if err != nil {
-		t.Fatalf("ReadAll: %v", err)
+		t.Fatalf("DrainSource: %v", err)
 	}
 	if len(got) != len(recs) {
 		t.Fatalf("read %d records", len(got))
@@ -362,7 +362,7 @@ func TestCompactRoundtrip(t *testing.T) {
 	if h := r.Header(); h.Seed != 11 || h.Vantage != 'c' {
 		t.Errorf("header = %+v", h)
 	}
-	got, err := r.ReadAll()
+	got, err := DrainSource(r)
 	if err != nil {
 		t.Fatal(err)
 	}
