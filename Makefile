@@ -36,17 +36,18 @@ race:
 # timing wheel's dequeue order against a heap oracle (FuzzWheelVsHeap), the
 # dataset readers (FuzzOpenSource strict+lenient over all three formats,
 # FuzzCompactReader on the varint decoder), checkpoint round trips
-# (FuzzCheckpointRoundTrip), permutation ranks (FuzzPermutationRank), the
-# matcher and advisor store against the pre-kernel matcher, emission-order
-# check included (FuzzAttribution), and the 8-byte Internet checksum kernel
-# against the 16-bit loop (FuzzChecksum); seeds alone run in `make test`.
+# (FuzzCheckpointRoundTrip), the permutation's order and Seek resumption
+# (FuzzPermutation), the matcher and advisor store against the pre-kernel
+# matcher, emission-order check included (FuzzAttribution), and the 8-byte
+# Internet checksum kernel against the 16-bit loop (FuzzChecksum); seeds
+# alone run in `make test`.
 fuzz:
 	$(GO) test -run=Fuzz -fuzz=FuzzShardMerge -fuzztime=30s ./internal/simnet
 	$(GO) test -run=Fuzz -fuzz=FuzzWheelVsHeap -fuzztime=30s ./internal/simnet
 	$(GO) test -run=Fuzz -fuzz=FuzzOpenSource -fuzztime=30s ./internal/survey
 	$(GO) test -run=Fuzz -fuzz=FuzzCompactReader -fuzztime=30s ./internal/survey
 	$(GO) test -run=Fuzz -fuzz=FuzzCheckpointRoundTrip -fuzztime=30s ./internal/advisor
-	$(GO) test -run=Fuzz -fuzz=FuzzPermutationRank -fuzztime=30s ./internal/zmapper
+	$(GO) test -run=Fuzz -fuzz=FuzzPermutation -fuzztime=30s ./internal/zmapper
 	$(GO) test -run=Fuzz -fuzz=FuzzAttribution -fuzztime=30s ./internal/core
 	$(GO) test -run=Fuzz -fuzz=FuzzChecksum -fuzztime=30s ./internal/wire
 
@@ -57,7 +58,7 @@ fuzz-smoke:
 	$(GO) test -run=Fuzz -fuzz=FuzzOpenSource -fuzztime=10s ./internal/survey
 	$(GO) test -run=Fuzz -fuzz=FuzzCompactReader -fuzztime=10s ./internal/survey
 	$(GO) test -run=Fuzz -fuzz=FuzzCheckpointRoundTrip -fuzztime=10s ./internal/advisor
-	$(GO) test -run=Fuzz -fuzz=FuzzPermutationRank -fuzztime=10s ./internal/zmapper
+	$(GO) test -run=Fuzz -fuzz=FuzzPermutation -fuzztime=10s ./internal/zmapper
 	$(GO) test -run=Fuzz -fuzz=FuzzAttribution -fuzztime=10s ./internal/core
 	$(GO) test -run=Fuzz -fuzz=FuzzChecksum -fuzztime=10s ./internal/wire
 
@@ -181,11 +182,10 @@ obs-check:
 
 # The advice-serving suite, raced: the epoch-swap consistency hammer (many
 # readers on Lookup and the HTTP handler while a writer publishes epochs),
-# the shard-invariance check (sequential vs sharded vs merge-order ingest,
-# byte-identical snapshots), the ingest attribution rules, the zero-alloc
-# pin on the lock-free read path (TTL paths included), checkpoint
-# encode/decode and recovery, the supervised ingest loop, overload shedding
-# and graceful drain, plus the advisord binary end-to-end lifecycle test.
+# the ingest attribution rules, the zero-alloc pin on the lock-free read
+# path (TTL paths included), checkpoint encode/decode and recovery, the
+# supervised ingest loop, overload shedding and graceful drain, plus the
+# advisord binary end-to-end lifecycle test.
 # The ingest-loop tests then run ten more times under -race. The loop itself
 # runs on one goroutine, but other goroutines reach it while it runs: a
 # cancel arrives from another goroutine mid-Read, /healthz reads the loop's
@@ -225,7 +225,7 @@ check: build test race
 # tests, race pass on the concurrent packages, the fault-injection suite
 # under -race, the advisord kill/restore chaos suite, the observability
 # determinism suite, the transport suite (zero-alloc pin + differential,
-# raced), the advice-serving suite (epoch-swap hammer + shard invariance +
+# raced), the advice-serving suite (epoch-swap hammer +
 # serve/drain/ingest robustness, raced), the telemetry-plane suite
 # (exposition golden + scrape races + zero-alloc pin, raced), the
 # bounded-memory scale smoke, then a short fuzz smoke of every fuzz target.

@@ -462,9 +462,9 @@ func BenchmarkModelRespond(b *testing.B) {
 	n := pop.NumAddrs()
 	perm := zmapper.NewPermutation(n, 42)
 	echo := &wire.ICMPEcho{Type: wire.ICMPTypeEchoRequest, ID: 1, Seq: 2}
-	pkts := make([][]byte, n)
-	for i := range pkts {
-		pkts[i] = wire.EncodeEcho(src, pop.AddrAt(perm.At(i)), echo)
+	pkts := make([][]byte, 0, n)
+	for v, ok := perm.Next(); ok; v, ok = perm.Next() {
+		pkts = append(pkts, wire.EncodeEcho(src, pop.AddrAt(v), echo))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,7 +1,6 @@
 // Command advisord is the long-running timeout-advice service: it ingests a
-// survey dataset (or generates one in-process with the sim engine), builds
-// per-/24 latency sketches, and serves timeout recommendations over
-// HTTP/JSON:
+// survey dataset, builds per-/24 latency sketches, and serves timeout
+// recommendations over HTTP/JSON:
 //
 //	GET /timeout?addr=X[&capture=p][&coverage=r]  one recommendation
 //	GET /healthz                                  state + epoch + snapshot age + ingest lag
@@ -10,9 +9,7 @@
 //
 // Usage:
 //
-//	advisord -i survey.tosv [-listen :8080]
-//	advisord -sim [-blocks 512] [-cycles 24] [-seed 42] [-vantage w]
-//	         [-parallel N] [-listen :8080]
+//	advisord -i survey.tosv [-listen :8080] [-seed 42]
 //	advisord -checkpoint-dir DIR   # recover and serve, no ingest needed
 //	         [-checkpoint-keep N] [-checkpoint-every RECORDS]
 //	         [-checkpoint-interval D] [-stale-after D]
@@ -25,10 +22,7 @@
 // With -i, the dataset is streamed through the advisor's resilient ingest
 // loop (delayed responses recovered by core's §3.3 attribution kernel, which
 // the store drives record by record; corrupt records counted and skipped) —
-// memory stays proportional to the number of /24 prefixes, not records. With -sim, the same survey the
-// surveyor would write to disk is probed straight into the store; -parallel N
-// uses the sharded engine, whose published advice is byte-identical to the
-// sequential run.
+// memory stays proportional to the number of /24 prefixes, not records.
 //
 // With -checkpoint-dir, the store is checkpointed durably (temp file +
 // atomic rename, newest -checkpoint-keep generations retained) and recovered
@@ -48,27 +42,19 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
 	"timeouts/internal/advisor"
-	"timeouts/internal/netmodel"
 	"timeouts/internal/obs"
-	"timeouts/internal/simnet"
 	"timeouts/internal/survey"
 )
 
 func main() {
 	var (
-		in       = flag.String("i", "", "survey dataset to ingest (any format cmd/analyze reads)")
-		listen   = flag.String("listen", ":8080", "HTTP listen address")
-		sim      = flag.Bool("sim", false, "generate the ingest in-process with the sim engine")
-		blocks   = flag.Int("blocks", 512, "-sim: population size in /24 blocks")
-		cycles   = flag.Int("cycles", 24, "-sim: probing rounds")
-		seed     = flag.Uint64("seed", 42, "-sim: population seed; -i: ingest retry backoff jitter")
-		vantage  = flag.String("vantage", "w", "-sim: vantage point: w, c, j or g")
-		parallel = flag.Int("parallel", 1, "-sim: shard count (1 = sequential, 0 = one per CPU)")
+		in     = flag.String("i", "", "survey dataset to ingest (any format cmd/analyze reads)")
+		listen = flag.String("listen", ":8080", "HTTP listen address")
+		seed   = flag.Uint64("seed", 42, "ingest retry backoff jitter")
 
 		ckptDir      = flag.String("checkpoint-dir", "", "durable checkpoint directory (recovery source and save target)")
 		ckptKeep     = flag.Int("checkpoint-keep", 3, "checkpoint generations to retain")
@@ -88,9 +74,6 @@ func main() {
 	)
 	cli := obs.RegisterCLI()
 	flag.Parse()
-	if *parallel == 0 {
-		*parallel = runtime.GOMAXPROCS(0)
-	}
 	if err := cli.Init(); err != nil {
 		fail(err)
 	}
@@ -137,16 +120,9 @@ func main() {
 	}
 	st.SetObserver(reg)
 
-	if *in == "" && !*sim && !recovered {
-		fmt.Fprintln(os.Stderr, "advisord: need -i DATASET, -sim, or a recoverable -checkpoint-dir (see -h)")
+	if *in == "" && !recovered {
+		fmt.Fprintln(os.Stderr, "advisord: need -i DATASET or a recoverable -checkpoint-dir (see -h)")
 		os.Exit(2)
-	}
-	popCfg := netmodel.Config{Seed: *seed, Blocks: *blocks}
-	if *sim {
-		if err := popCfg.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "advisord:", err)
-			os.Exit(2)
-		}
 	}
 
 	// Bind and serve before ingest: /healthz answers (and reports
@@ -207,9 +183,8 @@ func main() {
 		})
 	}()
 
-	start := time.Now()
-	switch {
-	case *in != "":
+	if *in != "" {
+		start := time.Now()
 		var f *os.File
 		stats, err := advisor.RunIngest(ctx, advisor.IngestConfig{
 			Open: func() (survey.RecordSource, error) {
@@ -239,47 +214,6 @@ func main() {
 		}
 		fmt.Printf("ingested %d records (%d skipped) from %s in %v\n",
 			stats.Records, stats.Skipped, *in, time.Since(start).Round(time.Millisecond))
-	case *sim:
-		var vp survey.Vantage
-		found := false
-		for _, v := range survey.Vantages {
-			if string(v.Name) == *vantage {
-				vp, found = v, true
-			}
-		}
-		if !found {
-			fmt.Fprintf(os.Stderr, "advisord: unknown vantage %q\n", *vantage)
-			os.Exit(2)
-		}
-		pop := netmodel.New(popCfg)
-		cfg := survey.Config{
-			Vantage: vp,
-			Blocks:  pop.Blocks(),
-			Cycles:  *cycles,
-			Seed:    *seed,
-			Obs:     reg,
-			Trace:   cli.Tracer,
-		}
-		fabric := func(int) simnet.Fabric {
-			model := netmodel.NewModel(pop)
-			model.AddVantage(vp.Addr, vp.Continent)
-			return model
-		}
-		var err error
-		if *parallel > 1 {
-			_, err = survey.RunSharded(cfg, *parallel, fabric, st)
-		} else {
-			_, err = survey.Run(simnet.NewNetwork(&simnet.Scheduler{}, fabric(0)), cfg, st)
-		}
-		if err != nil {
-			fail(err)
-		}
-		adv.Publish(st)
-		if _, err := ck.Save(st, adv.Current().Epoch()); err != nil {
-			fmt.Fprintln(os.Stderr, "advisord: checkpoint:", err)
-		}
-		fmt.Printf("surveyed %d blocks x %d cycles from %c in %v\n",
-			*blocks, *cycles, vp.Name, time.Since(start).Round(time.Millisecond))
 	}
 
 	if snap := adv.Current(); snap != nil {
@@ -288,7 +222,7 @@ func main() {
 		gate.SetState(advisor.GateServing)
 	}
 
-	if err := cli.Finish("advisord", *seed, *parallel, nil); err != nil {
+	if err := cli.Finish("advisord", *seed, 1, nil); err != nil {
 		fail(err)
 	}
 

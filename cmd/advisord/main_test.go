@@ -176,7 +176,7 @@ func TestAdvisordEndToEnd(t *testing.T) {
 		t.Fatalf("no checkpoint generations in %s (%v)", ckptDir, err)
 	}
 
-	// Restart from the checkpoint alone: no -i, no -sim. It must recover,
+	// Restart from the checkpoint alone, with no -i. It must recover,
 	// open the gate immediately, and serve the same advice epoch.
 	p2 := startAdvisord(t, bin, "-checkpoint-dir", ckptDir)
 	code, body = p2.get(t, "/healthz")
@@ -206,7 +206,8 @@ func TestAdvisordEndToEnd(t *testing.T) {
 // TestAdvisordMetricsAndAccessLog drives the telemetry plane on the real
 // binary: /metrics serves Prometheus text (serve histograms, live ingest
 // series, runtime collectors, watchdog quantiles after a tick) and the
-// sampled access log lands as parseable JSONL.
+// sampled access log lands as parseable JSONL. With no checkpoint directory
+// configured, SIGTERM must still drain and exit 0.
 func TestAdvisordMetricsAndAccessLog(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary")
@@ -276,8 +277,12 @@ func TestAdvisordMetricsAndAccessLog(t *testing.T) {
 	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.wait(t); err != nil {
-		t.Fatalf("exit after SIGTERM: %v", err)
+	out, err := p.wait(t)
+	if err != nil {
+		t.Fatalf("exit after SIGTERM: %v (output %q)", err, out)
+	}
+	if !strings.Contains(strings.Join(out, "\n"), "drained") {
+		t.Errorf("missing drain confirmation: %q", out)
 	}
 	logData, err := os.ReadFile(logPath)
 	if err != nil {
@@ -300,7 +305,7 @@ func TestAdvisordMetricsAndAccessLog(t *testing.T) {
 	}
 }
 
-// TestAdvisordRequiresInput pins the operator error: no dataset, no sim, no
+// TestAdvisordRequiresInput pins the operator error: no dataset and no
 // recoverable checkpoint directory must exit 2 before binding the listener.
 func TestAdvisordRequiresInput(t *testing.T) {
 	if testing.Short() {
@@ -315,63 +320,5 @@ func TestAdvisordRequiresInput(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "need -i DATASET") {
 		t.Errorf("usage hint missing: %q", out)
-	}
-}
-
-// TestAdvisordSimRejectsTooFewBlocks pins the flag check: a -sim
-// population too small for the AS catalog must exit 2 with the reason,
-// before binding the listener, not crash with a stack trace.
-func TestAdvisordSimRejectsTooFewBlocks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the binary")
-	}
-	bin := buildAdvisord(t)
-	cmd := exec.Command(bin, "-listen", "127.0.0.1:0", "-sim", "-blocks", "8")
-	out, err := cmd.CombinedOutput()
-	var exitErr *exec.ExitError
-	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 2 {
-		t.Fatalf("exit = %v (output %q), want exit code 2", err, out)
-	}
-	if strings.Contains(string(out), "panic") || strings.Contains(string(out), "serving on") {
-		t.Errorf("output %q: want a flag error before serving, no panic", out)
-	}
-	if !strings.Contains(string(out), "8 blocks cannot cover") {
-		t.Errorf("reason missing: %q", out)
-	}
-}
-
-// TestAdvisordSimServesAndDrains covers the -sim boot path end to end with a
-// tiny population: advice must come from the in-process survey and SIGTERM
-// must still exit 0 even with no checkpoint directory configured.
-func TestAdvisordSimServesAndDrains(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the binary")
-	}
-	bin := buildAdvisord(t)
-	p := startAdvisord(t, bin, "-sim", "-blocks", "64", "-cycles", "2")
-
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		_, body := p.get(t, "/healthz")
-		if strings.Contains(body, `"state":"serving"`) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sim never reached serving; last health: %s", body)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if code, body := p.get(t, "/snapshot"); code != http.StatusOK || !strings.Contains(body, "prefixes") {
-		t.Fatalf("/snapshot = %d %s", code, body)
-	}
-	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	lines, err := p.wait(t)
-	if err != nil {
-		t.Fatalf("exit after SIGTERM: %v (output %q)", err, lines)
-	}
-	if !strings.Contains(strings.Join(lines, "\n"), "drained") {
-		t.Errorf("missing drain confirmation: %q", lines)
 	}
 }

@@ -124,9 +124,9 @@ func encodeSnapshot(t *testing.T, snap *Snapshot) []byte {
 
 // TestSnapshotRankOrderInvalidation pins every way the store's prefix set
 // grows after a publish has shared its rank order: a record reaching a new
-// prefix, a Merge that brings new prefixes along with shared ones, and a
-// checkpoint decoded into a fresh store. Each publish afterwards must
-// encode exactly as a store built from scratch with the same samples.
+// prefix, and a checkpoint decoded into a fresh store. Each publish
+// afterwards must encode exactly as a store built from scratch with the
+// same samples.
 func TestSnapshotRankOrderInvalidation(t *testing.T) {
 	recs := func(from, to int) []survey.Record {
 		var out []survey.Record
@@ -140,20 +140,16 @@ func TestSnapshotRankOrderInvalidation(t *testing.T) {
 		}
 		return out
 	}
-	fresh := func(epoch uint64, parts ...[]survey.Record) []byte {
-		st := NewStore()
-		for _, part := range parts {
-			for _, r := range part {
-				st.Observe(r)
-			}
-		}
-		st.rerank = true // rank the sketch map itself, whatever the store tracked
-		return encodeSnapshot(t, st.Snapshot(epoch))
-	}
 	feed := func(st *Store, recs []survey.Record) {
 		for _, r := range recs {
 			st.Observe(r)
 		}
+	}
+	fresh := func(epoch uint64, recs []survey.Record) []byte {
+		st := NewStore()
+		feed(st, recs)
+		st.rerank = true // rank the sketch map itself, whatever the store tracked
+		return encodeSnapshot(t, st.Snapshot(epoch))
 	}
 
 	t.Run("prefix-added", func(t *testing.T) {
@@ -163,17 +159,6 @@ func TestSnapshotRankOrderInvalidation(t *testing.T) {
 		feed(st, recs(20, 60)) // prefixes 20–39, and 0–19 again
 		if got, want := encodeSnapshot(t, st.Snapshot(2)), fresh(2, recs(0, 60)); !bytes.Equal(got, want) {
 			t.Errorf("publish after new prefixes:\n%s\nwant\n%s", got, want)
-		}
-	})
-
-	t.Run("merge", func(t *testing.T) {
-		acc, shard := NewStore(), NewStore()
-		feed(acc, recs(0, 25))      // prefixes 0–24
-		feed(shard, recs(100, 135)) // prefixes 20–39 and 0–14: shared and new
-		acc.Snapshot(1)
-		acc.Merge(shard)
-		if got, want := encodeSnapshot(t, acc.Snapshot(2)), fresh(2, recs(0, 25), recs(100, 135)); !bytes.Equal(got, want) {
-			t.Errorf("publish after Merge:\n%s\nwant\n%s", got, want)
 		}
 	})
 
@@ -253,35 +238,6 @@ func TestSnapshotAliasingAcrossPublishes(t *testing.T) {
 	}
 	if got := adv.Current().Prefixes(); got != 264 {
 		t.Errorf("current snapshot has %d prefixes, want 264", got)
-	}
-}
-
-// nearestRankUint64 is nearestRank as it converted through uint64: the
-// reference for the int64 conversion.
-func nearestRankUint64(p float64, n uint64) uint64 {
-	target := uint64(p / 100 * float64(n))
-	if float64(target) < p/100*float64(n) || target == 0 {
-		target++
-	}
-	return min(target, n)
-}
-
-func TestNearestRankMatchesUint64Form(t *testing.T) {
-	for n := uint64(0); n < 1<<21; n++ {
-		for _, p := range stats.StandardPercentiles {
-			if got, want := nearestRank(p, n), nearestRankUint64(p, n); got != want {
-				t.Fatalf("nearestRank(%v, %d) = %d, uint64 form %d", p, n, got, want)
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(53))
-	for k := 0; k < 1<<16; k++ {
-		n := uint64(rng.Int63n(1 << 53))
-		for _, p := range stats.StandardPercentiles {
-			if got, want := nearestRank(p, n), nearestRankUint64(p, n); got != want {
-				t.Fatalf("nearestRank(%v, %d) = %d, uint64 form %d", p, n, got, want)
-			}
-		}
 	}
 }
 

@@ -164,10 +164,7 @@ func (g *Gate) Wrap(h http.Handler) http.Handler {
 	})
 }
 
-// ServerConfig configures RunServer. The zero value of every timeout gets a
-// production default — advisord must never run a server with unset
-// (infinite) timeouts; a single slowloris client would otherwise pin a
-// connection, and enough of them exhaust the listener.
+// ServerConfig configures RunServer.
 type ServerConfig struct {
 	// Listener is the accepting socket (required): callers bind it
 	// themselves so tests can use :0 and main can print the bound address
@@ -182,16 +179,6 @@ type ServerConfig struct {
 	// long to finish before the server closes their connections
 	// (default 10s).
 	DrainTimeout time.Duration
-	// ReadHeaderTimeout bounds the wait for request headers — the
-	// slowloris defense (default 5s).
-	ReadHeaderTimeout time.Duration
-	// ReadTimeout bounds reading an entire request (default 15s).
-	ReadTimeout time.Duration
-	// WriteTimeout bounds writing a response — the serving-side request
-	// deadline backstop (default 30s).
-	WriteTimeout time.Duration
-	// IdleTimeout bounds idle keep-alive connections (default 120s).
-	IdleTimeout time.Duration
 }
 
 // defaulted returns d, or def when d is zero.
@@ -210,12 +197,16 @@ func defaulted(d, def time.Duration) time.Duration {
 // contract. A non-context server failure (listener torn down, handler
 // panic storm) is returned as-is.
 func RunServer(ctx context.Context, cfg ServerConfig) error {
+	// Every server timeout is set: advisord must never run with unset
+	// (infinite) ones, or a single slowloris client pins a connection and
+	// enough of them exhaust the listener. WriteTimeout backstops the
+	// per-request deadline.
 	srv := &http.Server{
 		Handler:           cfg.Handler,
-		ReadHeaderTimeout: defaulted(cfg.ReadHeaderTimeout, 5*time.Second),
-		ReadTimeout:       defaulted(cfg.ReadTimeout, 15*time.Second),
-		WriteTimeout:      defaulted(cfg.WriteTimeout, 30*time.Second),
-		IdleTimeout:       defaulted(cfg.IdleTimeout, 120*time.Second),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       15 * time.Second,
+		WriteTimeout:      30 * time.Second,
+		IdleTimeout:       120 * time.Second,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(cfg.Listener) }()

@@ -1,8 +1,7 @@
 // Package advisor is the timeout-recommendation serving layer: the paper's
 // actual deliverable — "wait this long for this destination" (§8, Table 2) —
-// productized as a long-running service. It ingests probe/record streams
-// (survey datasets or the sharded sim engine) into compact per-/24 quantile
-// sketches, and answers
+// productized as a long-running service. It ingests survey record streams
+// into compact per-/24 quantile sketches, and answers
 //
 //	GET /timeout?addr=X&capture=p&coverage=r
 //
@@ -15,9 +14,9 @@
 // aggregation insight (PAPERS.md): destinations in one /24 share path and
 // anomaly behavior, so prefix sketches need orders of magnitude less memory
 // while advice still tracks per-destination regimes. Sketches are fixed-size
-// bucket-count arrays, mergeable across shards by pure addition with the
-// same commutative discipline as obs.Registry.Merge, so a sharded ingest
-// publishes advice byte-identical to a sequential one.
+// bucket-count arrays, and a snapshot is a pure function of their counts, so
+// the published advice depends on the record stream alone; the survey
+// engine writes the same stream at any shard count.
 //
 // The read path is lock-free: Publish builds an immutable Snapshot — sorted
 // prefix index, flat quantile arrays, no maps — and swaps it in atomically
@@ -37,7 +36,7 @@ import (
 // The advice bucket ladder: a 1-1.5-2-3-5-7 subdivision of each decade from
 // 100 µs through 100 s, capped at 1000 s. It is finer than the obs metric
 // ladder (whose job is threshold reporting, not advice) but still compact:
-// numBuckets uint64 counts per /24 prefix, fixed, mergeable by addition.
+// numBuckets uint64 counts per /24 prefix, fixed.
 // Quantile reads return the upper bound of the target bucket, so advice is
 // always conservative — a recommended timeout is never below the true
 // quantile it names.
@@ -71,9 +70,7 @@ func buildBounds() (out [numBuckets - 1]time.Duration) {
 }
 
 // Sketch is one prefix's latency distribution in bounded space: a count per
-// ladder bucket. Sketches merge by bucket addition — commutative and
-// associative, like obs histogram merges — which is what makes per-shard
-// ingest order-independent and its published advice deterministic.
+// ladder bucket.
 type Sketch struct {
 	n      uint64
 	counts []uint64
@@ -110,29 +107,6 @@ func (s *Sketch) AddN(d time.Duration, n uint64) {
 // N returns the sample count.
 func (s *Sketch) N() uint64 { return s.n }
 
-// Merge adds other's buckets into s.
-func (s *Sketch) Merge(other *Sketch) {
-	for i, c := range other.counts {
-		s.counts[i] += c
-	}
-	s.n += other.n
-}
-
-// nearestRank returns the 1-based nearest rank of the p-th percentile
-// among n > 0 samples: ceil(p/100·n), clamped to [1, n] — stats.Percentile's
-// rank rule. It is monotone in p, which is what lets levelBuckets read
-// ascending levels in one pass. The ceiling goes through int64, which
-// converts in one instruction where uint64 needs a branch; both agree for
-// n < 2^63.
-func nearestRank(p float64, n uint64) uint64 {
-	x := p / 100 * float64(n)
-	target := int64(x)
-	if float64(target) < x || target == 0 {
-		target++ // ceil, and at least rank 1
-	}
-	return min(uint64(target), n)
-}
-
 // bucketValue is the advice a rank landing in bucket i reads as: the
 // bucket's upper boundary, or maxAdvice for the overflow bucket.
 func bucketValue(i int) time.Duration {
@@ -150,7 +124,7 @@ func (s *Sketch) Quantile(p float64) (d time.Duration, ok bool) {
 	if s.n == 0 {
 		return 0, false
 	}
-	target := nearestRank(p, s.n)
+	target := stats.NearestRank(p, s.n)
 	var cum uint64
 	for i, c := range s.counts {
 		cum += c
@@ -170,7 +144,7 @@ func (s *Sketch) Quantile(p float64) (d time.Duration, ok bool) {
 // rows it is a column of the population matrix.
 func levelBuckets(counts []uint64, n uint64, row *[nLevels]int) {
 	lv := 0
-	target := nearestRank(stats.StandardPercentiles[0], n)
+	target := stats.NearestRank(stats.StandardPercentiles[0], n)
 	var cum uint64
 	for i, c := range counts {
 		cum += c
@@ -179,7 +153,7 @@ func levelBuckets(counts []uint64, n uint64, row *[nLevels]int) {
 			if lv++; lv == nLevels {
 				return
 			}
-			target = nearestRank(stats.StandardPercentiles[lv], n)
+			target = stats.NearestRank(stats.StandardPercentiles[lv], n)
 		}
 	}
 }

@@ -166,10 +166,6 @@ func (s *Snapshot) Prefixes() int { return len(s.prefixes) }
 // Samples returns the total sample count across all prefixes.
 func (s *Snapshot) Samples() uint64 { return s.total }
 
-// Matrix returns the population fallback matrix ("capture p% of pings from
-// r% of prefixes").
-func (s *Snapshot) Matrix() stats.TimeoutMatrix { return s.matrix }
-
 // rank resolves a prefix to its index in the sorted prefix array.
 func (s *Snapshot) rank(p ipaddr.Prefix24) (int, bool) {
 	lo, hi := 0, len(s.prefixes)
@@ -233,9 +229,8 @@ func (s *Snapshot) Lookup(addr ipaddr.Addr, capture, coverage float64) (Advice, 
 }
 
 // snapshotJSON is the serialized snapshot: a pure function of the
-// snapshot's contents with fully ordered fields and arrays, so fixed-seed
-// sequential and sharded ingests encode byte-identically — the advisor's
-// shard-invariance contract, checked by TestAdvisorShardInvariance.
+// snapshot's contents with fully ordered fields and arrays, so two stores
+// fed the same record stream encode byte-identically.
 type snapshotJSON struct {
 	Epoch        uint64       `json:"epoch"`
 	Levels       []float64    `json:"levels"`

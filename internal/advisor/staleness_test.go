@@ -11,7 +11,6 @@ import (
 
 	"timeouts/internal/ipaddr"
 	"timeouts/internal/obs"
-	"timeouts/internal/survey"
 )
 
 func TestLookupStalenessTTL(t *testing.T) {
@@ -185,50 +184,5 @@ func TestLookupTTLZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("stale TTL lookup allocates %v/op", n)
-	}
-}
-
-// TestStoreMergeCounterAgreement is the regression test for the Merge
-// counter/metric split: after any mix of Observe, Add, and Merge, the obs
-// registry's deterministic ingest counters must equal the store's own
-// Records()/Samples() — merged-in totals may not be dropped (the old bug)
-// or double-counted.
-func TestStoreMergeCounterAgreement(t *testing.T) {
-	reg := obs.NewRegistry()
-	acc := NewStore()
-	acc.SetObserver(reg)
-
-	// Direct ingest on the accumulator.
-	acc.Add(0x0a000001, 10*time.Millisecond)
-	acc.Observe(survey.Record{Type: survey.RecMatched, Addr: 0x0a000101, When: time.Second, RTT: 5 * time.Millisecond})
-	acc.Observe(survey.Record{Type: survey.RecTimeout, Addr: 0x0a000201, When: 2 * time.Second})
-
-	// Two unobserved shard stores, as the sharded engine builds them.
-	for shard := 0; shard < 2; shard++ {
-		sh := NewStore()
-		for i := 0; i < 10; i++ {
-			sh.Observe(survey.Record{
-				Type: survey.RecMatched,
-				Addr: ipaddr.Addr(0x0a010001 + uint32(shard)<<16 + uint32(i)<<8),
-				When: time.Duration(i+1) * time.Second,
-				RTT:  time.Duration(i+1) * time.Millisecond,
-			})
-		}
-		sh.Observe(survey.Record{Type: survey.RecTimeout, Addr: ipaddr.Addr(0x0afe0001 + uint32(shard)), When: time.Minute})
-		sh.Observe(survey.Record{Type: survey.RecUnmatched, Addr: ipaddr.Addr(0x0afe0001 + uint32(shard)), When: 2 * time.Minute})
-		acc.Merge(sh)
-	}
-
-	if got := reg.Counter("advisor.ingest.records").Value(); got != acc.Records() {
-		t.Errorf("ingest.records = %d, Records() = %d; must agree", got, acc.Records())
-	}
-	if got := reg.Counter("advisor.ingest.samples").Value(); got != acc.Samples() {
-		t.Errorf("ingest.samples = %d, Samples() = %d; must agree", got, acc.Samples())
-	}
-	// Sanity on the absolute numbers: 2 direct Observes + 2*12 shard records
-	// (Add is a sample, not a record); samples: 2 direct + per shard 10
-	// matched + 1 delayed.
-	if acc.Records() != 26 || acc.Samples() != 24 {
-		t.Errorf("Records/Samples = %d/%d, want 26/24", acc.Records(), acc.Samples())
 	}
 }

@@ -20,11 +20,9 @@ import (
 // still be attributed to) in a core.Blocks cell, each probed /24 a
 // Blocks index entry, and each sampled /24 one fixed-size Sketch.
 //
-// A Store is single-writer: the sharded engine gives each shard its own
-// Store and merges afterwards (Merge), exactly as it does per-shard
-// obs.Registries. Publishing advice from a store while it keeps ingesting
-// is the Advisor's job — Publish reads the sketches into an immutable
-// snapshot, so the store itself needs no locks.
+// A Store is single-writer. Publishing advice from a store while it keeps
+// ingesting is the Advisor's job — Publish reads the sketches into an
+// immutable snapshot, so the store itself needs no locks.
 type Store struct {
 	sketches map[ipaddr.Prefix24]*Sketch
 	updated  map[ipaddr.Prefix24]int64 // wall time (unix ns) of each prefix's newest sample
@@ -37,7 +35,7 @@ type Store struct {
 	// rank order of every snapshot and checkpoint of the store. Snapshots
 	// share the slice, so it is replaced, never written in place; rerank
 	// marks it out of date once a prefix gains its first sample (or after
-	// a Merge or a checkpoint decode).
+	// a checkpoint decode).
 	ranked []ipaddr.Prefix24
 	rerank bool
 
@@ -144,13 +142,6 @@ func (s *Store) sketch(p ipaddr.Prefix24) *Sketch {
 	return sk
 }
 
-// Write implements survey.RecordWriter, so a survey (sequential or sharded)
-// can probe straight into the advisor with no intermediate dataset.
-func (s *Store) Write(rec survey.Record) error {
-	s.Observe(rec)
-	return nil
-}
-
 // Observe folds one survey record into the store. Matched records
 // contribute their RTT directly; timeout records open probes; unmatched
 // responses go through core's attribution kernel, which credits the newest
@@ -209,57 +200,4 @@ func (s *Store) Consume(src survey.RecordSource) error {
 		}
 		s.Observe(rec)
 	}
-}
-
-// Merge folds other's state into s: sketches add bucket-wise (commutative
-// and associative, the obs.Registry.Merge discipline), freshness stamps take
-// the per-prefix maximum, counters add, and open attribution state unions.
-// Shards partition the address space, so open-state keys never collide in
-// sharded use; on a collision the entry with more recent probes wins,
-// keeping the merge deterministic for any fixed merge order.
-//
-// Counter/metric agreement: the folded record and sample counts are also
-// mirrored into s's obs counters, so a store observed on a registry keeps
-// advisor.ingest.records == Records() and advisor.ingest.samples ==
-// Samples() across any sequence of Observe/Merge — the invariant
-// TestStoreMergeCounterAgreement pins. The stores being merged *in* must
-// therefore be unobserved, or observed on registries that are never merged
-// with s's — otherwise their ingest totals would count twice. That is the
-// sharded discipline anyway: shard stores are plain, the accumulator owns
-// the metrics.
-func (s *Store) Merge(other *Store) {
-	for p, sk := range other.sketches {
-		mine := s.sketches[p]
-		if mine == nil {
-			s.sketch(p).Merge(sk)
-			continue
-		}
-		mine.Merge(sk)
-	}
-	for p, t := range other.updated {
-		if t > s.updated[p] {
-			s.updated[p] = t
-		}
-	}
-	other.open.Range(func(a ipaddr.Addr, ring *core.OpenProbes) {
-		if cur, created := s.open.Get(a); created || newest(ring) > newest(cur) {
-			*cur = *ring
-		}
-	})
-	s.rerank = true
-	s.records += other.records
-	s.matched += other.matched
-	s.delayed += other.delayed
-	s.obsRecords.Add(other.records)
-	s.obsSamples.Add(other.matched + other.delayed)
-	s.obsPrefixes.Observe(int64(len(s.sketches)))
-}
-
-// newest returns the ring's newest open probe send time (or a sentinel
-// past).
-func newest(ring *core.OpenProbes) time.Duration {
-	if ring.Len() == 0 {
-		return -1
-	}
-	return ring.Send(ring.Len() - 1)
 }

@@ -3,6 +3,8 @@ package obs
 import (
 	"sync/atomic"
 	"time"
+
+	"timeouts/internal/stats"
 )
 
 // Boundaries is the fixed bucket boundary list shared by every latency
@@ -92,32 +94,15 @@ func (h *Histogram) Count() uint64 {
 	return h.count.Load()
 }
 
-// Sum returns the running total of all samples.
-func (h *Histogram) Sum() time.Duration {
-	if h == nil {
-		return 0
-	}
-	return time.Duration(h.sum.Load())
-}
-
-// Quantile returns a conservative estimate of the p-th percentile
-// (0 < p <= 100): the upper boundary of the bucket holding the nearest-rank
-// sample (the stats.Percentile rank discipline applied to bucket counts),
-// clamped to the last boundary when the rank lands in the overflow bucket.
-// ok is false when the histogram is empty — "no data", never a fabricated 0.
+// QuantileOver returns a conservative estimate of the p-th percentile
+// (0 < p <= 100) over the bucket-wise sum of hs, without materializing a
+// merged histogram: the upper boundary of the bucket holding the
+// nearest-rank sample (stats.NearestRank applied to bucket counts), clamped
+// to the last boundary when the rank lands in the overflow bucket. ok is
+// false when the histograms are empty — "no data", never a fabricated 0.
 // This is what lets the paper's own quantile machinery be pointed back at a
-// service's serve-path histogram (the advisord self-watchdog).
-func (h *Histogram) Quantile(p float64) (d time.Duration, ok bool) {
-	if h == nil {
-		return 0, false
-	}
-	return QuantileOver(p, h)
-}
-
-// QuantileOver computes Histogram.Quantile over the bucket-wise sum of
-// several histograms without materializing a merged histogram — the
-// aggregation the self-watchdog uses to fold per-route × status-class serve
-// histograms into one tail estimate.
+// service's serve-path histograms: the advisord self-watchdog folds its
+// per-route × status-class histograms into one tail estimate with it.
 func QuantileOver(p float64, hs ...*Histogram) (d time.Duration, ok bool) {
 	var total uint64
 	for _, h := range hs {
@@ -128,15 +113,7 @@ func QuantileOver(p float64, hs ...*Histogram) (d time.Duration, ok bool) {
 	if total == 0 {
 		return 0, false
 	}
-	// Nearest rank: the smallest rank with at least p% of samples at or
-	// below it — ceil(p/100 * n), at least 1 (stats.Percentile's rule).
-	target := uint64(p / 100 * float64(total))
-	if float64(target) < p/100*float64(total) || target == 0 {
-		target++
-	}
-	if target > total {
-		target = total
-	}
+	target := stats.NearestRank(p, total)
 	var cum uint64
 	for i := 0; i <= len(Boundaries); i++ {
 		for _, h := range hs {
@@ -152,37 +129,6 @@ func QuantileOver(p float64, hs ...*Histogram) (d time.Duration, ok bool) {
 		}
 	}
 	return Boundaries[len(Boundaries)-1], true // unreachable: cum == total >= target
-}
-
-// CountAbove returns how many samples are strictly above the boundary.
-// bound is rounded up to the smallest boundary >= bound; past the last
-// boundary the overflow bucket's contents are indistinguishable and the
-// count is 0.
-func (h *Histogram) CountAbove(bound time.Duration) uint64 {
-	if h == nil {
-		return 0
-	}
-	i := 0
-	for i < len(Boundaries) && Boundaries[i] < bound {
-		i++
-	}
-	// Samples > Boundaries[i] live in buckets i+1..len(Boundaries).
-	var n uint64
-	for j := i + 1; j <= len(Boundaries); j++ {
-		n += h.buckets[j].Load()
-	}
-	return n
-}
-
-// TailFraction returns the fraction of samples strictly above the boundary
-// (0 when empty). Exact when bound is one of Boundaries — which the paper's
-// reporting thresholds are by construction.
-func (h *Histogram) TailFraction(bound time.Duration) float64 {
-	c := h.Count()
-	if c == 0 {
-		return 0
-	}
-	return float64(h.CountAbove(bound)) / float64(c)
 }
 
 // merge adds other's buckets into h.
@@ -213,8 +159,9 @@ func (h *Histogram) snap(name string) HistSnap {
 	return s
 }
 
-// tailFraction computes TailFraction from snapshot form, matching the live
-// histogram's semantics (samples strictly above the boundary).
+// tailFraction returns the fraction of the snapshot's samples strictly above
+// bound (0 when empty). It is exact when bound is one of Boundaries, which
+// the paper's reporting thresholds are by construction.
 func (s HistSnap) tailFraction(bound time.Duration) float64 {
 	if s.Count == 0 {
 		return 0

@@ -281,8 +281,8 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 }
 
 // HistogramTail looks up the named histogram in the snapshot and returns the
-// fraction of its samples strictly above the boundary (see
-// Histogram.TailFraction). It returns 0 if the histogram is absent or empty.
+// fraction of its samples strictly above the boundary: exact when bound is
+// one of Boundaries. It returns 0 if the histogram is absent or empty.
 func (s Snapshot) HistogramTail(name string, bound time.Duration) float64 {
 	for _, h := range s.Histograms {
 		if h.Name == name {

@@ -151,26 +151,24 @@ func TestHistogramTailFraction(t *testing.T) {
 	h.Observe(100 * time.Second)
 	h.Observe(200 * time.Second)
 
-	if got := h.TailFraction(time.Second); got != 0.10 {
-		t.Errorf("TailFraction(1s) = %v, want 0.10", got)
-	}
-	if got := h.TailFraction(5 * time.Second); got != 0.04 {
-		t.Errorf("TailFraction(5s) = %v, want 0.04", got)
-	}
-	if got := h.TailFraction(145 * time.Second); got != 0.01 {
-		t.Errorf("TailFraction(145s) = %v, want 0.01", got)
+	snap := r.Snapshot()
+	for _, tc := range []struct {
+		bound time.Duration
+		want  float64
+	}{
+		{time.Second, 0.10},
+		{5 * time.Second, 0.04},
+		{145 * time.Second, 0.01},
+	} {
+		if got := snap.HistogramTail("rtt", tc.bound); got != tc.want {
+			t.Errorf("HistogramTail(%v) = %v, want %v", tc.bound, got, tc.want)
+		}
 	}
 	// A sample exactly on a boundary is not "above" it.
 	r2 := NewRegistry()
-	h2 := r2.Histogram("edge")
-	h2.Observe(5 * time.Second)
-	if got := h2.CountAbove(5 * time.Second); got != 0 {
-		t.Errorf("sample at boundary counted above it: %d", got)
-	}
-	// Snapshot-side tail agrees with the live histogram.
-	snap := r.Snapshot()
-	if got := snap.HistogramTail("rtt", 5*time.Second); got != 0.04 {
-		t.Errorf("snapshot HistogramTail(5s) = %v, want 0.04", got)
+	r2.Histogram("edge").Observe(5 * time.Second)
+	if got := r2.Snapshot().HistogramTail("edge", 5*time.Second); got != 0 {
+		t.Errorf("sample at boundary counted above it: %v", got)
 	}
 }
 

@@ -283,26 +283,26 @@ func TestRuntimeCollector(t *testing.T) {
 func TestHistogramQuantile(t *testing.T) {
 	reg := NewRegistry()
 	h := reg.DiagHistogram("q")
-	if _, ok := h.Quantile(99); ok {
+	if _, ok := QuantileOver(99, h); ok {
 		t.Error("empty histogram reported a quantile")
 	}
 	h.ObserveN(1*time.Millisecond, 99)
 	h.Observe(4 * time.Second)
 	// p50 lands well inside the 1ms bucket; p99 is the 99th of 100 samples,
 	// still 1ms; p99.9 → rank 100 → the 4s sample's bucket boundary (5s).
-	if q, ok := h.Quantile(50); !ok || q != 1*time.Millisecond {
+	if q, ok := QuantileOver(50, h); !ok || q != 1*time.Millisecond {
 		t.Errorf("p50 = %v, %v", q, ok)
 	}
-	if q, ok := h.Quantile(99); !ok || q != 1*time.Millisecond {
+	if q, ok := QuantileOver(99, h); !ok || q != 1*time.Millisecond {
 		t.Errorf("p99 = %v, %v", q, ok)
 	}
-	if q, ok := h.Quantile(99.9); !ok || q != 5*time.Second {
+	if q, ok := QuantileOver(99.9, h); !ok || q != 5*time.Second {
 		t.Errorf("p99.9 = %v, %v", q, ok)
 	}
 	// Overflow clamps to the last boundary.
 	h2 := reg.DiagHistogram("q2")
 	h2.Observe(5000 * time.Second)
-	if q, ok := h2.Quantile(99); !ok || q != Boundaries[len(Boundaries)-1] {
+	if q, ok := QuantileOver(99, h2); !ok || q != Boundaries[len(Boundaries)-1] {
 		t.Errorf("overflow quantile = %v, %v", q, ok)
 	}
 	// QuantileOver folds histograms bucket-wise.

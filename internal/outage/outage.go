@@ -33,12 +33,12 @@ type prober struct {
 	sched   *simnet.Scheduler
 	tr      *transport.SimTransport
 	src     ipaddr.Addr
-	pending map[probeKey]func(rtt time.Duration)
+	pending map[probeKey]func(at simnet.Time)
 	nextID  uint16
 }
 
 func newProber(net *simnet.Network, src ipaddr.Addr) *prober {
-	p := &prober{sched: net.Scheduler(), src: src, pending: make(map[probeKey]func(time.Duration)), nextID: 1}
+	p := &prober{sched: net.Scheduler(), src: src, pending: make(map[probeKey]func(simnet.Time)), nextID: 1}
 	p.tr = transport.NewSim(net, src, p.receive)
 	return p
 }
@@ -56,7 +56,7 @@ func (p *prober) ping(dst ipaddr.Addr, seq uint16, timeout time.Duration, onRepl
 	}
 	key := probeKey{dst: dst, id: id, seq: seq}
 	sent := p.sched.Now()
-	p.pending[key] = func(rtt time.Duration) { onReply(rtt) }
+	p.pending[key] = func(at simnet.Time) { onReply(at - sent) }
 	p.tr.Send(wire.EncodeEcho(p.src, dst, &wire.ICMPEcho{
 		Type: wire.ICMPTypeEchoRequest, ID: id, Seq: seq,
 	}))
@@ -79,9 +79,7 @@ func (p *prober) receive(at simnet.Time, data []byte, count int) {
 		return
 	}
 	delete(p.pending, key)
-	// Reconstructing the send time from the key is not possible; the
-	// callback closes over it.
-	cb(time.Duration(at))
+	cb(at) // the callback holds the send time, which the key cannot rebuild
 }
 
 // HostMonitorConfig parameterizes a Thunderping-style host monitor.
@@ -172,23 +170,18 @@ func MonitorHosts(net *simnet.Network, cfg HostMonitorConfig, addrs []ipaddr.Add
 
 // roundMonitor drives one host's round: initial probe plus retries.
 type roundMonitor struct {
-	p    *prober
-	cfg  HostMonitorConfig
-	rep  *HostReport
-	seq  uint16
-	fail int
+	p   *prober
+	cfg HostMonitorConfig
+	rep *HostReport
+	seq uint16
 }
 
 func (m *roundMonitor) attempt(try int) {
 	m.rep.Probes++
-	sent := m.p.sched.Now()
 	m.p.ping(m.rep.Addr, m.seq+uint16(try), m.cfg.Timeout,
-		func(at time.Duration) {
-			_ = at - time.Duration(sent) // RTT available if needed
-		},
+		func(time.Duration) {}, // an answer ends the round
 		func() {
 			m.rep.Losses++
-			m.fail++
 			if try+1 <= m.cfg.Retries {
 				m.p.sched.After(m.cfg.RetrySpacing, func() { m.attempt(try + 1) })
 			} else {

@@ -47,6 +47,26 @@ func monitorOne(t *testing.T, fabric simnet.Fabric, timeout time.Duration, retri
 	return reps[0]
 }
 
+// TestPingReportsRTT pins the prober's reply callback to the round-trip
+// time, not the arrival time: a probe sent an hour into the run through a
+// 200 ms fabric reports 200 ms.
+func TestPingReportsRTT(t *testing.T) {
+	sched := &simnet.Scheduler{}
+	pr := newProber(simnet.NewNetwork(sched, &slowFabric{delay: 200 * time.Millisecond}), ipaddr.MustParse("240.0.4.1"))
+	defer pr.close()
+	var got time.Duration
+	replies := 0
+	sched.At(time.Hour, func() {
+		pr.ping(ipaddr.MustParse("1.2.3.4"), 1, 3*time.Second,
+			func(rtt time.Duration) { got = rtt; replies++ },
+			func() { t.Error("ping timed out") })
+	})
+	sched.Run()
+	if replies != 1 || got != 200*time.Millisecond {
+		t.Errorf("onReply got %v (%d replies), want 200ms once", got, replies)
+	}
+}
+
 func TestMonitorHealthyHostNoLoss(t *testing.T) {
 	rep := monitorOne(t, &slowFabric{delay: 100 * time.Millisecond}, 3*time.Second, 3, 5)
 	if rep.Losses != 0 || rep.DownRounds != 0 {

@@ -289,11 +289,8 @@ func (a *adaptiveRound) attempt(try int) {
 		timeout = clampRTO(a.cfg, a.cfg.InitialRTO<<uint(try))
 	}
 	a.rep.Probes++
-	sent := a.p.sched.Now()
 	a.p.ping(a.rep.Addr, a.seq+uint16(try), timeout,
-		func(at time.Duration) {
-			a.est.observe(at - time.Duration(sent))
-		},
+		a.est.observe,
 		func() {
 			a.rep.Losses++
 			if try < a.cfg.Retries {

@@ -161,11 +161,8 @@ func (p *Prober) send(dst ipaddr.Addr, proto Proto, token, seq uint16) {
 	now := p.sched.Now()
 	res := &ProbeResult{Dst: dst, Proto: proto, Seq: int(seq), SentAt: now}
 	key := probeKey{dst: dst, proto: proto, token: token, seq: seq}
-	if old, dup := p.pending[key]; dup {
-		// A previous identical probe is still unanswered; keep the newer
-		// one (matches scamper, which reuses ids across long runs).
-		_ = old
-	}
+	// A previous identical probe still unanswered is replaced: the newer one
+	// wins, as in scamper, which reuses ids across long runs.
 	p.pending[key] = res
 	p.results = append(p.results, res)
 	p.obsProbes.Inc()

@@ -11,7 +11,6 @@
 package stats
 
 import (
-	"math"
 	"slices"
 	"sort"
 	"time"
@@ -26,17 +25,7 @@ func Percentile(sorted []time.Duration, p float64) time.Duration {
 	if len(sorted) == 0 {
 		panic("stats: Percentile of empty slice")
 	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
+	return sorted[NearestRank(p, uint64(len(sorted)))-1]
 }
 
 // PercentileFloat is Percentile over float64 samples.
@@ -44,17 +33,25 @@ func PercentileFloat(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		panic("stats: PercentileFloat of empty slice")
 	}
-	if p <= 0 {
-		return sorted[0]
-	}
+	return sorted[NearestRank(p, uint64(len(sorted)))-1]
+}
+
+// NearestRank returns the 1-based nearest rank of the p-th percentile among
+// n samples: ceil(p/100·n), clamped to [1, n], and 0 when n is 0. It is
+// Percentile's rule, and obs histograms and advisor sketches read their
+// bucket counts with it. It is monotone in p. The ceiling converts through
+// int64, one instruction where uint64 needs a branch; the two agree for
+// n < 2^63.
+func NearestRank(p float64, n uint64) uint64 {
 	if p >= 100 {
-		return sorted[len(sorted)-1]
+		return n
 	}
-	rank := int(math.Ceil(p / 100 * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
+	x := p / 100 * float64(n)
+	r := int64(x)
+	if float64(r) < x {
+		r++
 	}
-	return sorted[rank-1]
+	return min(uint64(max(r, 1)), n)
 }
 
 // SortDurations sorts samples ascending in place and returns the slice.

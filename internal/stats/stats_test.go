@@ -37,6 +37,66 @@ func TestPercentileNearestRank(t *testing.T) {
 	}
 }
 
+// nearestRankUint64 is NearestRank with the ceiling converted through
+// uint64: the reference for the int64 conversion.
+func nearestRankUint64(p float64, n uint64) uint64 {
+	target := uint64(p / 100 * float64(n))
+	if float64(target) < p/100*float64(n) || target == 0 {
+		target++
+	}
+	return min(target, n)
+}
+
+func TestNearestRankMatchesUint64Form(t *testing.T) {
+	for n := uint64(0); n < 1<<21; n++ {
+		for _, p := range StandardPercentiles {
+			if got, want := NearestRank(p, n), nearestRankUint64(p, n); got != want {
+				t.Fatalf("NearestRank(%v, %d) = %d, uint64 form %d", p, n, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(53))
+	for k := 0; k < 1<<16; k++ {
+		n := uint64(rng.Int63n(1 << 53))
+		for _, p := range StandardPercentiles {
+			if got, want := NearestRank(p, n), nearestRankUint64(p, n); got != want {
+				t.Fatalf("NearestRank(%v, %d) = %d, uint64 form %d", p, n, got, want)
+			}
+		}
+	}
+}
+
+// TestNearestRankEdges pins the clamps Percentile and the bucketed
+// quantiles rely on, and agreement with the math.Ceil form Percentile
+// computed its rank with.
+func TestNearestRankEdges(t *testing.T) {
+	for _, n := range []uint64{0, 1, 2, 10, 1000} {
+		for _, p := range []float64{-50, -1e-9, 0, 100, 100.5, 1e300} {
+			want := min(1, n) // the lowest rank
+			if p >= 100 {
+				want = n
+			}
+			if got := NearestRank(p, n); got != want {
+				t.Errorf("NearestRank(%v, %d) = %d, want %d", p, n, got, want)
+			}
+		}
+	}
+	for _, p := range []float64{1e-300, 0.5, 1, 33.3, 50, 80, 99, 99.9, 99.99999999999999} {
+		if got := NearestRank(p, 0); got != 0 {
+			t.Errorf("NearestRank(%v, 0) = %d, want 0", p, got)
+		}
+		if got := NearestRank(p, 1); got != 1 {
+			t.Errorf("NearestRank(%v, 1) = %d, want 1", p, got)
+		}
+		for n := 1; n <= 4096; n++ {
+			want := max(int(math.Ceil(p/100*float64(n))), 1)
+			if got := NearestRank(p, uint64(n)); got != uint64(want) {
+				t.Fatalf("NearestRank(%v, %d) = %d, math.Ceil form %d", p, n, got, want)
+			}
+		}
+	}
+}
+
 func TestPercentileSingleSample(t *testing.T) {
 	s := durs(42)
 	for _, p := range StandardPercentiles {

@@ -21,14 +21,6 @@ type Permutation struct {
 	cur   uint64
 	done  bool
 	begun bool
-
-	// Lazy rank tables for non-power-of-two n, where cycle-walking makes the
-	// emission position of a value depend on how many skipped values precede
-	// it — a quantity with no closed form. Built on first Rank/At call by one
-	// orbit walk; order[pos] = value, rank[value] = pos. uint32 keeps them at
-	// 8 bytes per address.
-	order []uint32
-	rank  []uint32
 }
 
 // NewPermutation creates a permutation of [0, n) seeded deterministically.
@@ -77,46 +69,11 @@ func (p *Permutation) Next() (int, bool) {
 	}
 }
 
-// Size returns n, the number of elements the permutation emits.
-func (p *Permutation) Size() int { return int(p.n) }
-
-// Rank returns the emission position of value v: Rank(v) = pos iff the
-// (pos+1)-th call to Next on a fresh iterator returns v. It is the exact
-// inverse of the Next order — the property FuzzPermutationRank proves.
-//
-// When n is a power of two (every default population: blocks*256 with
-// power-of-two block counts) the position comes from a closed-form discrete
-// log in O(log n) time and O(1) space. Otherwise cycle-walking destroys the
-// closed form and Rank falls back to lazily built lookup tables (8 bytes per
-// element, one orbit walk to build).
-func (p *Permutation) Rank(v int) int {
-	if uint64(v) >= p.n || v < 0 {
-		panic("zmapper: Rank of value outside permutation range")
-	}
-	if p.n == p.mod {
-		return int(p.stepsTo(uint64(v)))
-	}
-	p.buildTables()
-	return int(p.rank[v])
-}
-
-// At returns the value at emission position pos — the inverse of Rank, and
-// equal to what the (pos+1)-th Next call on a fresh iterator returns.
-func (p *Permutation) At(pos int) int {
-	if uint64(pos) >= p.n || pos < 0 {
-		panic("zmapper: At position outside permutation range")
-	}
-	if p.n == p.mod {
-		return int(p.atPow2(uint64(pos)))
-	}
-	p.buildTables()
-	return int(p.order[pos])
-}
-
 // Seek positions the iterator so the next Next call returns the element at
-// emission position pos; Seek(0) rewinds, Seek(Size()) exhausts. For
-// power-of-two n it is O(log n); otherwise it walks (or uses the rank tables
-// if a prior Rank/At call built them).
+// emission position pos; Seek(0) rewinds, Seek(n) exhausts. For
+// power-of-two n (every default population: blocks*256 with power-of-two
+// block counts) it is O(log n) by the closed form; otherwise cycle-walking
+// leaves no closed form, and it walks.
 func (p *Permutation) Seek(pos int) {
 	if pos < 0 || uint64(pos) > p.n {
 		panic("zmapper: Seek position outside permutation range")
@@ -130,12 +87,9 @@ func (p *Permutation) Seek(pos int) {
 	case p.n == p.mod:
 		p.begun = true
 		p.cur = p.atPow2(uint64(pos) - 1)
-	case p.order != nil:
-		p.begun = true
-		p.cur = uint64(p.order[pos-1])
 	default:
 		// Walk-skip: emitting and discarding pos elements leaves cur at
-		// emission position pos-1 without materializing the rank tables.
+		// emission position pos-1.
 		p.begun = false
 		for i := 0; i < pos; i++ {
 			p.Next()
@@ -157,51 +111,4 @@ func (p *Permutation) atPow2(pos uint64) uint64 {
 		am = am * am & mask
 	}
 	return cur
-}
-
-// stepsTo returns k such that f^k(first) = v, for n == mod only. It is the
-// PCG-style bit-by-bit discrete log: because a ≡ 1 (mod 4) and c is odd
-// (Hull–Dobell), f^(2^i) acts on the low i+1 bits as x ↦ x + 2^i — it flips
-// bit i and preserves everything below. So each bit of k is forced in turn:
-// if the current orbit point disagrees with v at bit i, advance by 2^i steps
-// (which cannot disturb bits below i). mod == 1 and the a == 1 multipliers
-// of tiny moduli satisfy the same invariant (f^(2^i)(x) = x + 2^i·c with c
-// odd), so no special-casing is needed.
-func (p *Permutation) stepsTo(v uint64) uint64 {
-	cur, am, cm, mask := p.first, p.a, p.c, p.mod-1
-	var k uint64
-	for bit := uint64(1); cur != v; bit <<= 1 {
-		if (cur^v)&bit != 0 {
-			cur = (am*cur + cm) & mask
-			k |= bit
-		}
-		cm = (am + 1) * cm & mask
-		am = am * am & mask
-	}
-	return k
-}
-
-// buildTables materializes order/rank for non-power-of-two n by walking a
-// fresh iterator once. Guarded to uint32 indices; populations anywhere near
-// 2^32 are power-of-two sized in practice (blocks*256), which never takes
-// this path.
-func (p *Permutation) buildTables() {
-	if p.order != nil {
-		return
-	}
-	if p.n > 1<<32 {
-		panic("zmapper: rank tables unsupported above 2^32 elements (use a power-of-two population)")
-	}
-	it := Permutation{n: p.n, mod: p.mod, a: p.a, c: p.c, first: p.first}
-	order := make([]uint32, p.n)
-	rank := make([]uint32, p.n)
-	for pos := 0; ; pos++ {
-		v, ok := it.Next()
-		if !ok {
-			break
-		}
-		order[pos] = uint32(v)
-		rank[v] = uint32(pos)
-	}
-	p.order, p.rank = order, rank
 }

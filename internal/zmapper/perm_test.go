@@ -2,11 +2,11 @@ package zmapper
 
 import "testing"
 
-// checkRankInverse walks a fresh iterator collecting the full emission
-// order, then checks the permutation invariants plus the round trips
-// Rank(At(pos)) == pos and At(Rank(v)) == v on a second instance (so lazy
-// tables and the closed form are exercised independently of the walk).
-func checkRankInverse(t *testing.T, n int, seed uint64) {
+// checkPermutation walks a fresh iterator collecting the full emission
+// order, checks that it covers [0, n) with no repeats, then checks that
+// Seek(pos) on a fresh instance resumes exactly at order[pos:], through the
+// closed form for power-of-two n and the walk otherwise.
+func checkPermutation(t *testing.T, n int, seed uint64) {
 	t.Helper()
 	it := NewPermutation(n, seed)
 	order := make([]int, 0, n)
@@ -29,20 +29,6 @@ func checkRankInverse(t *testing.T, n int, seed uint64) {
 		t.Fatalf("n=%d seed=%d: emitted %d values, want %d", n, seed, len(order), n)
 	}
 
-	p := NewPermutation(n, seed)
-	if p.Size() != n {
-		t.Fatalf("Size() = %d, want %d", p.Size(), n)
-	}
-	for pos, v := range order {
-		if got := p.Rank(v); got != pos {
-			t.Fatalf("n=%d seed=%d: Rank(%d) = %d, want %d", n, seed, v, got, pos)
-		}
-		if got := p.At(pos); got != v {
-			t.Fatalf("n=%d seed=%d: At(%d) = %d, want %d", n, seed, pos, got, v)
-		}
-	}
-
-	// Seek(pos) on a fresh instance resumes exactly at order[pos:].
 	for _, pos := range []int{0, 1, n / 3, n / 2, n - 1, n} {
 		if pos < 0 || pos > n {
 			continue
@@ -64,34 +50,18 @@ func checkRankInverse(t *testing.T, n int, seed uint64) {
 	}
 }
 
-func TestPermutationRankInverse(t *testing.T) {
+func TestPermutationSeekResumes(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 13, 16, 100, 255, 256, 257, 1024, 24576} {
 		for seed := uint64(0); seed < 3; seed++ {
-			checkRankInverse(t, n, seed)
+			checkPermutation(t, n, seed)
 		}
 	}
 }
 
-// TestPermutationRankLargePow2 spot-checks the closed-form path at a size
-// where walking to verify every element is still cheap but the discrete log
-// exercises many bits.
-func TestPermutationRankLargePow2(t *testing.T) {
+// TestPermutationSeekLargePow2 checks the closed form at a size whose
+// positions span many bits: a deep seek lands where a long walk would.
+func TestPermutationSeekLargePow2(t *testing.T) {
 	const n = 1 << 20
-	it := NewPermutation(n, 42)
-	p := NewPermutation(n, 42)
-	for pos := 0; pos < 4096; pos++ {
-		v, ok := it.Next()
-		if !ok {
-			t.Fatal("exhausted early")
-		}
-		if got := p.Rank(v); got != pos {
-			t.Fatalf("Rank(%d) = %d, want %d", v, got, pos)
-		}
-		if got := p.At(pos); got != v {
-			t.Fatalf("At(%d) = %d, want %d", pos, got, v)
-		}
-	}
-	// Deep seek lands where a long walk would.
 	q := NewPermutation(n, 42)
 	q.Seek(n - 3)
 	w := NewPermutation(n, 42)
@@ -126,10 +96,9 @@ func TestPermutationSeekRewinds(t *testing.T) {
 	}
 }
 
-// FuzzPermutationRank proves Rank is the exact inverse of the Next order —
-// full coverage, no repeats, round-trip both ways, and Seek resumption —
-// across sizes including non-powers-of-two and size 1.
-func FuzzPermutationRank(f *testing.F) {
+// FuzzPermutation checks the Next order — full coverage, no repeats — and
+// Seek resumption across sizes including non-powers-of-two and size 1.
+func FuzzPermutation(f *testing.F) {
 	f.Add(uint16(1), uint64(0))
 	f.Add(uint16(2), uint64(1))
 	f.Add(uint16(3), uint64(99))
@@ -139,6 +108,6 @@ func FuzzPermutationRank(f *testing.F) {
 	f.Add(uint16(4096), uint64(8))
 	f.Fuzz(func(t *testing.T, rawN uint16, seed uint64) {
 		n := int(rawN%4096) + 1
-		checkRankInverse(t, n, seed)
+		checkPermutation(t, n, seed)
 	})
 }

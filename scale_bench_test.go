@@ -12,7 +12,6 @@
 package timeouts
 
 import (
-	"fmt"
 	"testing"
 
 	"timeouts/internal/ipaddr"
@@ -118,22 +117,4 @@ func BenchmarkScaleSurvey(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pop.NumAddrs()), "ns/probe")
 	sampler.Report(b)
-}
-
-// BenchmarkScalePermutationRank measures the rank (inverse-permutation)
-// query both in its closed-form power-of-two regime and in the table-backed
-// general case.
-func BenchmarkScalePermutationRank(b *testing.B) {
-	for _, size := range []int{1 << 20, 3 << 18} {
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			p := zmapper.NewPermutation(size, 42)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if p.Rank(i%size) < 0 {
-					b.Fatal("rank out of range")
-				}
-			}
-		})
-	}
 }
