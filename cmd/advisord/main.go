@@ -12,7 +12,7 @@
 //	advisord -i survey.tosv [-listen :8080] [-seed 42]
 //	advisord -checkpoint-dir DIR   # recover and serve, no ingest needed
 //	         [-checkpoint-keep N] [-checkpoint-every RECORDS]
-//	         [-checkpoint-interval D] [-stale-after D]
+//	         [-stale-after D]
 //	         [-max-inflight N] [-retry-after D] [-request-timeout D]
 //	         [-drain-timeout D] [-max-skip N]
 //	         [-access-log FILE] [-log-sample N]
@@ -59,7 +59,6 @@ func main() {
 		ckptDir      = flag.String("checkpoint-dir", "", "durable checkpoint directory (recovery source and save target)")
 		ckptKeep     = flag.Int("checkpoint-keep", 3, "checkpoint generations to retain")
 		ckptEvery    = flag.Uint64("checkpoint-every", 1<<20, "checkpoint every N ingested records (0 = only on completion and drain)")
-		ckptInterval = flag.Duration("checkpoint-interval", 5*time.Minute, "periodic checkpoint interval while serving (0 disables)")
 		staleAfter   = flag.Duration("stale-after", 0, "per-prefix staleness TTL: older prefixes degrade to the population fallback (0 disables)")
 		maxInflight  = flag.Int("max-inflight", 256, "max concurrent advice requests before shedding with 503")
 		retryAfter   = flag.Duration("retry-after", time.Second, "Retry-After hint sent with shed responses")
@@ -158,14 +157,16 @@ func main() {
 		cli.Debug.RegisterProm(c) // -debug-addr's /metrics shows the same series
 	}
 
+	// Catch signals before the address is printed: from then on a signal
+	// means drain, not the default exit.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	defer stop()
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fail(err)
 	}
 	fmt.Printf("serving on %s\n", ln.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
 	go watchdog.Run(ctx)
 	serverDone := make(chan error, 1)
 	go func() {
@@ -219,48 +220,34 @@ func main() {
 	if snap := adv.Current(); snap != nil {
 		fmt.Printf("advice: %d prefixes, %d samples, epoch %d\n",
 			snap.Prefixes(), snap.Samples(), snap.Epoch())
-		gate.SetState(advisor.GateServing)
+		// After a signal RunServer drains: the gate stays shut, and a
+		// signal landing between this check and SetState cannot reopen
+		// it, since the gate keeps a drain once begun.
+		if ctx.Err() == nil {
+			gate.SetState(advisor.GateServing)
+		}
 	}
 
 	if err := cli.Finish("advisord", *seed, 1, nil); err != nil {
 		fail(err)
 	}
 
-	// Serve until a signal. The store is quiescent now (ingest done), so the
-	// periodic checkpoint re-saves the current epoch — cheap insurance for
-	// long-lived instances whose disk may outlive the next restart's feed.
-	var tick <-chan time.Time
-	if ck != nil && *ckptInterval > 0 {
-		t := time.NewTicker(*ckptInterval)
-		defer t.Stop()
-		tick = t.C
-	}
-serveLoop:
-	for {
-		select {
-		case <-ctx.Done():
-			break serveLoop
-		case err := <-serverDone:
-			if err != nil {
-				fail(err)
-			}
-			return // listener gone without a signal: nothing left to do
-		case <-tick:
-			epoch := uint64(0)
-			if snap := adv.Current(); snap != nil {
-				epoch = snap.Epoch()
-			}
-			if _, err := ck.Save(st, epoch); err != nil {
-				fmt.Fprintln(os.Stderr, "advisord: checkpoint:", err)
-			}
+	// Serve until a signal. The store is quiescent now (ingest done), so
+	// nothing changes until the final checkpoint. RunServer returns once a
+	// signal's drain has finished, or earlier if the listener fails.
+	err = <-serverDone
+	if ctx.Err() == nil {
+		if err != nil {
+			fail(err)
 		}
+		return // listener gone without a signal: nothing left to do
 	}
 
-	// Graceful drain: RunServer has flipped the gate to draining and is
-	// finishing in-flight requests; once it returns, close the debug plane
-	// too (its listener must not outlive the serve plane), write the final
-	// checkpoint, and exit 0 — the SIGTERM contract.
-	if err := <-serverDone; err != nil {
+	// Graceful drain: RunServer flipped the gate to draining and finished
+	// in-flight requests; close the debug plane too (its listener must not
+	// outlive the serve plane), write the final checkpoint, and exit 0 — the
+	// SIGTERM contract, however early in ingest the signal came.
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "advisord: drain:", err)
 	}
 	if err := cli.Close(); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -320,5 +321,44 @@ func TestAdvisordRequiresInput(t *testing.T) {
 	}
 	if !strings.Contains(string(out), "need -i DATASET") {
 		t.Errorf("usage hint missing: %q", out)
+	}
+}
+
+// TestAdvisordDrainsOnSignalMidIngest sends SIGTERM while advisord is still
+// ingesting, 20 times. However early the signal lands, advisord must take
+// its drain path: exit 0 with "drained" as its last line, never reopening
+// the gate it drained and never returning before the drain's final lines.
+func TestAdvisordDrainsOnSignalMidIngest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary")
+	}
+	const records = 400_000
+	bin := buildAdvisord(t)
+	dataset := writeDataset(t, records)
+	cut := 0
+	for i := 0; i < 20; i++ {
+		p := startAdvisord(t, bin, "-i", dataset)
+		time.Sleep(time.Duration(i%4) * time.Millisecond)
+		if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		lines, err := p.wait(t)
+		if err != nil {
+			t.Fatalf("run %d: exit after SIGTERM: %v (output %q)", i, err, lines)
+		}
+		if len(lines) == 0 || lines[len(lines)-1] != "drained" {
+			t.Fatalf("run %d: last line is not \"drained\": %q", i, lines)
+		}
+		for _, l := range lines {
+			var n int
+			if _, err := fmt.Sscanf(l, "ingested %d records", &n); err == nil && n < records+1 {
+				cut++
+			}
+		}
+	}
+	// The signal must have landed mid-ingest, or the test shows nothing.
+	t.Logf("%d of 20 signals cut ingest short", cut)
+	if cut < 10 {
+		t.Fatalf("only %d of 20 signals cut ingest short", cut)
 	}
 }

@@ -9,8 +9,9 @@
 //
 // Records stream out of the dataset reader straight into a
 // core.StreamMatcher; the dataset is never held in memory. The matcher keeps
-// each probed address's open state plus every latency sample it recovers,
-// one cell per address in the order the dataset first names it, and the
+// a 56-byte cell per probed address (its open probes, count and flags), in
+// the order the dataset first names it, and only an address that answers
+// adds its filter state and every latency sample it recovers, so the
 // report's quantiles are exact.
 //
 // The matcher relies on the dataset's emission order (per address, probes

@@ -34,7 +34,8 @@ const (
 	// in-flight limit and shed beyond it.
 	GateServing
 	// GateDraining: shutdown has begun; every new advice request is shed
-	// with Connection: close while in-flight ones finish.
+	// with Connection: close while in-flight ones finish. It is final: no
+	// SetState leaves it.
 	GateDraining
 )
 
@@ -107,10 +108,18 @@ func (g *Gate) State() GateState {
 	return GateState(g.state.Load())
 }
 
-// SetState moves the lifecycle state. Nil-safe no-op.
+// SetState moves the lifecycle state, unless the gate is draining: a boot
+// step that finishes after shutdown began must not reopen it. Nil-safe
+// no-op.
 func (g *Gate) SetState(s GateState) {
-	if g != nil {
-		g.state.Store(int32(s))
+	if g == nil {
+		return
+	}
+	for {
+		old := g.state.Load()
+		if GateState(old) == GateDraining || g.state.CompareAndSwap(old, int32(s)) {
+			return
+		}
 	}
 }
 

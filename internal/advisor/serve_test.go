@@ -96,6 +96,12 @@ func TestGateStates(t *testing.T) {
 	if c := w.Header().Get("Connection"); c != "close" {
 		t.Errorf("draining Connection = %q, want \"close\"", c)
 	}
+	// Draining is final: advisord's boot sets serving once ingest ends,
+	// which may be after a signal began the drain.
+	gate.SetState(GateServing)
+	if got := gate.State(); got != GateDraining {
+		t.Errorf("SetState(serving) while draining moved the gate to %v", got)
+	}
 
 	// A nil gate is pass-through and always serving.
 	var nilGate *Gate

@@ -23,14 +23,34 @@ import (
 // The zero value is empty and ready to use. Cell pointers stay valid for
 // the life of the Blocks.
 type Blocks[T any] struct {
-	index  map[ipaddr.Prefix24]*blockIndex
-	chunks []*[chunkCells]T
-	n      int
+	index map[ipaddr.Prefix24]*blockIndex
+	cells chunks[T]
 }
 
 // chunkCells is how many cells one chunk holds: as many as a /24 has, so a
 // chunk is never larger than a dense per-/24 block would be.
 const chunkCells = 256
+
+// chunks is append-only storage numbered from 0, in fixed-size chunks:
+// growing it never moves a cell, so cell pointers stay valid for its life.
+// Blocks keeps its cells in one; the matcher keeps its responders in
+// another. The zero value is empty.
+type chunks[T any] struct {
+	c []*[chunkCells]T
+	n int
+}
+
+// add appends a zero T and returns its number.
+func (s *chunks[T]) add() uint32 {
+	if s.n == len(s.c)*chunkCells {
+		s.c = append(s.c, new([chunkCells]T))
+	}
+	s.n++
+	return uint32(s.n - 1)
+}
+
+// at returns cell number i.
+func (s *chunks[T]) at(i uint32) *T { return &s.c[i/chunkCells][i%chunkCells] }
 
 // blockIndex is one /24's entry: which last octets are live, and the cell
 // number of each live one.
@@ -38,9 +58,6 @@ type blockIndex struct {
 	live [4]uint64
 	cell [256]uint32
 }
-
-// at returns cell number i.
-func (b *Blocks[T]) at(i uint32) *T { return &b.chunks[i/chunkCells][i%chunkCells] }
 
 // Get returns a's cell, bringing it to life (as T's zero value) if needed;
 // created reports whether it did.
@@ -57,14 +74,10 @@ func (b *Blocks[T]) Get(a ipaddr.Addr) (cell *T, created bool) {
 	word, bit := &idx.live[o>>6], uint64(1)<<(o&63)
 	if *word&bit == 0 {
 		*word |= bit
-		if b.n == len(b.chunks)*chunkCells {
-			b.chunks = append(b.chunks, new([chunkCells]T))
-		}
-		idx.cell[o] = uint32(b.n)
-		b.n++
+		idx.cell[o] = b.cells.add()
 		created = true
 	}
-	return b.at(idx.cell[o]), created
+	return b.cells.at(idx.cell[o]), created
 }
 
 // Lookup returns a's cell, or nil if it was never brought to life.
@@ -77,11 +90,11 @@ func (b *Blocks[T]) Lookup(a ipaddr.Addr) *T {
 	if idx.live[o>>6]&(1<<(o&63)) == 0 {
 		return nil
 	}
-	return b.at(idx.cell[o])
+	return b.cells.at(idx.cell[o])
 }
 
 // Len returns how many cells are live.
-func (b *Blocks[T]) Len() int { return b.n }
+func (b *Blocks[T]) Len() int { return b.cells.n }
 
 // Range calls fn on every live cell in ascending address order.
 func (b *Blocks[T]) Range(fn func(a ipaddr.Addr, cell *T)) {
@@ -95,7 +108,7 @@ func (b *Blocks[T]) Range(fn func(a ipaddr.Addr, cell *T)) {
 		for w, word := range idx.live {
 			for ; word != 0; word &= word - 1 {
 				o := w<<6 | bits.TrailingZeros64(word)
-				fn(p.Addr(byte(o)), b.at(idx.cell[o]))
+				fn(p.Addr(byte(o)), b.cells.at(idx.cell[o]))
 			}
 		}
 	}

@@ -100,79 +100,106 @@ func (v *Verdict) Discarded() bool { return v.Broadcast || v.Duplicate || v.Erro
 // ResponsePackets counts all response packets attributed to the address.
 func (v *Verdict) ResponsePackets() uint64 { return v.packets }
 
-// addrState is one address's attribution and filter state: the open-probe
-// ring, the broadcast persistence filter (§3.3.1), the emission-order check,
-// and the tallies that finish into its Verdict.
-type addrState struct {
-	ring        OpenProbes
+// matchCell is the state every address a record names keeps: its open-probe
+// ring, its probe count, its error and emission-order flags, and the number
+// of its responder state once it has one. A survey probes whole /24s (§3.1)
+// and most of their addresses never answer, so for most addresses this cell
+// is all there is: 56 B.
+type matchCell struct {
+	ring       OpenProbes
+	probes     uint32
+	resp       uint32 // 1 + the address's responder number; 0 while it has none
+	errorSeen  bool
+	outOfOrder bool
+}
+
+// responder is the state an address gains with its first matched or
+// unmatched record: its samples, the broadcast persistence filter (§3.3.1),
+// its newest unmatched arrival for the emission-order check, and the
+// duplicate tallies, which accumulate in res's Verdict (MaxResponses and
+// packets) until finish completes it.
+type responder struct {
+	res         AddressResult
 	ew          stats.EWMA
 	lastRound   int64
 	lastLat     time.Duration
 	lastArrival time.Duration // newest unmatched arrival seen
-	v           Verdict       // Probes, MaxResponses, ErrorSeen, OutOfOrder and packets accumulate here
 }
 
-func newAddrState(opt *Options) addrState {
-	return addrState{ew: stats.EWMA{Alpha: opt.BroadcastAlpha}, lastRound: -10, lastArrival: math.MinInt64}
+func newResponder(opt *Options) responder {
+	return responder{ew: stats.EWMA{Alpha: opt.BroadcastAlpha}, lastRound: -10, lastArrival: math.MinInt64}
 }
 
-// probe opens a probe sent at send. In emission order an address's probes
-// come in strictly increasing send order, and none was sent before a
-// response already seen, which could have been this probe's.
-func (s *addrState) probe(send time.Duration, matched bool) {
-	if n := s.ring.Len(); n > 0 && send <= s.ring.Send(n-1) || send < s.lastArrival {
-		s.v.OutOfOrder = true
+// responder returns c's responder state, kept in rs, or nil while c has
+// none.
+func (c *matchCell) responder(rs *chunks[responder]) *responder {
+	if c.resp == 0 {
+		return nil
 	}
-	s.v.Probes++
-	s.seal(s.ring.Push(send, matched))
+	return rs.at(c.resp - 1)
+}
+
+// probe opens a probe sent at send on c, whose responder state is p (nil
+// while it has none). In emission order an address's probes come in
+// strictly increasing send order, and none was sent before a response
+// already seen, which could have been this probe's.
+func (c *matchCell) probe(p *responder, send time.Duration, matched bool) {
+	if n := c.ring.Len(); n > 0 && send <= c.ring.Send(n-1) || p != nil && send < p.lastArrival {
+		c.outOfOrder = true
+	}
+	c.probes++
+	if resp := c.ring.Push(send, matched); resp > 0 {
+		p.seal(resp) // only a responder's probes draw responses
+	}
 }
 
 // seal folds a closed probe's response count into the duplicate tallies.
-func (s *addrState) seal(resp int) {
-	if resp > s.v.MaxResponses {
-		s.v.MaxResponses = resp
-	}
-	s.v.packets += uint64(resp)
+func (p *responder) seal(resp int) {
+	p.res.MaxResponses = max(p.res.MaxResponses, resp)
+	p.res.packets += uint64(resp)
 }
 
-// response attributes count unmatched response packets arriving at `at`
-// and returns the latency sample that yields, if any. A fresh sample of at
-// least BroadcastMinLat feeds the broadcast filter, which counts rounds in
-// which the address repeats a similar latency. In emission order responses
-// arrive in time order, and after the older of two open probes: a response
-// arriving no later than that probe's send belongs to an evicted one.
-func (s *addrState) response(at time.Duration, count int, opt *Options) (lat time.Duration, fresh bool) {
-	if at < s.lastArrival || s.ring.Len() == 2 && at <= s.ring.Send(0) {
-		s.v.OutOfOrder = true
+// response attributes count unmatched response packets arriving at `at` to
+// c's open probes and returns the latency sample that yields, if any. A
+// fresh sample of at least BroadcastMinLat feeds the broadcast filter,
+// which counts rounds in which the address repeats a similar latency. In
+// emission order responses arrive in time order, and after the older of two
+// open probes: a response arriving no later than that probe's send belongs
+// to an evicted one.
+func (c *matchCell) response(p *responder, at time.Duration, count int, opt *Options) (lat time.Duration, fresh bool) {
+	if at < p.lastArrival || c.ring.Len() == 2 && at <= c.ring.Send(0) {
+		c.outOfOrder = true
 	}
-	s.lastArrival = max(s.lastArrival, at)
-	lat, fresh = s.ring.Attribute(at, count)
+	p.lastArrival = max(p.lastArrival, at)
+	lat, fresh = c.ring.Attribute(at, count)
 	if fresh && lat >= opt.BroadcastMinLat {
 		round := int64(at / opt.Interval)
-		d := lat - s.lastLat
+		d := lat - p.lastLat
 		if d < 0 {
 			d = -d
 		}
-		if round == s.lastRound+1 && d <= opt.BroadcastTol {
-			s.ew.Observe(1)
+		if round == p.lastRound+1 && d <= opt.BroadcastTol {
+			p.ew.Observe(1)
 		} else {
-			s.ew.Observe(0)
+			p.ew.Observe(0)
 		}
-		s.lastRound, s.lastLat = round, lat
+		p.lastRound, p.lastLat = round, lat
 	}
 	return lat, fresh
 }
 
-// finish seals the probes still open and returns the address's verdict;
-// it is called once, when the address's records are done.
-func (s *addrState) finish(opt *Options) Verdict {
-	for i := 0; i < s.ring.Len(); i++ {
-		s.seal(s.ring.resp[i])
+// finish seals the probes still open on c, the address whose responder
+// state p is, and completes p's Verdict; it is called once, when the
+// address's records are done. A quiet address's verdict is finish on a
+// zero responder.
+func (p *responder) finish(c *matchCell, opt *Options) {
+	for i := 0; i < c.ring.Len(); i++ {
+		p.seal(c.ring.resp[i])
 	}
-	v := s.v
-	v.Broadcast = s.ew.Max() > opt.BroadcastMark
+	v := &p.res.Verdict
+	v.Probes, v.ErrorSeen, v.OutOfOrder = int(c.probes), c.errorSeen, c.outOfOrder
+	v.Broadcast = p.ew.Max() > opt.BroadcastMark
 	v.Duplicate = v.MaxResponses > opt.DuplicateMax
-	return v
 }
 
 // responseCount returns how many response packets an unmatched record

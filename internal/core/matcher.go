@@ -113,8 +113,9 @@ type AddressResult struct {
 }
 
 // Result is the outcome of matching one dataset. It owns the matcher's
-// per-address cells: Range, Lookup and Len read them, and AddressQuantiles
-// reduces them to percentile vectors; no per-address map is built.
+// per-address cells and responder states: Range, Lookup and Len read them,
+// and AddressQuantiles reduces them to percentile vectors; no per-address
+// map is built.
 type Result struct {
 	Opt Options
 	// OutOfOrder counts the addresses whose records broke emission order;
@@ -122,6 +123,7 @@ type Result struct {
 	OutOfOrder int
 
 	cells Blocks[matchCell]
+	resp  chunks[responder]
 	// quant memoizes each sampleView's quantiles; see AddressQuantiles.
 	quant [numViews]struct {
 		once sync.Once
@@ -129,17 +131,44 @@ type Result struct {
 	}
 }
 
-// Range calls fn on every address's result in ascending address order.
+// Range calls fn on every address's result in ascending address order. A
+// responder's result (an address with any matched or unmatched record) is
+// the one Lookup returns, valid for the Result's life. A quiet address's
+// result (timeouts and errors only) is built from its cell for the call and
+// is valid only until fn returns.
 func (r *Result) Range(fn func(a ipaddr.Addr, ar *AddressResult)) {
-	r.cells.Range(func(a ipaddr.Addr, c *matchCell) { fn(a, &c.res) })
+	var quiet AddressResult
+	r.cells.Range(func(a ipaddr.Addr, c *matchCell) {
+		if p := c.responder(&r.resp); p != nil {
+			fn(a, &p.res)
+			return
+		}
+		quiet = r.quiet(c)
+		fn(a, &quiet)
+	})
 }
 
-// Lookup returns a's result, or nil if no record named a.
+// Lookup returns a's result, or nil if no record named a. A responder's
+// result stays valid for the Result's life; a quiet address's is a copy
+// built from its cell.
 func (r *Result) Lookup(a ipaddr.Addr) *AddressResult {
-	if c := r.cells.Lookup(a); c != nil {
-		return &c.res
+	c := r.cells.Lookup(a)
+	if c == nil {
+		return nil
 	}
-	return nil
+	if p := c.responder(&r.resp); p != nil {
+		return &p.res
+	}
+	ar := r.quiet(c)
+	return &ar
+}
+
+// quiet returns the result of an address without responder state: no
+// samples, and the verdict its cell finishes to.
+func (r *Result) quiet(c *matchCell) AddressResult {
+	var p responder
+	p.finish(c, &r.Opt)
+	return p.res
 }
 
 // Len returns how many addresses the records named.
@@ -147,10 +176,14 @@ func (r *Result) Len() int { return r.cells.Len() }
 
 // StreamMatcher runs the paper's §3.3–§4.1 pipeline over a survey record
 // stream, one record at a time: it drives the attribution kernel
-// (OpenProbes and its filters) and keeps, per address, the kernel's open
-// state plus every matched and delayed latency sample, in per-/24 Blocks.
-// Memory is O(addresses) for the open state plus 8 B per recovered sample;
-// records are never held.
+// (OpenProbes and its filters). Every address a record names keeps a
+// 56-byte cell in a Blocks: its open probes, probe count and flags. An
+// address that answers — its first matched or unmatched record — also
+// gains a 136-byte responder state, in fixed chunks like the cells', which
+// holds its filter state, duplicate tallies and every matched and delayed
+// latency sample (8 B each). A survey probes whole /24s and most addresses
+// never answer, so memory is 56 B per address, plus the responder state
+// and samples of those that answer; records are never held.
 //
 // StreamMatcher implements survey.RecordWriter, so a survey can probe
 // straight into the matcher — survey.Run / survey.RunSharded with the
@@ -168,6 +201,7 @@ func (r *Result) Len() int { return r.cells.Len() }
 type StreamMatcher struct {
 	opt     Options
 	cells   Blocks[matchCell]
+	resp    chunks[responder]
 	records uint64
 
 	// Observability (nil-safe no-ops unless SetObserver installs them). All
@@ -180,13 +214,6 @@ type StreamMatcher struct {
 	obsRTTMatched *obs.Histogram
 	obsLatency    *obs.Histogram
 	openProbes    int64 // open probes across all addresses, for the HWM gauge
-}
-
-// matchCell is one address's matcher state: the kernel's open state and
-// the result it accumulates.
-type matchCell struct {
-	st  addrState
-	res AddressResult
 }
 
 // NewStreamMatcher creates a matcher; zero Options select the paper's
@@ -219,22 +246,33 @@ func (m *StreamMatcher) Write(rec survey.Record) error {
 	return nil
 }
 
-// cell returns (creating if needed) the address's state.
+// cell returns (creating if needed) the address's cell.
 func (m *StreamMatcher) cell(a ipaddr.Addr) *matchCell {
 	c, created := m.cells.Get(a)
 	if created {
-		c.st = newAddrState(&m.opt)
 		m.obsAddrsHWM.Observe(int64(m.cells.Len()))
 	}
 	return c
 }
 
+// answered returns c's responder state, creating it on the address's first
+// answer.
+func (m *StreamMatcher) answered(c *matchCell) *responder {
+	if p := c.responder(&m.resp); p != nil {
+		return p
+	}
+	c.resp = m.resp.add() + 1
+	p := c.responder(&m.resp)
+	*p = newResponder(&m.opt)
+	return p
+}
+
 // probe opens a probe on c, maintaining the open-probe high-water mark
 // (opening may evict, so the net change can be zero).
-func (m *StreamMatcher) probe(c *matchCell, send time.Duration, matched bool) {
-	before := c.st.ring.Len()
-	c.st.probe(send, matched)
-	m.openProbes += int64(c.st.ring.Len() - before)
+func (m *StreamMatcher) probe(c *matchCell, p *responder, send time.Duration, matched bool) {
+	before := c.ring.Len()
+	c.probe(p, send, matched)
+	m.openProbes += int64(c.ring.Len() - before)
 	m.obsOpenHWM.Observe(m.openProbes)
 }
 
@@ -245,20 +283,23 @@ func (m *StreamMatcher) Observe(rec survey.Record) {
 	switch rec.Type {
 	case survey.RecMatched:
 		c := m.cell(rec.Addr)
-		m.probe(c, rec.When, true)
-		c.res.Matched = append(c.res.Matched, rec.RTT)
+		p := m.answered(c)
+		m.probe(c, p, rec.When, true)
+		p.res.Matched = append(p.res.Matched, rec.RTT)
 		m.obsRTTMatched.Observe(rec.RTT)
 		m.obsLatency.Observe(rec.RTT)
 	case survey.RecTimeout:
-		m.probe(m.cell(rec.Addr), rec.When, false)
+		c := m.cell(rec.Addr)
+		m.probe(c, c.responder(&m.resp), rec.When, false)
 	case survey.RecUnmatched:
 		c := m.cell(rec.Addr)
-		if lat, fresh := c.st.response(rec.When, responseCount(rec), &m.opt); fresh {
-			c.res.Delayed = append(c.res.Delayed, lat)
+		p := m.answered(c)
+		if lat, fresh := c.response(p, rec.When, responseCount(rec), &m.opt); fresh {
+			p.res.Delayed = append(p.res.Delayed, lat)
 			m.obsLatency.Observe(lat)
 		}
 	case survey.RecError:
-		m.cell(rec.Addr).st.v.ErrorSeen = true
+		m.cell(rec.Addr).errorSeen = true
 	}
 }
 
@@ -277,18 +318,20 @@ func (m *StreamMatcher) Consume(src survey.RecordSource) error {
 	}
 }
 
-// Finalize seals all remaining open state and returns the result. The
-// matcher's cells move into the result; further Observe calls start a fresh
-// accumulation.
+// Finalize seals all remaining open state, completes each responder's
+// Verdict and returns the result. The matcher's cells and responder states
+// move into the result; further Observe calls start a fresh accumulation.
 func (m *StreamMatcher) Finalize() *Result {
-	res := &Result{Opt: m.opt, cells: m.cells}
+	res := &Result{Opt: m.opt, cells: m.cells, resp: m.resp}
 	res.cells.Range(func(_ ipaddr.Addr, c *matchCell) {
-		c.res.Verdict = c.st.finish(&m.opt)
-		if c.res.OutOfOrder {
+		if p := c.responder(&res.resp); p != nil {
+			p.finish(c, &m.opt)
+		}
+		if c.outOfOrder {
 			res.OutOfOrder++
 		}
 	})
-	m.cells = Blocks[matchCell]{}
+	m.cells, m.resp = Blocks[matchCell]{}, chunks[responder]{}
 	m.records, m.openProbes = 0, 0
 	return res
 }

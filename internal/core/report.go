@@ -49,24 +49,45 @@ func (r *Result) SurveyDetectedQuantiles() []AddrQuantiles {
 	return r.quantiles(viewSurveyDetected)
 }
 
-// quantiles builds (once) view v's percentile vectors. Each address's
-// samples are copied into a scratch slice before ComputeQuantiles sorts
-// them, so Matched and Delayed keep their arrival order.
+// samples returns how many of ar's samples view v reduces; 0 when the view
+// skips the address.
+func (v sampleView) samples(ar *AddressResult) int {
+	switch {
+	case v == viewFiltered && ar.Discarded():
+		return 0
+	case v == viewSurveyDetected:
+		return len(ar.Matched)
+	}
+	return len(ar.Matched) + len(ar.Delayed)
+}
+
+// quantiles builds (once) view v's percentile vectors. Only responders have
+// samples, so it counts the responders the view keeps, allocates the vector
+// at that size, then fills it from the responders in address order. Each
+// address's samples are copied into a scratch slice before ComputeQuantiles
+// sorts them, so Matched and Delayed keep their arrival order.
 func (r *Result) quantiles(v sampleView) []AddrQuantiles {
 	m := &r.quant[v]
 	m.once.Do(func() {
+		n := 0
+		for i := range r.resp.n {
+			if v.samples(&r.resp.at(uint32(i)).res) > 0 {
+				n++
+			}
+		}
+		m.q = make([]AddrQuantiles, 0, n)
 		var scratch []time.Duration
-		r.Range(func(a ipaddr.Addr, ar *AddressResult) {
-			if v == viewFiltered && ar.Discarded() {
+		r.cells.Range(func(a ipaddr.Addr, c *matchCell) {
+			p := c.responder(&r.resp)
+			if p == nil || v.samples(&p.res) == 0 {
 				return
 			}
+			ar := &p.res
 			scratch = append(scratch[:0], ar.Matched...)
 			if v != viewSurveyDetected {
 				scratch = append(scratch, ar.Delayed...)
 			}
-			if len(scratch) > 0 {
-				m.q = append(m.q, AddrQuantiles{a, stats.ComputeQuantiles(scratch)})
-			}
+			m.q = append(m.q, AddrQuantiles{a, stats.ComputeQuantiles(scratch)})
 		})
 	})
 	return m.q

@@ -1,6 +1,7 @@
-// Large-population benchmarks: one full scan and one survey cycle at
-// populations big enough for per-address state to dominate if it crept
-// back in (see DESIGN.md §17). Each reports its peak live heap — an
+// Large-population benchmarks: one full scan, one survey cycle, and a
+// multi-cycle survey matched and reported, at populations big enough for
+// per-address state to dominate if it crept back in (see DESIGN.md §9 and
+// §17). Each reports its peak live heap — an
 // obs.HeapSampler threaded through the output sink, so the figure is
 // scoped to the run rather than to whatever earlier benchmarks in the
 // shared process already forced — and BENCH_<date>.json carries it for the
@@ -14,6 +15,7 @@ package timeouts
 import (
 	"testing"
 
+	"timeouts/internal/core"
 	"timeouts/internal/ipaddr"
 	"timeouts/internal/ipmeta"
 	"timeouts/internal/netmodel"
@@ -116,5 +118,66 @@ func BenchmarkScaleSurvey(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pop.NumAddrs()), "ns/probe")
+	sampler.Report(b)
+}
+
+// scaleMatchCycles is how many survey cycles BenchmarkScaleMatch matches:
+// enough revisits that responders hold several samples each while most of
+// the population stays quiet, as in a real survey.
+const scaleMatchCycles = 8
+
+// matchRecords is a survey.RecordWriter that folds each record into a
+// StreamMatcher — analyze's pipeline without the dataset — and calls sample
+// (a HeapSampler hook) per record.
+type matchRecords struct {
+	m      *core.StreamMatcher
+	sample func()
+}
+
+func (s *matchRecords) Write(rec survey.Record) error {
+	s.m.Observe(rec)
+	s.sample()
+	return nil
+}
+
+// BenchmarkScaleMatch surveys BenchmarkScaleSurvey's population for
+// scaleMatchCycles cycles straight into a StreamMatcher, then finalizes the
+// match and renders the report. Its peak-heap-B is dominated by the
+// matcher's per-address state, which is what it gates.
+func BenchmarkScaleMatch(b *testing.B) {
+	pop := netmodel.New(netmodel.Config{Seed: 42, Blocks: scaleSurveyBlocks})
+	cfg := survey.Config{
+		Vantage: survey.VantageW, Blocks: pop.Blocks(),
+		Cycles: scaleMatchCycles, Seed: 42,
+	}
+	opt := core.MatchOptionsForCycles(scaleMatchCycles)
+	b.ReportAllocs()
+	sampler := obs.NewHeapSampler(heapSampleEvery)
+	b.ResetTimer()
+	var records uint64
+	for i := 0; i < b.N; i++ {
+		model := netmodel.NewModel(pop)
+		model.AddVantage(survey.VantageW.Addr, survey.VantageW.Continent)
+		net := simnet.NewNetwork(&simnet.Scheduler{}, model)
+		sink := matchRecords{m: core.NewStreamMatcher(opt), sample: sampler.Sample}
+		if _, err := survey.Run(net, cfg, &sink); err != nil {
+			b.Fatal(err)
+		}
+		// The matcher holds its whole state now. Read the live heap while
+		// it does: a run may end before a GC completes, and per-record
+		// samples would then miss it.
+		b.StopTimer()
+		sampler.Peak()
+		b.StartTimer()
+		records += sink.m.Records()
+		if core.RenderReport(sink.m.Finalize(), false) == "" {
+			b.Fatal("empty report")
+		}
+	}
+	if records == 0 {
+		b.Fatal("no records")
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
 	sampler.Report(b)
 }
